@@ -228,10 +228,13 @@ def run_verify(config: RunConfig) -> int:
     n_max = config.n_max
     exponents = range(2, config.r_max + 1)
 
+    # one solve per exponent, shared by route-agreement and n-independence;
+    # an exponent whose solve failed is reported once and skipped afterwards
+    oracles: dict[int, list[int]] = {}
     with _group(report, "route-agreement"):
         for r in exponents:
             try:
-                oracle = core.c_by_definition(r, n_max)
+                oracle = oracles[r] = core.c_by_definition(r, n_max)
             except DivisibilityError as exc:
                 report.check(False, "defining solve non-integral", f"(r={r}): {exc}")
                 continue
@@ -259,8 +262,7 @@ def run_verify(config: RunConfig) -> int:
                         )
 
     with _group(report, "n-independence"):
-        for r in exponents:
-            c = core.c_by_definition(r, n_max)
+        for r, c in oracles.items():
             for n in range(n_max + 1):
                 report.check(
                     legendre_forward(c, n) == core.lhs_sum(n, r),
@@ -276,16 +278,6 @@ def run_verify(config: RunConfig) -> int:
                         report, "r=3 closed form disagrees", f"(n={n}, j={j})",
                         lambda n=n, j=j: core.t3_closed(n, j), reference[3],
                     )
-                if config.r_max >= 4:
-                    _checked_equal(
-                        report, "r=4 closed form disagrees", f"(n={n}, j={j})",
-                        lambda n=n, j=j: core.t4_closed(n, j), reference[4],
-                    )
-                if config.r_max >= 5:
-                    _checked_equal(
-                        report, "r=5 closed form disagrees", f"(n={n}, j={j})",
-                        lambda n=n, j=j: core.t5_closed(n, j), reference[5],
-                    )
                 for r in range(4, config.r_max + 1):
                     _checked_equal(
                         report, "nested closed form disagrees", f"(r={r}, n={n}, j={j})",
@@ -294,10 +286,9 @@ def run_verify(config: RunConfig) -> int:
 
     if config.r_max >= 1:
         with _group(report, "trivial-exponent"):
-            ones = core.c_by_definition(1, n_max)
-            report.check(
-                all(v == 1 for v in ones),
-                "exponent-1 family is not all ones", f"(n_max={n_max})",
+            _checked_equal(
+                report, "exponent-1 family is not all ones", f"(n_max={n_max})",
+                lambda: core.c_by_definition(1, n_max), [1] * (n_max + 1),
             )
         # informational only: the scaled ratios at r=1 are reported, never asserted
         integral = total = 0

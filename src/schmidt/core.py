@@ -110,16 +110,12 @@ def t3_closed(n: int, j: int) -> int:
 
 
 def c2_closed(n: int) -> int:
-    """c(n, 2) = sum_j C(n,j)^3, cross-checked against sum_j C(n,j)^2 C(2j,n).
+    """c(n, 2) = sum_j C(n,j)^3, the Franel numbers.
 
-    Both printed forms are computed; they provably agree, and the check is
-    kept as a tripwire against regressions in the binomial conventions.
+    The equivalent form sum_j C(n,j)^2 C(2j,n) is checked against this one
+    by the acceptance suite, not on every call.
     """
-    cubes = sum(binomial(n, j) ** 3 for j in range(n + 1))
-    alt = sum(binomial(n, j) ** 2 * binomial(2 * j, n) for j in range(n + 1))
-    if cubes != alt:
-        raise ArithmeticError(f"equivalent forms disagree at n={n}: {cubes} != {alt}")
-    return cubes
+    return sum(binomial(n, j) ** 3 for j in range(n + 1))
 
 
 def c3_closed(n: int) -> int:
@@ -131,75 +127,52 @@ def c3_closed(n: int) -> int:
 
 
 def t4_closed(n: int, j: int) -> int:
-    """t(n, j, 4) = (2n)! j! / (n! (n-j)! (2j)!) * sum_k C(k+j,k-j) C(j,n-k) C(k,j) C(2j,k-j).
-
-    The rational prefactor need not be an integer on its own, so the inner
-    sum is accumulated first and the product is divided out exactly.
-    """
-    _require_order(n, j)
-    inner = sum(
-        binomial(k + j, k - j) * binomial(j, n - k) * binomial(k, j) * binomial(2 * j, k - j)
-        for k in range(j, n + 1)
-    )
-    return exact_divide(
-        factorial(2 * n) * factorial(j) * inner,
-        factorial(n) * factorial(n - j) * factorial(2 * j),
-    )
+    """t(n, j, 4) = (2n)! j! / (n! (n-j)! (2j)!) * sum_k C(k+j,k-j) C(j,n-k) C(k,j) C(2j,k-j)."""
+    return t_general(n, j, 4)
 
 
 def t5_closed(n: int, j: int) -> int:
     """t(n, j, 5) = (2n)! / ((2j)! (n-j)!^2) * sum_k C(k+j,k-j)^2 C(2j,n-k) C(2j,k-j)."""
-    _require_order(n, j)
-    inner = sum(
-        binomial(k + j, k - j) ** 2 * binomial(2 * j, n - k) * binomial(2 * j, k - j)
-        for k in range(j, n + 1)
-    )
-    return exact_divide(factorial(2 * n) * inner, factorial(2 * j) * factorial(n - j) ** 2)
+    return t_general(n, j, 5)
 
 
 def c4_closed(n: int) -> int:
     """c(n, 4) = sum_j C(2j,j)^3 C(n,j) sum_k C(k+j,k-j) C(j,n-k) C(k,j) C(2j,k-j)."""
-    total = 0
-    for j in range(n + 1):
-        inner = sum(
-            binomial(k + j, k - j) * binomial(j, n - k) * binomial(k, j) * binomial(2 * j, k - j)
-            for k in range(j, n + 1)
-        )
-        total += central_binomial(j) ** 3 * binomial(n, j) * inner
-    return total
+    return c_general(n, 4)
 
 
 def c5_closed(n: int) -> int:
     """c(n, 5) = sum_j C(2j,j)^4 C(n,j)^2 sum_k C(k+j,k-j)^2 C(2j,n-k) C(2j,k-j)."""
-    total = 0
-    for j in range(n + 1):
-        inner = sum(
-            binomial(k + j, k - j) ** 2 * binomial(2 * j, n - k) * binomial(2 * j, k - j)
-            for k in range(j, n + 1)
+    return c_general(n, 5)
+
+
+def _nest(n: int, j: int, s: int, odd: bool) -> int:
+    # The (s-1)-fold integer sum behind both t_general and c_general, over
+    # chained indices n >= k_1 >= k_2 >= ... >= k_{s-1} >= j. The outer
+    # level contributes C(2j,n-k_1) C(k_1+j,k_1-j)^2 for odd r and
+    # C(j,n-k_1) C(k_1,j) C(k_1+j,k_1-j) for even r; every inner level L
+    # contributes C(2j,k_{L-1}-k_L) C(k_L+j,k_L-j)^2; the trailing
+    # C(2j,k_{s-1}-j) closes the chain. What lies below a level depends only
+    # on that level's index, so the chain is built bottom-up as one list per
+    # level, indexed by k - j. C(2j, d) vanishes for d > 2j, so each level
+    # costs O(n min(n, 2j)) and the whole nest O(s n^2) per (n, j).
+    band = [binomial(2 * j, d) for d in range(2 * j + 1)]
+    sq = [binomial(k + j, k - j) ** 2 for k in range(j, n + 1)]
+    chain = [binomial(2 * j, i) for i in range(n - j + 1)]
+    for _ in range(s - 2):
+        weighted = [x * y for x, y in zip(sq, chain)]
+        chain = [
+            sum(band[d] * weighted[i - d] for d in range(min(2 * j, i) + 1))
+            for i in range(n - j + 1)
+        ]
+    if odd:
+        return sum(
+            band[n - k] * sq[k - j] * chain[k - j] for k in range(max(j, n - 2 * j), n + 1)
         )
-        total += central_binomial(j) ** 4 * binomial(n, j) ** 2 * inner
-    return total
-
-
-def _t_nest(n: int, j: int, s: int, odd: bool, level: int, offset: int) -> int:
-    # Levels 1..s-1 each contribute one bounded sum over an offset l;
-    # past the last one a single trailing binomial closes the chain.
-    # Offsets are capped at n - j - offset: beyond that every remaining
-    # factor vanishes, and the cap also keeps all upper indices >= 0.
-    if level == s:
-        return binomial(2 * j, n - offset - j)
-    first_even = level == 1 and not odd
-    width = j if first_even else 2 * j
-    total = 0
-    for l in range(min(width, n - j - offset) + 1):
-        rest = n - offset - l
-        if first_even:
-            factor = binomial(j, l) * binomial(rest, j) * binomial(rest + j, rest - j)
-        else:
-            factor = binomial(2 * j, l) * binomial(rest + j, rest - j) ** 2
-        if factor:
-            total += factor * _t_nest(n, j, s, odd, level + 1, offset + l)
-    return total
+    return sum(
+        binomial(j, n - k) * binomial(k, j) * binomial(k + j, k - j) * chain[k - j]
+        for k in range(max(j, n - j), n + 1)
+    )
 
 
 def t_general(n: int, j: int, r: int) -> int:
@@ -218,7 +191,7 @@ def t_general(n: int, j: int, r: int) -> int:
     if r < 2:
         raise ValueError(f"no closed route below r=2, got r={r}")
     s, odd = divmod(r, 2)
-    inner = _t_nest(n, j, s, bool(odd), level=1, offset=0)
+    inner = _nest(n, j, s, bool(odd))
     if odd:
         return exact_divide(factorial(2 * n) * inner, factorial(2 * j) * factorial(n - j) ** 2)
     return exact_divide(
@@ -227,33 +200,13 @@ def t_general(n: int, j: int, r: int) -> int:
     )
 
 
-def _c_nest(n: int, j: int, s: int, odd: bool, level: int, k_prev: int) -> int:
-    # Chained indices j <= k_{level} <= k_{level-1} <= ... <= k_1 <= n;
-    # the trailing binomial attaches inside the innermost sum.
-    total = 0
-    for k in range(j, k_prev + 1):
-        if level > 1:
-            factor = binomial(2 * j, k_prev - k) * binomial(k + j, k - j) ** 2
-        elif odd:
-            factor = binomial(2 * j, n - k) * binomial(k + j, k - j) ** 2
-        else:
-            factor = binomial(j, n - k) * binomial(k, j) * binomial(k + j, k - j)
-        if not factor:
-            continue
-        if level == s - 1:
-            factor *= binomial(2 * j, k - j)
-        else:
-            factor = factor * _c_nest(n, j, s, odd, level + 1, k)
-        total += factor
-    return total
-
-
 def c_general(n: int, r: int) -> int:
     """c(n, r) by the closed multi-sum route; r = 1, 2, 3 delegate.
 
     For r = 2s or r = 2s + 1 with s >= 2 this is a pure integer multi-sum
-    (no division at all): an outer sum over j weights an (s-1)-fold chain
-    of descending indices. r <= 3 delegates to the dedicated forms.
+    (no division at all): an outer sum over j weights the same (s-1)-fold
+    nest as t_general, so the cost is O(s n^3). r <= 3 delegates to the
+    dedicated forms.
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got n={n}")
@@ -269,8 +222,7 @@ def c_general(n: int, r: int) -> int:
     total = 0
     for j in range(n + 1):
         weight = binomial(n, j) ** 2 if odd else binomial(n, j)
-        if weight:
-            total += central_binomial(j) ** (r - 1) * weight * _c_nest(n, j, s, bool(odd), 1, n)
+        total += central_binomial(j) ** (r - 1) * weight * _nest(n, j, s, bool(odd))
     return total
 
 

@@ -161,40 +161,64 @@ def check_whipple(
     return eval_terminating(series) == whipple_rhs(a, b, c, d, e, m)
 
 
-def _nest(spec: WellPoisedSpec, level: int, partial: int) -> Fraction:
-    # partial = l_1 + ... + l_{level-1}. Each level i keeps its own local
-    # Pochhammer (1+a-b_i-c_i)_{l_i} but raises the next pair and its own
-    # denominators to the cumulative index. Beyond partial = m the trailing
-    # (-m) Pochhammer kills every continuation, which bounds each loop.
+def _rising(x: Fraction, m: int) -> list[Fraction]:
+    """(x)_0, (x)_1, ..., (x)_m as running products."""
+    out = [Fraction(1)]
+    for i in range(m):
+        out.append(out[-1] * (x + i))
+    return out
+
+
+def _nest(spec: WellPoisedSpec) -> Fraction:
+    # Level i < s sums over l_i, with partial = l_1 + ... + l_{i-1} and
+    # cum = partial + l_i. It keeps its own local Pochhammer
+    # (1+a-b_i-c_i)_{l_i} but raises the next pair and its own denominators
+    # to the cumulative index; past the last level the trailing ratio
+    # (-m)_partial / (b_s+c_s-a-m)_partial closes the chain. Beyond
+    # partial = m the trailing (-m) Pochhammer kills every continuation,
+    # which bounds each loop. Every Pochhammer is tabulated once over 0..m.
+    # A node's value depends only on (level, partial), so it is memoized,
+    # but the walk stays top-down: a pole is raised at exactly the nodes the
+    # sum reaches, never at one that a vanishing numerator skips.
     a, m, pairs = spec.a, spec.m, spec.pairs
-    if level == len(pairs):
-        b_last, c_last = pairs[-1]
-        num = pochhammer(Fraction(-m), partial)
-        den = pochhammer(b_last + c_last - a - m, partial)
-        if den == 0:
-            if num == 0:
-                return Fraction(0)
-            raise PoleError("trailing denominator Pochhammer vanished in the nest")
-        return num / den
-    b_i, c_i = pairs[level - 1]
-    b_next, c_next = pairs[level]
-    total = Fraction(0)
-    for l in range(m - partial + 1):
-        cum = partial + l
-        num = (
-            pochhammer(1 + a - b_i - c_i, l)
-            * pochhammer(b_next, cum)
-            * pochhammer(c_next, cum)
-        )
-        den = factorial(l) * pochhammer(1 + a - b_i, cum) * pochhammer(1 + a - c_i, cum)
-        if den == 0:
-            if num == 0:
-                continue
-            raise PoleError(f"denominator Pochhammer vanished in the nest at level {level}")
-        if num == 0:
-            continue
-        total += num / den * _nest(spec, level + 1, cum)
-    return total
+    b_last, c_last = pairs[-1]
+    trailing_num = _rising(Fraction(-m), m)
+    trailing_den = _rising(b_last + c_last - a - m, m)
+    levels = []
+    for (b_i, c_i), (b_next, c_next) in zip(pairs, pairs[1:]):
+        local = [x / factorial(l) for l, x in enumerate(_rising(1 + a - b_i - c_i, m))]
+        num = [x * y for x, y in zip(_rising(b_next, m), _rising(c_next, m))]
+        den = [x * y for x, y in zip(_rising(1 + a - b_i, m), _rising(1 + a - c_i, m))]
+        ratio = [x / y if y else None for x, y in zip(num, den)]
+        levels.append((local, num, den, ratio))
+    memo: dict[tuple[int, int], Fraction] = {}
+
+    def node(level: int, partial: int) -> Fraction:
+        key = (level, partial)
+        if key in memo:
+            return memo[key]
+        if level == len(pairs):
+            num, den = trailing_num[partial], trailing_den[partial]
+            if den == 0:
+                if num != 0:
+                    raise PoleError("trailing denominator Pochhammer vanished in the nest")
+                total = Fraction(0)
+            else:
+                total = num / den
+        else:
+            local, num, den, ratio = levels[level - 1]
+            total = Fraction(0)
+            for l in range(m - partial + 1):
+                cum = partial + l
+                if local[l] == 0 or num[cum] == 0:
+                    continue
+                if den[cum] == 0:
+                    raise PoleError(f"denominator Pochhammer vanished in the nest at level {level}")
+                total += local[l] * ratio[cum] * node(level + 1, cum)
+        memo[key] = total
+        return total
+
+    return node(1, 0)
 
 
 def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
@@ -210,7 +234,7 @@ def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
     if den == 0:
         raise PoleError("denominator Pochhammer of the prefactor vanishes")
     prefactor = pochhammer(1 + a, m) * pochhammer(1 + a - b_last - c_last, m) / den
-    return prefactor * _nest(spec, level=1, partial=0)
+    return prefactor * _nest(spec)
 
 
 def check_andrews(spec: WellPoisedSpec) -> bool:

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from schmidt import cli
+from schmidt.combinatorics import DivisibilityError
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -168,6 +169,20 @@ def test_verify_reports_failures_and_exits_one(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "FAILED" in captured.out
+
+
+def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
+    def failing_solve(r, n_max):
+        raise DivisibilityError(7, 2)
+
+    monkeypatch.setattr(cli.core, "c_by_definition", failing_solve)
+    code = cli.main(["verify", "--r-max", "3", "--n-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL defining solve non-integral witness=(r=2): 2 does not divide 7" in captured.err
+    assert "FAIL defining solve non-integral witness=(r=3): 2 does not divide 7" in captured.err
+    assert "FAIL exponent-1 family is not all ones (non-integral) witness=" in captured.err
+    assert "n-independence: 0 checks" in captured.out
 
 
 def test_main_returns_zero_in_process():

@@ -147,8 +147,8 @@ def test_t_general_delegations():
 
 
 def test_t_general_matches_defining_sum():
-    for r in range(4, 9):
-        for n in range(8):
+    for r in range(4, 13):
+        for n in range(17):
             for j in range(n + 1):
                 assert core.t_general(n, j, r) == core.t_sum(n, j, r), (r, n, j)
 
@@ -165,6 +165,12 @@ def test_c_general_delegations_and_values():
     assert core.c_general(4, 3) == core.c3_closed(4)
     with pytest.raises(ValueError):
         core.c_general(3, 0)
+
+
+@pytest.mark.parametrize("r", range(4, 21))
+def test_c_general_matches_definition_at_high_order(r):
+    n_max = 30 if r == 20 else 20
+    assert [core.c_general(n, r) for n in range(n_max + 1)] == core.c_by_definition(r, n_max)
 
 
 def test_route_agreement_small():

@@ -211,6 +211,38 @@ def test_andrews_reduction_chain():
         assert andrews_rhs(spec) == whipple_rhs(spec.a, b, c, d, e, spec.m)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # 1 + a - b_1 = 0: the level-1 denominator dies at cum = 1 while
+        # (1 + a - b_1 - c_1) b_2 c_2 does not
+        (
+            WellPoisedSpec(Fraction(1, 2), ((Fraction(3, 2), Fraction(1, 3)),
+                                            (Fraction(1, 5), Fraction(1, 7))), 2),
+            "nest at level 1",
+        ),
+        # b_2 + c_2 - a - m = 0: the trailing denominator dies at partial = 1
+        (
+            WellPoisedSpec(Fraction(1, 2), ((Fraction(1, 5), Fraction(1, 7)),
+                                            (Fraction(1, 3), Fraction(13, 6))), 2),
+            "trailing denominator",
+        ),
+    ],
+)
+def test_andrews_nested_pole_raises(spec, message):
+    with pytest.raises(PoleError, match=message):
+        andrews_rhs(spec)
+
+
+def test_andrews_nested_zero_over_zero_is_skipped():
+    # 1 + a - b_1 = 0 and b_2 = 0: numerator and denominator vanish together
+    # at every cum >= 1, so only the l = 0 term survives; the prefactor is
+    # (1+a)_m (1+a-c_2)_m / ((1+a)_m (1+a-c_2)_m) = 1
+    spec = WellPoisedSpec(Fraction(1, 2), ((Fraction(3, 2), Fraction(1, 3)),
+                                           (Fraction(0), Fraction(1, 7))), 3)
+    assert andrews_rhs(spec) == 1
+
+
 def test_andrews_m0():
     spec = WellPoisedSpec(Fraction(5, 3), ((1, 2), (Fraction(1, 2), Fraction(7, 5))), 0)
     assert andrews_rhs(spec) == 1
