@@ -49,10 +49,13 @@ class RunConfig:
 
 @dataclass
 class VerificationReport:
-    """Aggregated sweep outcome; group counts make the rendering deterministic."""
+    """Aggregated sweep outcome; group counts make the rendering deterministic.
+
+    Each group is (name, checks, elapsed ms); the times go to stderr only.
+    """
 
     checks_run: int = 0
-    groups: list[tuple[str, int]] = field(default_factory=list)
+    groups: list[tuple[str, int, int]] = field(default_factory=list)
     failures: list[dict[str, str]] = field(default_factory=list)
     elapsed_ms: int = 0
 
@@ -65,8 +68,10 @@ class VerificationReport:
 @contextmanager
 def _group(report: VerificationReport, name: str):
     before = report.checks_run
+    start = time.perf_counter()
     yield
-    report.groups.append((name, report.checks_run - before))
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    report.groups.append((name, report.checks_run - before, elapsed_ms))
 
 
 def _emit_report(command: str, params: dict, report: VerificationReport, fmt: str) -> int:
@@ -76,17 +81,17 @@ def _emit_report(command: str, params: dict, report: VerificationReport, fmt: st
             "params": params,
             "results": {
                 "checks_run": report.checks_run,
-                "groups": [{"name": name, "checks": count} for name, count in report.groups],
+                "groups": [{"name": name, "checks": count} for name, count, _ in report.groups],
             },
             "failures": report.failures,
         }
         print(json.dumps(doc, indent=2))
     elif fmt == "csv":
         print("group,checks")
-        for name, count in report.groups:
+        for name, count, _ in report.groups:
             print(f"{name},{count}")
     else:
-        for name, count in report.groups:
+        for name, count, _ in report.groups:
             print(f"{name}: {count} checks")
         if report.failures:
             print(f"{len(report.failures)} of {report.checks_run} checks FAILED")
@@ -94,6 +99,8 @@ def _emit_report(command: str, params: dict, report: VerificationReport, fmt: st
             print(f"all {report.checks_run} checks passed")
     for failure in report.failures:
         print(f"FAIL {failure['description']} witness={failure['witness']}", file=sys.stderr)
+    for name, _, elapsed_ms in report.groups:
+        print(f"time {name}: {elapsed_ms} ms", file=sys.stderr)
     print(f"elapsed {report.elapsed_ms} ms", file=sys.stderr)
     return 1 if report.failures else 0
 

@@ -96,18 +96,30 @@ def central_binomial(n: int) -> int:
     return _SHARED.central_binomial(n)
 
 
+def _rising_pairs(x: Fraction | int, m: int) -> tuple[list[int], list[int]]:
+    """(x)_0, (x)_1, ..., (x)_m as unreduced integer pairs (nums[l], dens[l]).
+
+    With x = P/Q in lowest terms, nums[l] = P (P+Q) ... (P+(l-1)Q) and
+    dens[l] = Q^l > 0, so (x)_l = nums[l] / dens[l] is never normalised and
+    vanishes exactly when nums[l] does. x must be an int or a Fraction.
+    """
+    if m < 0:
+        raise ValueError(f"pochhammer length must be non-negative, got {m}")
+    p, q = x.numerator, x.denominator
+    nums, dens = [1], [1]
+    for i in range(m):
+        nums.append(nums[-1] * (p + i * q))
+        dens.append(dens[-1] * q)
+    return nums, dens
+
+
 def pochhammer(x: Fraction | int, m: int) -> Fraction:
     """Rising product x (x+1) ... (x+m-1); the empty product (m = 0) is 1.
 
     The result is 0 exactly when x is an integer in {0, -1, ..., -(m-1)}.
     """
-    if m < 0:
-        raise ValueError(f"pochhammer length must be non-negative, got {m}")
-    out = Fraction(1)
-    base = Fraction(x)
-    for i in range(m):
-        out *= base + i
-    return out
+    nums, dens = _rising_pairs(Fraction(x), m)
+    return Fraction(nums[m], dens[m])
 
 
 def exact_divide(a: int, b: int) -> int:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import DivisibilityError, binomial, factorial, pochhammer
+from .combinatorics import DivisibilityError, _rising_pairs, binomial, factorial
 
 Rational = Fraction | int
 
@@ -94,38 +94,61 @@ class WellPoisedSpec:
 
 
 def eval_terminating(series: HypSeries) -> Fraction:
-    """Sum the series exactly, term by term via consecutive-term ratios.
+    """Sum the series exactly from its consecutive-term ratios.
 
-    Each step multiplies the previous term by
-    prod(p_i + l) / ((l + 1) prod(q_j + l)), one rational operation per
-    parameter per term. A zero numerator factor zeroes every later term
-    and stops the loop; a zero denominator factor met while the numerator
-    side is still nonzero is a pole.
+    The l-th ratio is prod(p_i + l) / ((l + 1) prod(q_j + l)). A zero
+    numerator factor zeroes every later term and truncates the sum; a zero
+    denominator factor met while the numerator side is still nonzero is a
+    pole. The arithmetic runs on integer pairs and builds one Fraction at
+    the end.
     """
-    total = term = Fraction(1)
+    # A parameter P/Q contributes the integer P + l*Q to the l-th ratio and
+    # its Q to the other side. One forward scan finds the truncation index
+    # and any pole; the sum is then nested, S = 1 + r_0 (1 + r_1 (1 + ...)),
+    # and folded from the inside out without a gcd.
+    top = [(p.numerator, p.denominator) for p in series.numerator]
+    bottom = [(q.numerator, q.denominator) for q in series.denominator]
+    top_scale = bottom_scale = 1
+    for _, q in bottom:
+        top_scale *= q
+    for _, q in top:
+        bottom_scale *= q
+    ratios = []
     for l in range(series.m):
-        num = Fraction(1)
-        for p in series.numerator:
-            num *= p + l
+        num = top_scale
+        for p, q in top:
+            num *= p + l * q
         if num == 0:
             break
-        den = Fraction(l + 1)
-        for q in series.denominator:
-            den *= q + l
+        den = (l + 1) * bottom_scale
+        for p, q in bottom:
+            den *= p + l * q
         if den == 0:
             raise PoleError(f"denominator parameter hit zero at term {l + 1}")
-        term = term * num / den
-        total += term
-    return total
+        ratios.append((num, den))
+    total_num = total_den = 1
+    for num, den in reversed(ratios):
+        total_num, total_den = den * total_den + num * total_num, den * total_den
+    return Fraction(total_num, total_den)
+
+
+def _prefactor_pair(a: Fraction, b: Fraction, c: Fraction, m: int) -> tuple[int, int]:
+    # (1+a)_m (1+a-b-c)_m / ((1+a-b)_m (1+a-c)_m) as an unreduced integer
+    # pair; the denominator is 0 exactly when (1+a-b)_m or (1+a-c)_m is.
+    top = 1 + a
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
+        (nums[m], dens[m])
+        for nums, dens in (_rising_pairs(x, m) for x in (top, top - b - c, top - b, top - c))
+    )
+    return n1 * n2 * d3 * d4, d1 * d2 * n3 * n4
 
 
 def dougall_rhs(a: Rational, c: Rational, d: Rational, m: int) -> Fraction:
     """Dougall's evaluation (1+a)_m (1+a-c-d)_m / ((1+a-c)_m (1+a-d)_m)."""
-    a, c, d = Fraction(a), Fraction(c), Fraction(d)
-    den = pochhammer(1 + a - c, m) * pochhammer(1 + a - d, m)
+    num, den = _prefactor_pair(Fraction(a), Fraction(c), Fraction(d), m)
     if den == 0:
         raise PoleError("denominator Pochhammer of the closed form vanishes")
-    return pochhammer(1 + a, m) * pochhammer(1 + a - c - d, m) / den
+    return Fraction(num, den)
 
 
 def check_dougall(a: Rational, c: Rational, d: Rational, m: int) -> bool:
@@ -140,16 +163,16 @@ def whipple_rhs(
     """Whipple's transform: a Dougall-style prefactor in (d, e) times the
     balanced 4F3 with parameters (1+a-b-c, d, e, -m; 1+a-b, 1+a-c, d+e-a-m)."""
     a, b, c, d, e = (Fraction(x) for x in (a, b, c, d, e))
-    den = pochhammer(1 + a - d, m) * pochhammer(1 + a - e, m)
-    if den == 0:
+    pre_num, pre_den = _prefactor_pair(a, d, e, m)
+    if pre_den == 0:
         raise PoleError("denominator Pochhammer of the prefactor vanishes")
-    prefactor = pochhammer(1 + a, m) * pochhammer(1 + a - d - e, m) / den
     series = HypSeries(
         (1 + a - b - c, d, e, Fraction(-m)),
         (1 + a - b, 1 + a - c, d + e - a - m),
         m,
     )
-    return prefactor * eval_terminating(series)
+    value = eval_terminating(series)
+    return Fraction(pre_num * value.numerator, pre_den * value.denominator)
 
 
 def check_whipple(
@@ -161,39 +184,37 @@ def check_whipple(
     return eval_terminating(series) == whipple_rhs(a, b, c, d, e, m)
 
 
-def _rising(x: Fraction, m: int) -> list[Fraction]:
-    """(x)_0, (x)_1, ..., (x)_m as running products."""
-    out = [Fraction(1)]
-    for i in range(m):
-        out.append(out[-1] * (x + i))
-    return out
-
-
-def _nest(spec: WellPoisedSpec) -> Fraction:
+def _nest_pair(spec: WellPoisedSpec) -> tuple[int, int]:
     # Level i < s sums over l_i, with partial = l_1 + ... + l_{i-1} and
     # cum = partial + l_i. It keeps its own local Pochhammer
     # (1+a-b_i-c_i)_{l_i} but raises the next pair and its own denominators
     # to the cumulative index; past the last level the trailing ratio
     # (-m)_partial / (b_s+c_s-a-m)_partial closes the chain. Beyond
     # partial = m the trailing (-m) Pochhammer kills every continuation,
-    # which bounds each loop. Every Pochhammer is tabulated once over 0..m.
+    # which bounds each loop. Every Pochhammer is tabulated once over 0..m
+    # as integer pairs, and every node value is an integer pair.
     # A node's value depends only on (level, partial), so it is memoized,
     # but the walk stays top-down: a pole is raised at exactly the nodes the
     # sum reaches, never at one that a vanishing numerator skips.
     a, m, pairs = spec.a, spec.m, spec.pairs
     b_last, c_last = pairs[-1]
-    trailing_num = _rising(Fraction(-m), m)
-    trailing_den = _rising(b_last + c_last - a - m, m)
+    trailing_num, _ = _rising_pairs(-m, m)
+    trailing_den, trailing_scale = _rising_pairs(b_last + c_last - a - m, m)
+    top = 1 + a
     levels = []
     for (b_i, c_i), (b_next, c_next) in zip(pairs, pairs[1:]):
-        local = [x / factorial(l) for l, x in enumerate(_rising(1 + a - b_i - c_i, m))]
-        num = [x * y for x, y in zip(_rising(b_next, m), _rising(c_next, m))]
-        den = [x * y for x, y in zip(_rising(1 + a - b_i, m), _rising(1 + a - c_i, m))]
-        ratio = [x / y if y else None for x, y in zip(num, den)]
-        levels.append((local, num, den, ratio))
-    memo: dict[tuple[int, int], Fraction] = {}
+        local_num, local_den = _rising_pairs(top - b_i - c_i, m)
+        local_den = [x * factorial(l) for l, x in enumerate(local_den)]
+        (bn, bd), (cn, cd), (en, ed), (fn, fd) = (
+            _rising_pairs(x, m) for x in (b_next, c_next, top - b_i, top - c_i)
+        )
+        # ratio[cum] = (b_next)_cum (c_next)_cum / ((1+a-b_i)_cum (1+a-c_i)_cum)
+        ratio_num = [w * x * y * z for w, x, y, z in zip(bn, cn, ed, fd)]
+        ratio_den = [w * x * y * z for w, x, y, z in zip(bd, cd, en, fn)]
+        levels.append((local_num, local_den, ratio_num, ratio_den))
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def node(level: int, partial: int) -> Fraction:
+    def node(level: int, partial: int) -> tuple[int, int]:
         key = (level, partial)
         if key in memo:
             return memo[key]
@@ -202,19 +223,23 @@ def _nest(spec: WellPoisedSpec) -> Fraction:
             if den == 0:
                 if num != 0:
                     raise PoleError("trailing denominator Pochhammer vanished in the nest")
-                total = Fraction(0)
+                total = (0, 1)
             else:
-                total = num / den
+                total = (num * trailing_scale[partial], den)
         else:
-            local, num, den, ratio = levels[level - 1]
-            total = Fraction(0)
+            local_num, local_den, ratio_num, ratio_den = levels[level - 1]
+            total_num, total_den = 0, 1
             for l in range(m - partial + 1):
                 cum = partial + l
-                if local[l] == 0 or num[cum] == 0:
+                if local_num[l] == 0 or ratio_num[cum] == 0:
                     continue
-                if den[cum] == 0:
+                if ratio_den[cum] == 0:
                     raise PoleError(f"denominator Pochhammer vanished in the nest at level {level}")
-                total += local[l] * ratio[cum] * node(level + 1, cum)
+                below_num, below_den = node(level + 1, cum)
+                num = local_num[l] * ratio_num[cum] * below_num
+                den = local_den[l] * ratio_den[cum] * below_den
+                total_num, total_den = total_num * den + num * total_den, total_den * den
+            total = (total_num, total_den)
         memo[key] = total
         return total
 
@@ -228,13 +253,12 @@ def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
     nested sum; the nest collapses to 1 for s = 1 and reproduces Whipple's
     4F3 parameter for parameter at s = 2.
     """
-    a, m = spec.a, spec.m
     b_last, c_last = spec.pairs[-1]
-    den = pochhammer(1 + a - b_last, m) * pochhammer(1 + a - c_last, m)
-    if den == 0:
+    pre_num, pre_den = _prefactor_pair(spec.a, b_last, c_last, spec.m)
+    if pre_den == 0:
         raise PoleError("denominator Pochhammer of the prefactor vanishes")
-    prefactor = pochhammer(1 + a, m) * pochhammer(1 + a - b_last - c_last, m) / den
-    return prefactor * _nest(spec)
+    num, den = _nest_pair(spec)
+    return Fraction(pre_num * num, pre_den * den)
 
 
 def check_andrews(spec: WellPoisedSpec) -> bool:
@@ -268,21 +292,35 @@ def t_as_hypergeometric(n: int, j: int, r: int) -> int:
     return value.numerator
 
 
+def _vanishes(p: int, q: int, m: int) -> bool:
+    # (p/q)_m == 0 for an unreduced pair with q > 0: p/q is an integer in
+    # {0, -1, ..., -(m-1)}
+    return p % q == 0 and -m * q < p <= 0
+
+
 def pochhammer_vanishes(x: Rational, m: int) -> bool:
     """(x)_m == 0, i.e. x is an integer in {0, -1, ..., -(m-1)}."""
     x = Fraction(x)
-    return x.denominator == 1 and -m < x <= 0
+    return _vanishes(x.numerator, x.denominator, m)
 
 
 def spec_pole_free(spec: WellPoisedSpec) -> bool:
     """No denominator Pochhammer of the series, the prefactor, or the nested
     sums can vanish at or before the termination index."""
-    a, m = spec.a, spec.m
-    b_last, c_last = spec.pairs[-1]
-    candidates = [a / 2, 1 + a + m, b_last + c_last - a - m]
-    for b, c in spec.pairs:
-        candidates += [1 + a - b, 1 + a - c]
-    return not any(pochhammer_vanishes(x, m) for x in candidates)
+    m = spec.m
+    an, ad = spec.a.numerator, spec.a.denominator
+    (bn, bd), (cn, cd) = ((x.numerator, x.denominator) for x in spec.pairs[-1])
+    # a/2, 1+a+m and b_s+c_s-a-m as unreduced pairs
+    candidates = [
+        (an, 2 * ad),
+        (an + (1 + m) * ad, ad),
+        ((bn * cd + cn * bd - m * bd * cd) * ad - an * bd * cd, ad * bd * cd),
+    ]
+    for pair in spec.pairs:
+        for x in pair:
+            # 1 + a - x
+            candidates.append(((ad + an) * x.denominator - x.numerator * ad, ad * x.denominator))
+    return not any(_vanishes(p, q, m) for p, q in candidates)
 
 
 def sample_rational(rng: random.Random) -> Fraction:

@@ -7,6 +7,7 @@ monkeypatching, since the real computations never disagree.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -153,6 +154,52 @@ def test_identities_json_group_counts():
     assert groups["andrews-s1"] == 10
     assert groups["reduction-chain"] == 20
     assert doc["failures"] == []
+
+
+_SWEEPS = {
+    "identities": (
+        ["identities", "--trials", "2", "--m-max", "3", "--seed", "0"],
+        {"trials": 2, "m_max": 3, "seed": 0},
+        [("structural-reductions", 5), ("dougall", 2), ("whipple", 2), ("andrews-s1", 2),
+         ("andrews-s2", 2), ("andrews-s3", 2), ("reduction-chain", 4)],
+    ),
+    "verify": (
+        ["verify", "--r-max", "3", "--n-max", "4"],
+        {"r_max": 3, "n_max": 4},
+        [("route-agreement", 20), ("ratio-integrality", 30), ("n-independence", 10),
+         ("t-closed-agreement", 15), ("trivial-exponent", 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("command", sorted(_SWEEPS))
+def test_group_times_go_to_stderr_only(command, fmt, capsys):
+    argv, params, groups = _SWEEPS[command]
+    assert cli.main([*argv, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    total = sum(count for _, count in groups)
+    if fmt == "json":
+        doc = {
+            "command": command,
+            "params": {**params, "format": fmt},
+            "results": {
+                "checks_run": total,
+                "groups": [{"name": name, "checks": count} for name, count in groups],
+            },
+            "failures": [],
+        }
+        expected = json.dumps(doc, indent=2) + "\n"
+    elif fmt == "csv":
+        expected = "group,checks\n" + "".join(f"{name},{count}\n" for name, count in groups)
+    else:
+        expected = "".join(f"{name}: {count} checks\n" for name, count in groups)
+        expected += f"all {total} checks passed\n"
+    assert captured.out == expected
+    lines = captured.err.splitlines()
+    timed = [re.fullmatch(r"time (\S+): \d+ ms", line) for line in lines if line.startswith("time ")]
+    assert [match.group(1) for match in timed] == [name for name, _ in groups]
+    assert not any(line.startswith("FAIL") for line in lines)
 
 
 def test_compute_route_disagreement_exits_one(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from schmidt.combinatorics import (
     central_binomial,
     exact_divide,
     factorial,
+    _rising_pairs,
     pochhammer,
 )
 
@@ -92,6 +93,20 @@ def test_central_binomial_values():
         assert central_binomial(n) == binomial(2 * n, n)
 
 
+@given(st.integers(min_value=0, max_value=700).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=-3, max_value=n + 3))
+))
+def test_binomial_matches_math_comb(nk):
+    # every route shares this table; out-of-range k must give 0
+    n, k = nk
+    assert binomial(n, k) == (math.comb(n, k) if k >= 0 else 0)
+
+
+@given(st.integers(min_value=0, max_value=700))
+def test_central_binomial_matches_math_comb(n):
+    assert central_binomial(n) == math.comb(2 * n, n)
+
+
 def test_pochhammer_empty_product():
     assert pochhammer(Fraction(7, 3), 0) == 1
     assert pochhammer(-5, 0) == 1
@@ -115,6 +130,19 @@ def test_pochhammer_rejects_negative_length():
 )
 def test_pochhammer_recurrence(x, m):
     assert pochhammer(x, m + 1) == pochhammer(x, m) * (x + m)
+
+
+def test_rising_pairs_are_unreduced():
+    # (x)_l = nums[l] / dens[l] with dens[l] = Q^l, so a vanishing product
+    # shows in nums alone
+    nums, dens = _rising_pairs(Fraction(-3, 2), 4)
+    assert nums == [1, -3, 3, 3, 9]
+    assert dens == [1, 2, 4, 8, 16]
+    nums, dens = _rising_pairs(-2, 4)
+    assert nums == [1, -2, 2, 0, 0]
+    assert dens == [1] * 5
+    for l in range(5):
+        assert Fraction(nums[l], dens[l]) == pochhammer(-2, l)
 
 
 @pytest.mark.parametrize("q", range(12))

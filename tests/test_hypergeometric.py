@@ -1,5 +1,6 @@
 """Terminating series evaluation, the classical identities, the t route."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,11 +20,21 @@ from schmidt.hypergeometric import (
     eval_terminating,
     pochhammer_vanishes,
     sample_dougall,
+    sample_rational,
     sample_well_poised,
     sample_whipple,
+    spec_pole_free,
     t_as_hypergeometric,
     whipple_rhs,
 )
+
+
+def rising(x: Fraction, l: int) -> Fraction:
+    """(x)_l as a plain product of Fractions, independent of the package."""
+    out = Fraction(1)
+    for i in range(l):
+        out *= x + i
+    return out
 
 
 def brute_force_sum(series: HypSeries) -> Fraction:
@@ -32,12 +43,103 @@ def brute_force_sum(series: HypSeries) -> Fraction:
     for l in range(series.m + 1):
         num = Fraction(1)
         for p in series.numerator:
-            num *= pochhammer(p, l)
-        den = pochhammer(1, l)
+            num *= rising(p, l)
+        den = rising(Fraction(1), l)
         for q in series.denominator:
-            den *= pochhammer(q, l)
+            den *= rising(q, l)
         total += num / den
     return total
+
+
+# Reference implementations: the Fraction-per-operation evaluators that the
+# integer-pair code replaced. They define the pole policy, including which
+# PoleError message each pole-bearing spec raises.
+
+
+def reference_eval_terminating(series: HypSeries) -> Fraction:
+    total = term = Fraction(1)
+    for l in range(series.m):
+        num = Fraction(1)
+        for p in series.numerator:
+            num *= p + l
+        if num == 0:
+            break
+        den = Fraction(l + 1)
+        for q in series.denominator:
+            den *= q + l
+        if den == 0:
+            raise PoleError(f"denominator parameter hit zero at term {l + 1}")
+        term = term * num / den
+        total += term
+    return total
+
+
+def reference_nest(spec: WellPoisedSpec) -> Fraction:
+    a, m, pairs = spec.a, spec.m, spec.pairs
+    b_last, c_last = pairs[-1]
+
+    def table(x: Fraction) -> list[Fraction]:
+        out = [Fraction(1)]
+        for i in range(m):
+            out.append(out[-1] * (x + i))
+        return out
+
+    trailing_num = table(Fraction(-m))
+    trailing_den = table(b_last + c_last - a - m)
+    levels = []
+    for (b_i, c_i), (b_next, c_next) in zip(pairs, pairs[1:]):
+        local = [x / math.factorial(l) for l, x in enumerate(table(1 + a - b_i - c_i))]
+        num = [x * y for x, y in zip(table(b_next), table(c_next))]
+        den = [x * y for x, y in zip(table(1 + a - b_i), table(1 + a - c_i))]
+        levels.append((local, num, den))
+
+    memo: dict[tuple[int, int], Fraction] = {}
+
+    def node(level: int, partial: int) -> Fraction:
+        key = (level, partial)
+        if key in memo:
+            return memo[key]
+        if level == len(pairs):
+            num, den = trailing_num[partial], trailing_den[partial]
+            if den == 0:
+                if num != 0:
+                    raise PoleError("trailing denominator Pochhammer vanished in the nest")
+                total = Fraction(0)
+            else:
+                total = num / den
+        else:
+            local, num, den = levels[level - 1]
+            total = Fraction(0)
+            for l in range(m - partial + 1):
+                cum = partial + l
+                if local[l] == 0 or num[cum] == 0:
+                    continue
+                if den[cum] == 0:
+                    raise PoleError(f"denominator Pochhammer vanished in the nest at level {level}")
+                total += local[l] * num[cum] / den[cum] * node(level + 1, cum)
+        memo[key] = total
+        return total
+
+    return node(1, 0)
+
+
+def reference_andrews_rhs(spec: WellPoisedSpec) -> Fraction:
+    a, m = spec.a, spec.m
+    b_last, c_last = spec.pairs[-1]
+    den = rising(1 + a - b_last, m) * rising(1 + a - c_last, m)
+    if den == 0:
+        raise PoleError("denominator Pochhammer of the prefactor vanishes")
+    prefactor = rising(1 + a, m) * rising(1 + a - b_last - c_last, m) / den
+    return prefactor * reference_nest(spec)
+
+
+def reference_spec_pole_free(spec: WellPoisedSpec) -> bool:
+    a, m = spec.a, spec.m
+    b_last, c_last = spec.pairs[-1]
+    candidates = [a / 2, 1 + a + m, b_last + c_last - a - m]
+    for b, c in spec.pairs:
+        candidates += [1 + a - b, 1 + a - c]
+    return not any(x.denominator == 1 and -m < x <= 0 for x in candidates)
 
 
 def test_eval_m0_is_one():
@@ -241,6 +343,41 @@ def test_andrews_nested_zero_over_zero_is_skipped():
     spec = WellPoisedSpec(Fraction(1, 2), ((Fraction(3, 2), Fraction(1, 3)),
                                            (Fraction(0), Fraction(1, 7))), 3)
     assert andrews_rhs(spec) == 1
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except PoleError as exc:
+        return "pole", str(exc)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_integer_pair_code_matches_fraction_reference_with_poles(s):
+    # 700 specs per s, drawn without the pole-free filter: a pole-bearing
+    # spec must raise the same PoleError message as the reference, never
+    # give a value or a ZeroDivisionError.
+    rng = random.Random(f"reference/{s}")
+    seen = set()
+    specs = 0
+    while specs < 700:
+        a = sample_rational(rng)
+        pairs = tuple((sample_rational(rng), sample_rational(rng)) for _ in range(s))
+        m = rng.randint(0, 8)
+        if a == 0:
+            continue
+        specs += 1
+        spec = WellPoisedSpec(a, pairs, m)
+        assert spec_pole_free(spec) == reference_spec_pole_free(spec), spec
+        series = spec.expand()
+        for name, new, reference, arg in (
+            ("series", eval_terminating, reference_eval_terminating, series),
+            ("andrews", andrews_rhs, reference_andrews_rhs, spec),
+        ):
+            outcome = _outcome(new, arg)
+            assert outcome == _outcome(reference, arg), spec
+            seen.add((name, outcome[0]))
+    assert seen == {(name, kind) for name in ("series", "andrews") for kind in ("value", "pole")}
 
 
 def test_andrews_m0():
