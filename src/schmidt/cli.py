@@ -6,15 +6,18 @@ Commands:
     verify      exhaustive route-agreement and integrality sweep
     identities  seeded random checks of the classical summation identities
 
-Results go to stdout; diagnostics, failure witnesses and timing go to
-stderr. Exit codes: 0 every check passed, 1 a mathematical check failed,
-2 bad usage. For a fixed seed the stdout report is byte-identical across
-runs; elapsed time is only ever written to stderr.
+Every command fills one `Report`, and `_emit` prints it in the chosen
+format. Results go to stdout, also when a check fails; diagnostics, failure
+witnesses and timing go to stderr, which ends with `elapsed N ms`. Exit
+codes: 0 every check passed, 1 a mathematical check failed, 2 bad usage.
+For a fixed seed the stdout report is byte-identical across runs; elapsed
+time is only ever written to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -33,40 +36,32 @@ FORMATS = ("plain", "json", "csv")
 
 
 @dataclass
-class RunConfig:
-    """One invocation's parameters; unset fields keep their defaults."""
+class Report:
+    """One command's outcome, held once for all three output formats.
 
-    command: str
-    r: int = 2
-    r_max: int = 8
-    n_max: int = 12
-    m_max: int = 5
-    trials: int = 100
-    seed: int = 0
-    format: str = "plain"
-    routes: tuple[str, ...] = ROUTES
-
-
-@dataclass
-class VerificationReport:
-    """Aggregated sweep outcome; group counts make the rendering deterministic.
-
-    Each group is (name, checks, elapsed ms); the times go to stderr only.
+    `results` is the JSON `results` object, `table` the CSV header and rows,
+    and `lines` the plain output. Each group is (name, checks, elapsed ms);
+    the times go to stderr only.
     """
 
+    results: dict = field(default_factory=dict)
+    table: list[tuple] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
     checks_run: int = 0
     groups: list[tuple[str, int, int]] = field(default_factory=list)
     failures: list[dict[str, str]] = field(default_factory=list)
-    elapsed_ms: int = 0
+
+    def fail(self, description: str, witness: str) -> None:
+        self.failures.append({"description": description, "witness": witness})
 
     def check(self, ok: bool, description: str, witness: str) -> None:
         self.checks_run += 1
         if not ok:
-            self.failures.append({"description": description, "witness": witness})
+            self.fail(description, witness)
 
 
 @contextmanager
-def _group(report: VerificationReport, name: str):
+def _group(report: Report, name: str):
     before = report.checks_run
     start = time.perf_counter()
     yield
@@ -74,34 +69,41 @@ def _group(report: VerificationReport, name: str):
     report.groups.append((name, report.checks_run - before, elapsed_ms))
 
 
-def _emit_report(command: str, params: dict, report: VerificationReport, fmt: str) -> int:
-    if fmt == "json":
+def summarize_groups(report: Report) -> None:
+    """Fill the three renderings of a check sweep from its group counts."""
+    counts = [(name, count) for name, count, _ in report.groups]
+    report.results = {
+        "checks_run": report.checks_run,
+        "groups": [{"name": name, "checks": count} for name, count in counts],
+    }
+    report.table = [("group", "checks"), *counts]
+    report.lines = [f"{name}: {count} checks" for name, count in counts]
+    if report.failures:
+        report.lines.append(f"{len(report.failures)} of {report.checks_run} checks FAILED")
+    else:
+        report.lines.append(f"all {report.checks_run} checks passed")
+
+
+def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
+    if params["format"] == "json":
         doc = {
             "command": command,
             "params": params,
-            "results": {
-                "checks_run": report.checks_run,
-                "groups": [{"name": name, "checks": count} for name, count, _ in report.groups],
-            },
+            "results": report.results,
             "failures": report.failures,
         }
         print(json.dumps(doc, indent=2))
-    elif fmt == "csv":
-        print("group,checks")
-        for name, count, _ in report.groups:
-            print(f"{name},{count}")
+    elif params["format"] == "csv":
+        for row in report.table:
+            print(",".join(map(str, row)))
     else:
-        for name, count, _ in report.groups:
-            print(f"{name}: {count} checks")
-        if report.failures:
-            print(f"{len(report.failures)} of {report.checks_run} checks FAILED")
-        else:
-            print(f"all {report.checks_run} checks passed")
+        for line in report.lines:
+            print(line)
     for failure in report.failures:
         print(f"FAIL {failure['description']} witness={failure['witness']}", file=sys.stderr)
-    for name, _, elapsed_ms in report.groups:
-        print(f"time {name}: {elapsed_ms} ms", file=sys.stderr)
-    print(f"elapsed {report.elapsed_ms} ms", file=sys.stderr)
+    for name, _, group_ms in report.groups:
+        print(f"time {name}: {group_ms} ms", file=sys.stderr)
+    print(f"elapsed {elapsed_ms} ms", file=sys.stderr)
     return 1 if report.failures else 0
 
 
@@ -122,118 +124,75 @@ def _route_values(route: str, r: int, n_max: int) -> list[int]:
     raise ValueError(f"unknown route {route!r}")
 
 
-def run_compute(config: RunConfig) -> int:
+def run_compute(args: argparse.Namespace) -> Report:
+    report = Report()
     per_route: dict[str, list[int]] = {}
-    failures: list[dict[str, str]] = []
-    for route in config.routes:
-        try:
-            per_route[route] = _route_values(route, config.r, config.n_max)
-        except DivisibilityError as exc:
-            failures.append(
-                {"description": f"{route} route produced a non-integer", "witness": str(exc)}
-            )
-    reference_route = config.routes[0]
-    if not failures:
+    for route in args.routes:
+        with _group(report, route):
+            try:
+                per_route[route] = _route_values(route, args.r, args.n_max)
+            except DivisibilityError as exc:
+                report.fail(f"{route} route produced a non-integer", str(exc))
+    reference_route = args.routes[0]
+    if not report.failures:
         reference = per_route[reference_route]
-        for route in config.routes[1:]:
+        for route in args.routes[1:]:
             for n, (x, y) in enumerate(zip(reference, per_route[route])):
                 if x != y:
-                    failures.append(
-                        {
-                            "description": f"routes {reference_route} and {route} disagree",
-                            "witness": f"(r={config.r}, n={n}): {x} != {y}",
-                        }
+                    report.fail(
+                        f"routes {reference_route} and {route} disagree",
+                        f"(r={args.r}, n={n}): {x} != {y}",
                     )
                     break
-    routes_agree = not failures
 
-    if config.format == "json":
-        doc = {
-            "command": "compute",
-            "params": {
-                "r": config.r,
-                "n_max": config.n_max,
-                "routes": list(config.routes),
-                "format": config.format,
-            },
-            "results": {
-                "routes": [
-                    {
-                        "route": route,
-                        "values": [{"n": n, "c": str(v)} for n, v in enumerate(values)],
-                    }
-                    for route, values in per_route.items()
-                ],
-                "routes_agree": routes_agree,
-            },
-            "failures": failures,
-        }
-        print(json.dumps(doc, indent=2))
-    elif config.format == "csv":
-        if routes_agree:
-            print("n,c")
-            for n, v in enumerate(per_route[reference_route]):
-                print(f"{n},{v}")
-        else:
-            print("n,route,c")
-            for route, values in per_route.items():
-                for n, v in enumerate(values):
-                    print(f"{n},{route},{v}")
+    digits = {route: [str(v) for v in values] for route, values in per_route.items()}
+    report.results = {
+        "routes": [
+            {"route": route, "values": [{"n": n, "c": c} for n, c in enumerate(values)]}
+            for route, values in digits.items()
+        ],
+        "routes_agree": not report.failures,
+    }
+    if report.failures:
+        report.table = [("n", "route", "c")] + [
+            (n, route, c) for route, values in digits.items() for n, c in enumerate(values)
+        ]
+        report.lines = [f"{route}: " + " ".join(values) for route, values in digits.items()]
     else:
-        if routes_agree:
-            print(" ".join(str(v) for v in per_route[reference_route]))
-        else:
-            for route, values in per_route.items():
-                print(f"{route}: " + " ".join(str(v) for v in values))
-    for failure in failures:
-        print(f"FAIL {failure['description']} witness={failure['witness']}", file=sys.stderr)
-    return 1 if failures else 0
+        report.table = [("n", "c"), *enumerate(digits[reference_route])]
+        report.lines = [" ".join(digits[reference_route])]
+    return report
 
 
-def run_t_table(config: RunConfig) -> int:
+def run_t_table(args: argparse.Namespace) -> Report:
+    report = Report()
     try:
-        values = core.t_table(config.r, config.n_max)
+        values = core.t_table(args.r, args.n_max)
     except DivisibilityError as exc:
-        print(f"FAIL scaled inner number non-integral witness={exc}", file=sys.stderr)
-        return 1
-    if config.format == "json":
-        doc = {
-            "command": "t-table",
-            "params": {"r": config.r, "n_max": config.n_max, "format": config.format},
-            "results": {
-                "rows": [
-                    {"n": v.n, "j": v.j, "t": str(v.value), "ratio": str(v.ratio)}
-                    for v in values
-                ]
-            },
-            "failures": [],
-        }
-        print(json.dumps(doc, indent=2))
-    elif config.format == "csv":
-        print("n,j,t,ratio")
-        for v in values:
-            print(f"{v.n},{v.j},{v.value},{v.ratio}")
-    else:
-        for n in range(config.n_max + 1):
-            row = [v for v in values if v.n == n]
-            ts = " ".join(str(v.value) for v in row)
-            ratios = " ".join(str(v.ratio) for v in row)
-            print(f"n={n}: t = {ts} ; ratio = {ratios}")
-    return 0
+        report.fail("scaled inner number non-integral", str(exc))
+        values = []
+    header = ("n", "j", "t", "ratio")
+    rows = [(v.n, v.j, str(v.value), str(v.ratio)) for v in values]
+    report.results = {"rows": [dict(zip(header, row)) for row in rows]}
+    report.table = [header, *rows]
+    # t_table yields the rows n by n, so one pass groups them
+    for n, group in itertools.groupby(rows, key=lambda row: row[0]):
+        _, _, ts, ratios = zip(*group)
+        report.lines.append(f"n={n}: t = {' '.join(ts)} ; ratio = {' '.join(ratios)}")
+    return report
 
 
-def _checked_equal(report: VerificationReport, description: str, witness: str, fn, expected) -> None:
+def _checked_equal(report: Report, description: str, witness: str, fn, expected) -> None:
     try:
         report.check(fn() == expected, description, witness)
     except DivisibilityError as exc:
         report.check(False, f"{description} (non-integral)", f"{witness}: {exc}")
 
 
-def run_verify(config: RunConfig) -> int:
-    start = time.perf_counter()
-    report = VerificationReport()
-    n_max = config.n_max
-    exponents = range(2, config.r_max + 1)
+def run_verify(args: argparse.Namespace) -> Report:
+    report = Report()
+    n_max = args.n_max
+    exponents = range(2, args.r_max + 1)
 
     # one solve per exponent, shared by route-agreement and n-independence;
     # an exponent whose solve failed is reported once and skipped afterwards
@@ -279,19 +238,13 @@ def run_verify(config: RunConfig) -> int:
     with _group(report, "t-closed-agreement"):
         for n in range(n_max + 1):
             for j in range(n + 1):
-                reference = {r: core.t_sum(n, j, r) for r in exponents}
-                if config.r_max >= 3:
+                for r in range(3, args.r_max + 1):
                     _checked_equal(
-                        report, "r=3 closed form disagrees", f"(n={n}, j={j})",
-                        lambda n=n, j=j: core.t3_closed(n, j), reference[3],
-                    )
-                for r in range(4, config.r_max + 1):
-                    _checked_equal(
-                        report, "nested closed form disagrees", f"(r={r}, n={n}, j={j})",
-                        lambda n=n, j=j, r=r: core.t_general(n, j, r), reference[r],
+                        report, "closed form disagrees", f"(r={r}, n={n}, j={j})",
+                        lambda n=n, j=j, r=r: core.t_general(n, j, r), core.t_sum(n, j, r),
                     )
 
-    if config.r_max >= 1:
+    if args.r_max >= 1:
         with _group(report, "trivial-exponent"):
             _checked_equal(
                 report, "exponent-1 family is not all ones", f"(n_max={n_max})",
@@ -310,9 +263,8 @@ def run_verify(config: RunConfig) -> int:
         print(f"note: r=1 scaled ratios integral for {integral}/{total} pairs (not asserted)",
               file=sys.stderr)
 
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    params = {"r_max": config.r_max, "n_max": config.n_max, "format": config.format}
-    return _emit_report("verify", params, report, config.format)
+    summarize_groups(report)
+    return report
 
 
 # Fixed pole-free parameter sets for the structural reduction checks; these
@@ -336,7 +288,7 @@ def _spec_witness(spec: hyp.WellPoisedSpec) -> str:
     return f"(a={spec.a}, pairs=[{pairs}], m={spec.m})"
 
 
-def _identity_check(report: VerificationReport, description: str, witness: str, fn) -> None:
+def _identity_check(report: Report, description: str, witness: str, fn) -> None:
     try:
         ok = fn()
     except hyp.PoleError as exc:
@@ -345,9 +297,8 @@ def _identity_check(report: VerificationReport, description: str, witness: str, 
     report.check(ok, description, witness)
 
 
-def run_identities(config: RunConfig) -> int:
-    start = time.perf_counter()
-    report = VerificationReport()
+def run_identities(args: argparse.Namespace) -> Report:
+    report = Report()
 
     with _group(report, "structural-reductions"):
         one, two, three = _FIXED_SPECS
@@ -369,18 +320,18 @@ def run_identities(config: RunConfig) -> int:
                         lambda: hyp.check_andrews(three))
 
     with _group(report, "dougall"):
-        rng = random.Random(f"{config.seed}/dougall")
-        for _ in range(config.trials):
-            a, c, d, m = hyp.sample_dougall(rng, config.m_max)
+        rng = random.Random(f"{args.seed}/dougall")
+        for _ in range(args.trials):
+            a, c, d, m = hyp.sample_dougall(rng, args.m_max)
             _identity_check(
                 report, "5F4 summation failed", f"(a={a}, c={c}, d={d}, m={m})",
                 lambda a=a, c=c, d=d, m=m: hyp.check_dougall(a, c, d, m),
             )
 
     with _group(report, "whipple"):
-        rng = random.Random(f"{config.seed}/whipple")
-        for _ in range(config.trials):
-            a, b, c, d, e, m = hyp.sample_whipple(rng, config.m_max)
+        rng = random.Random(f"{args.seed}/whipple")
+        for _ in range(args.trials):
+            a, b, c, d, e, m = hyp.sample_whipple(rng, args.m_max)
             _identity_check(
                 report, "7F6 transformation failed",
                 f"(a={a}, b={b}, c={c}, d={d}, e={e}, m={m})",
@@ -389,25 +340,25 @@ def run_identities(config: RunConfig) -> int:
 
     for s in (1, 2, 3):
         with _group(report, f"andrews-s{s}"):
-            rng = random.Random(f"{config.seed}/andrews/{s}")
-            for _ in range(config.trials):
-                spec = hyp.sample_well_poised(rng, s, config.m_max)
+            rng = random.Random(f"{args.seed}/andrews/{s}")
+            for _ in range(args.trials):
+                spec = hyp.sample_well_poised(rng, s, args.m_max)
                 _identity_check(
                     report, f"multiple transformation failed at s={s}", _spec_witness(spec),
                     lambda spec=spec: hyp.check_andrews(spec),
                 )
 
     with _group(report, "reduction-chain"):
-        rng = random.Random(f"{config.seed}/reduction")
-        for _ in range(config.trials):
-            spec = hyp.sample_well_poised(rng, 1, config.m_max)
+        rng = random.Random(f"{args.seed}/reduction")
+        for _ in range(args.trials):
+            spec = hyp.sample_well_poised(rng, 1, args.m_max)
             ((c, d),) = spec.pairs
             _identity_check(
                 report, "s=1 reduction disagrees with the 5F4 evaluation", _spec_witness(spec),
                 lambda spec=spec, c=c, d=d: hyp.andrews_rhs(spec)
                 == hyp.dougall_rhs(spec.a, c, d, spec.m),
             )
-            spec = hyp.sample_well_poised(rng, 2, config.m_max)
+            spec = hyp.sample_well_poised(rng, 2, args.m_max)
             (b, c), (d, e) = spec.pairs
             _identity_check(
                 report, "s=2 reduction disagrees with the 7F6 transform", _spec_witness(spec),
@@ -415,14 +366,8 @@ def run_identities(config: RunConfig) -> int:
                 == hyp.whipple_rhs(spec.a, b, c, d, e, spec.m),
             )
 
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    params = {
-        "trials": config.trials,
-        "m_max": config.m_max,
-        "seed": config.seed,
-        "format": config.format,
-    }
-    return _emit_report("identities", params, report, config.format)
+    summarize_groups(report)
+    return report
 
 
 def _positive_int(text: str) -> int:
@@ -498,11 +443,11 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command, format=args.format)
-    for name in ("r", "r_max", "n_max", "m_max", "trials", "seed", "routes"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    return _RUNNERS[config.command](config)
+    start = time.perf_counter()
+    report = _RUNNERS[args.command](args)
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    params = {name: value for name, value in vars(args).items() if name != "command"}
+    return _emit(args.command, params, report, elapsed_ms)
 
 
 if __name__ == "__main__":

@@ -156,6 +156,14 @@ def test_identities_json_group_counts():
     assert doc["failures"] == []
 
 
+def _stderr_times(err: str) -> list[str]:
+    """Names of the `time <name>: N ms` lines, after checking stderr ends with `elapsed`."""
+    lines = err.splitlines()
+    assert re.fullmatch(r"elapsed \d+ ms", lines[-1])
+    timed = [re.fullmatch(r"time (\S+): \d+ ms", line) for line in lines if line.startswith("time ")]
+    return [match.group(1) for match in timed]
+
+
 _SWEEPS = {
     "identities": (
         ["identities", "--trials", "2", "--m-max", "3", "--seed", "0"],
@@ -196,18 +204,114 @@ def test_group_times_go_to_stderr_only(command, fmt, capsys):
         expected = "".join(f"{name}: {count} checks\n" for name, count in groups)
         expected += f"all {total} checks passed\n"
     assert captured.out == expected
-    lines = captured.err.splitlines()
-    timed = [re.fullmatch(r"time (\S+): \d+ ms", line) for line in lines if line.startswith("time ")]
-    assert [match.group(1) for match in timed] == [name for name, _ in groups]
-    assert not any(line.startswith("FAIL") for line in lines)
+    assert _stderr_times(captured.err) == [name for name, _ in groups]
+    assert not any(line.startswith("FAIL") for line in captured.err.splitlines())
+
+
+_FRANEL = [1, 2, 10, 56]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("closed", [_FRANEL, [0, 0, 0, 0]], ids=["agree", "disagree"])
+def test_compute_stdout_bytes(closed, fmt, monkeypatch, capsys):
+    monkeypatch.setattr(cli.core, "c_general", lambda n, r: closed[n])
+    code = cli.main(["compute", "--r", "2", "--n-max", "3", "--format", fmt])
+    captured = capsys.readouterr()
+    per_route = {"definition": _FRANEL, "inverse": _FRANEL, "closed": closed}
+    agree = closed == _FRANEL
+    failures = [] if agree else [
+        {"description": "routes definition and closed disagree", "witness": "(r=2, n=0): 1 != 0"}
+    ]
+    if fmt == "json":
+        doc = {
+            "command": "compute",
+            "params": {"r": 2, "n_max": 3, "routes": list(per_route), "format": fmt},
+            "results": {
+                "routes": [
+                    {"route": route, "values": [{"n": n, "c": str(c)} for n, c in enumerate(values)]}
+                    for route, values in per_route.items()
+                ],
+                "routes_agree": agree,
+            },
+            "failures": failures,
+        }
+        expected = json.dumps(doc, indent=2) + "\n"
+    elif fmt == "csv" and agree:
+        expected = "n,c\n0,1\n1,2\n2,10\n3,56\n"
+    elif fmt == "csv":
+        expected = "n,route,c\n" + "".join(
+            f"{n},{route},{c}\n" for route, values in per_route.items() for n, c in enumerate(values)
+        )
+    elif agree:
+        expected = "1 2 10 56\n"
+    else:
+        expected = "definition: 1 2 10 56\ninverse: 1 2 10 56\nclosed: 0 0 0 0\n"
+    assert captured.out == expected
+    assert code == (0 if agree else 1)
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL {f['description']} witness={f['witness']}" for f in failures]
+    assert _stderr_times(captured.err) == list(per_route)
 
 
 def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli.core, "c_general", lambda n_max, r: [0] * (n_max + 1))
+    monkeypatch.setattr(cli.core, "c_general", lambda n, r: 0)
     code = cli.main(["compute", "--r", "2", "--n-max", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "FAIL" in captured.err
+    assert "FAIL routes definition and closed disagree witness=(r=2, n=0): 1 != 0" in (
+        captured.err.splitlines()
+    )
+
+
+_T3_ROWS = [(0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (2, 1, 24, 8), (2, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_t_table_stdout_bytes(fmt, capsys):
+    assert cli.main(["t-table", "--r", "3", "--n-max", "2", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    if fmt == "json":
+        doc = {
+            "command": "t-table",
+            "params": {"r": 3, "n_max": 2, "format": fmt},
+            "results": {
+                "rows": [
+                    {"n": n, "j": j, "t": str(t), "ratio": str(ratio)} for n, j, t, ratio in _T3_ROWS
+                ]
+            },
+            "failures": [],
+        }
+        expected = json.dumps(doc, indent=2) + "\n"
+    elif fmt == "csv":
+        expected = "n,j,t,ratio\n" + "".join(
+            f"{n},{j},{t},{ratio}\n" for n, j, t, ratio in _T3_ROWS
+        )
+    else:
+        expected = (
+            "n=0: t = 1 ; ratio = 1\n"
+            "n=1: t = 0 1 ; ratio = 0 1\n"
+            "n=2: t = 0 24 1 ; ratio = 0 8 1\n"
+        )
+    assert captured.out == expected
+    assert _stderr_times(captured.err) == []
+
+
+def test_t_table_failure_still_emits_document(monkeypatch, capsys):
+    def failing_table(r, n_max):
+        raise DivisibilityError(7, 2)
+
+    monkeypatch.setattr(cli.core, "t_table", failing_table)
+    code = cli.main(["t-table", "--r", "3", "--n-max", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    assert doc["results"] == {"rows": []}
+    assert doc["failures"] == [
+        {"description": "scaled inner number non-integral", "witness": "2 does not divide 7"}
+    ]
+    assert "FAIL scaled inner number non-integral witness=2 does not divide 7" in (
+        captured.err.splitlines()
+    )
 
 
 def test_verify_reports_failures_and_exits_one(monkeypatch, capsys):
