@@ -20,7 +20,6 @@ from .core import (
     c_general,
     integrality_ratio,
     lhs_sum,
-    reciprocal_factorial,
     t3_closed,
     t4_closed,
     t5_closed,

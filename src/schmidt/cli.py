@@ -9,7 +9,8 @@ Commands:
 Every command fills one `Report`, and `_emit` prints it in the chosen
 format. Results go to stdout, also when a check fails; diagnostics, failure
 witnesses and timing go to stderr, which ends with `elapsed N ms`. Exit
-codes: 0 every check passed, 1 a mathematical check failed, 2 bad usage.
+codes: 0 every check passed, 1 a mathematical check failed, 2 bad usage,
+141 stdout was closed before the whole report was written (`... | head`).
 For a fixed seed the stdout report is byte-identical across runs; elapsed
 time is only ever written to stderr.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 from . import core
 from . import hypergeometric as hyp
-from .combinatorics import DivisibilityError
+from .combinatorics import DivisibilityError, exact_divide
 from .legendre import legendre_forward, legendre_inverse
 
 ROUTES = ("definition", "inverse", "closed")
@@ -40,13 +42,14 @@ class Report:
     """One command's outcome, held once for all three output formats.
 
     `results` is the JSON `results` object, `table` the CSV header and rows,
-    and `lines` the plain output. Each group is (name, checks, elapsed ms);
-    the times go to stderr only.
+    and `lines` the plain output. `notes` are informational stderr lines.
+    Each group is (name, checks, elapsed ms); the times go to stderr only.
     """
 
     results: dict = field(default_factory=dict)
     table: list[tuple] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
     checks_run: int = 0
     groups: list[tuple[str, int, int]] = field(default_factory=list)
     failures: list[dict[str, str]] = field(default_factory=list)
@@ -92,19 +95,33 @@ def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
             "results": report.results,
             "failures": report.failures,
         }
-        print(json.dumps(doc, indent=2))
+        out = [json.dumps(doc, indent=2)]
     elif params["format"] == "csv":
-        for row in report.table:
-            print(",".join(map(str, row)))
+        out = [",".join(map(str, row)) for row in report.table]
     else:
-        for line in report.lines:
+        out = report.lines
+    code = 1 if report.failures else 0
+    try:
+        for line in out:
             print(line)
+        # a small report sits in the buffer until this flush; unflushed, a
+        # closed pipe would only fail at interpreter shutdown, past this guard
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the shutdown
+        # flush of what is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141
+    for note in report.notes:
+        print(note, file=sys.stderr)
     for failure in report.failures:
         print(f"FAIL {failure['description']} witness={failure['witness']}", file=sys.stderr)
     for name, _, group_ms in report.groups:
         print(f"time {name}: {group_ms} ms", file=sys.stderr)
     print(f"elapsed {elapsed_ms} ms", file=sys.stderr)
-    return 1 if report.failures else 0
+    return code
 
 
 def _route_values(route: str, r: int, n_max: int) -> list[int]:
@@ -115,9 +132,7 @@ def _route_values(route: str, r: int, n_max: int) -> list[int]:
         values = []
         for n in range(n_max + 1):
             c_n = legendre_inverse(a, n)
-            if c_n.denominator != 1:
-                raise DivisibilityError(c_n.numerator, c_n.denominator)
-            values.append(c_n.numerator)
+            values.append(exact_divide(c_n.numerator, c_n.denominator))
         return values
     if route == "closed":
         return [core.c_general(n, r) for n in range(n_max + 1)]
@@ -260,8 +275,9 @@ def run_verify(args: argparse.Namespace) -> Report:
                     integral += 1
                 except DivisibilityError:
                     pass
-        print(f"note: r=1 scaled ratios integral for {integral}/{total} pairs (not asserted)",
-              file=sys.stderr)
+        report.notes.append(
+            f"note: r=1 scaled ratios integral for {integral}/{total} pairs (not asserted)"
+        )
 
     summarize_groups(report)
     return report
@@ -400,6 +416,8 @@ def _routes(text: str) -> tuple[str, ...]:
             raise argparse.ArgumentTypeError(
                 f"unknown route {part!r}; choose from {', '.join(ROUTES)}"
             )
+        if parts.count(part) > 1:
+            raise argparse.ArgumentTypeError(f"route {part!r} given more than once")
     return parts
 
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import DivisibilityError, _rising_pairs, binomial, factorial
+from .combinatorics import _rising_pairs, binomial, exact_divide, factorial
 
 Rational = Fraction | int
 
@@ -287,9 +287,7 @@ def t_as_hypergeometric(n: int, j: int, r: int) -> int:
         n - j,
     )
     value = binomial(n + j, n - j) ** r * eval_terminating(series)
-    if value.denominator != 1:
-        raise DivisibilityError(value.numerator, value.denominator)
-    return value.numerator
+    return exact_divide(value.numerator, value.denominator)
 
 
 def _vanishes(p: int, q: int, m: int) -> bool:

@@ -7,9 +7,11 @@ monkeypatching, since the real computations never disagree.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +84,45 @@ def test_compute_rejects_unknown_route():
     assert result.returncode == 2
 
 
+def test_compute_rejects_repeated_route():
+    result = run_cli("compute", "--r", "2", "--routes", "closed,inverse,closed")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "route 'closed' given more than once" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--r", "2", "--n-max", "3"],
+        ["compute", "--r", "2", "--n-max", "300", "--routes", "closed", "--format", "json"],
+    ],
+    ids=["small", "large"],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # the read end is closed before the child starts, so its first write to
+    # stdout meets a broken pipe; buffering stays on, as in a shell pipeline,
+    # so the small report reaches the pipe only when _emit flushes it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "schmidt", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+    assert re.fullmatch(r"elapsed \d+ ms", result.stderr.splitlines()[-1])
+
+
 def test_unknown_command_exits_two():
     result = run_cli("frobnicate")
     assert result.returncode == 2
@@ -117,7 +158,9 @@ def test_verify_small_sweep():
     assert result.returncode == 0
     assert "FAILED" not in result.stdout
     assert result.stdout.rstrip().endswith("checks passed")
-    assert "note: r=1 scaled ratios integral" in result.stderr
+    assert result.stderr.splitlines()[0] == (
+        "note: r=1 scaled ratios integral for 28/28 pairs (not asserted)"
+    )
 
 
 def test_verify_r_max_one_still_passes():
@@ -261,6 +304,16 @@ def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
     assert "FAIL routes definition and closed disagree witness=(r=2, n=0): 1 != 0" in (
         captured.err.splitlines()
     )
+
+
+def test_compute_non_integral_inverse_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "legendre_inverse", lambda a, n: Fraction(1, 2))
+    code = cli.main(["compute", "--r", "2", "--n-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL inverse route produced a non-integer witness=2 does not divide 1"]
+    assert captured.out == "definition: 1 2 10 56\nclosed: 1 2 10 56\n"
 
 
 _T3_ROWS = [(0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (2, 1, 24, 8), (2, 2, 1, 1)]
