@@ -18,6 +18,7 @@ time is only ever written to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -208,6 +209,11 @@ def run_verify(args: argparse.Namespace) -> Report:
     report = Report()
     n_max = args.n_max
     exponents = range(2, args.r_max + 1)
+    # each t-row is built once and read by route-agreement, ratio-integrality,
+    # t-closed-agreement and the r=1 note; the closed forms never read it, so
+    # a fault in the rows still shows as a disagreement. All rows stay held,
+    # O(r_max n_max^2) integers.
+    t_row = functools.cache(core.t_row)
 
     # one solve per exponent, shared by route-agreement and n-independence;
     # an exponent whose solve failed is reported once and skipped afterwards
@@ -222,7 +228,7 @@ def run_verify(args: argparse.Namespace) -> Report:
             for n in range(n_max + 1):
                 _checked_equal(
                     report, "inner-sum route disagrees", f"(r={r}, n={n})",
-                    lambda n=n, r=r: core.c_from_t(n, r), oracle[n],
+                    lambda n=n, r=r: core.c_from_t(n, r, t_row(n, r)), oracle[n],
                 )
                 _checked_equal(
                     report, "closed route disagrees", f"(r={r}, n={n})",
@@ -232,9 +238,10 @@ def run_verify(args: argparse.Namespace) -> Report:
     with _group(report, "ratio-integrality"):
         for r in exponents:
             for n in range(n_max + 1):
+                row = t_row(n, r)
                 for j in range(n + 1):
                     try:
-                        core.integrality_ratio(n, j, r)
+                        core.integrality_ratio(n, j, r, row)
                         report.check(True, "", "")
                     except DivisibilityError as exc:
                         report.check(
@@ -253,10 +260,10 @@ def run_verify(args: argparse.Namespace) -> Report:
     with _group(report, "t-closed-agreement"):
         for n in range(n_max + 1):
             for j in range(n + 1):
-                for r in range(3, args.r_max + 1):
+                for r in exponents:
                     _checked_equal(
                         report, "closed form disagrees", f"(r={r}, n={n}, j={j})",
-                        lambda n=n, j=j, r=r: core.t_general(n, j, r), core.t_sum(n, j, r),
+                        lambda n=n, j=j, r=r: core.t_general(n, j, r), t_row(n, r)[j],
                     )
 
     if args.r_max >= 1:
@@ -268,10 +275,11 @@ def run_verify(args: argparse.Namespace) -> Report:
         # informational only: the scaled ratios at r=1 are reported, never asserted
         integral = total = 0
         for n in range(n_max + 1):
+            row = t_row(n, 1)
             for j in range(n + 1):
                 total += 1
                 try:
-                    core.integrality_ratio(n, j, 1)
+                    core.integrality_ratio(n, j, 1, row)
                     integral += 1
                 except DivisibilityError:
                     pass

@@ -2,9 +2,11 @@
 
 Everything computes with unbounded Python ints and fractions.Fraction, so
 no rounding ever occurs. A shared memoized factorial table backs the
-binomial helpers. The zero convention C(n, k) = 0 for k outside [0, n] is
-what truncates all the implicitly bounded sums in the rest of the package;
-a negative upper index is a domain error, never a value.
+binomial helpers; callers that need a whole row or column of binomials walk
+it by recurrence instead (`_binomial_row`, `_binomial_column`). The zero
+convention C(n, k) = 0 for k outside [0, n] is what truncates all the
+implicitly bounded sums in the rest of the package; a negative upper index
+is a domain error, never a value.
 """
 
 from __future__ import annotations
@@ -94,6 +96,27 @@ def binomial(n: int, k: int) -> int:
 def central_binomial(n: int) -> int:
     """C(2n, n) from the shared table."""
     return _SHARED.central_binomial(n)
+
+
+# The row and column walks below use no table: each value comes from the one
+# before it by one multiply and one exact division by a small int, where a
+# table binomial costs three factorial lookups and a big-integer division.
+
+
+def _binomial_row(m: int) -> list[int]:
+    """C(m, 0), C(m, 1), ..., C(m, m), walked by C(m, k+1) = C(m, k) (m-k) / (k+1)."""
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return row
+
+
+def _binomial_column(top: int, k: int) -> list[int]:
+    """C(k, k), C(k+1, k), ..., C(top, k), walked by C(m+1, k) = C(m, k) (m+1) / (m+1-k)."""
+    column = [1]
+    for m in range(k, top):
+        column.append(column[-1] * (m + 1) // (m + 1 - k))
+    return column
 
 
 def _rising_pairs(x: Fraction | int, m: int) -> tuple[list[int], list[int]]:

@@ -20,8 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import binomial, central_binomial, exact_divide, factorial
-from .legendre import legendre_coefficient, triangular_solve
+from .combinatorics import (
+    _binomial_column,
+    _binomial_row,
+    binomial,
+    central_binomial,
+    exact_divide,
+    factorial,
+)
+from .legendre import triangular_solve
 
 
 def _require_order(n: int, j: int) -> None:
@@ -52,29 +59,56 @@ def c_by_definition(r: int, n_max: int) -> list[int]:
     return triangular_solve([lhs_sum(n, r) for n in range(n_max + 1)])
 
 
-def t_sum(n: int, j: int, r: int) -> int:
-    """Defining alternating sum for t(n, j, r); the oracle for the closed forms."""
-    _require_order(n, j)
+def t_row(n: int, r: int) -> list[int]:
+    """t(n, 0, r), ..., t(n, n, r) by the defining alternating sum.
+
+    One C(2n, .) row gives every D(n,k) = C(2n,n-k) - C(2n,n-k-1), and
+    C(k+j,k-j) = C(k+j, 2j) is walked down its column along k, so the row
+    makes no table lookups and costs O(n^2) big-integer products per (n, r).
+    This is the oracle for the closed forms.
+    """
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got n={n}")
     _require_exponent(r)
-    return sum(
-        (-1) ** (n - k) * legendre_coefficient(n, k) * binomial(k + j, k - j) ** r
-        for k in range(j, n + 1)
-    )
+    row = _binomial_row(2 * n)
+    # (-1)^(n-k) D(n,k) for k = 0..n, with C(2n, -1) = 0 at k = n
+    signed = [
+        (-1) ** (n - k) * (row[n - k] - (row[n - k - 1] if k < n else 0)) for k in range(n + 1)
+    ]
+    return [
+        sum(d * c**r for d, c in zip(signed[j:], _binomial_column(n + j, 2 * j)))
+        for j in range(n + 1)
+    ]
 
 
-def integrality_ratio(n: int, j: int, r: int) -> int:
+def t_sum(n: int, j: int, r: int) -> int:
+    """t(n, j, r), read from t_row(n, r)."""
+    _require_order(n, j)
+    return t_row(n, r)[j]
+
+
+def integrality_ratio(n: int, j: int, r: int, row: list[int] | None = None) -> int:
     """C(2j,j) t(n, j, r) / C(2n,n), divided out exactly.
 
     Integrality of this ratio is the strong form of the integrality
     statement; a DivisibilityError here is a counterexample witness.
+    `row` is t_row(n, r) when the caller already holds it.
     """
-    return exact_divide(central_binomial(j) * t_sum(n, j, r), central_binomial(n))
+    _require_order(n, j)
+    if row is None:
+        row = t_row(n, r)
+    return exact_divide(central_binomial(j) * row[j], central_binomial(n))
 
 
-def c_from_t(n: int, r: int) -> int:
-    """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly."""
+def c_from_t(n: int, r: int, row: list[int] | None = None) -> int:
+    """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly.
+
+    `row` is t_row(n, r) when the caller already holds it.
+    """
     _require_exponent(r)
-    acc = sum(central_binomial(j) ** r * t_sum(n, j, r) for j in range(n + 1))
+    if row is None:
+        row = t_row(n, r)
+    acc = sum(central_binomial(j) ** r * t for j, t in enumerate(row))
     return exact_divide(acc, central_binomial(n))
 
 
@@ -128,12 +162,14 @@ def _nest(n: int, j: int, s: int, odd: bool) -> int:
     # even r. What lies below a level depends only on that level's index,
     # so the chain is built bottom-up as one list per level, indexed by
     # k - j. C(2j, d) vanishes for d > 2j, so each level costs
-    # O(n min(n, 2j)) and the whole nest O(s n^2) per (n, j).
+    # O(n min(n, 2j)) and the whole nest O(s n^2) per (n, j). Every binomial
+    # row and column is walked by recurrence, not looked up.
     if s == 1:
         return binomial(2 * j if odd else j, n - j)
-    band = [binomial(2 * j, d) for d in range(2 * j + 1)]
-    sq = [binomial(k + j, k - j) ** 2 for k in range(j, n + 1)]
-    chain = [binomial(2 * j, i) for i in range(n - j + 1)]
+    band = _binomial_row(2 * j)
+    stretched = _binomial_column(n + j, 2 * j)  # C(k+j, k-j) for k = j..n
+    sq = [x * x for x in stretched]
+    chain = band[: n - j + 1] + [0] * (n - 3 * j)  # C(2j, i) for i = 0..n-j
     for _ in range(s - 2):
         weighted = [x * y for x, y in zip(sq, chain)]
         chain = [
@@ -144,8 +180,10 @@ def _nest(n: int, j: int, s: int, odd: bool) -> int:
         return sum(
             band[n - k] * sq[k - j] * chain[k - j] for k in range(max(j, n - 2 * j), n + 1)
         )
+    low = _binomial_row(j)
+    over = _binomial_column(n, j)  # C(k, j) for k = j..n
     return sum(
-        binomial(j, n - k) * binomial(k, j) * binomial(k + j, k - j) * chain[k - j]
+        low[n - k] * over[k - j] * stretched[k - j] * chain[k - j]
         for k in range(max(j, n - j), n + 1)
     )
 
@@ -214,8 +252,9 @@ def t_table(r: int, n_max: int) -> list[TnjValue]:
     _require_exponent(r)
     out: list[TnjValue] = []
     for n in range(n_max + 1):
-        for j in range(n + 1):
-            value = t_sum(n, j, r)
-            ratio = exact_divide(central_binomial(j) * value, central_binomial(n))
-            out.append(TnjValue(n, j, r, value, ratio))
+        row = t_row(n, r)
+        out.extend(
+            TnjValue(n, j, r, value, integrality_ratio(n, j, r, row))
+            for j, value in enumerate(row)
+        )
     return out

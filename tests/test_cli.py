@@ -12,11 +12,15 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from schmidt import cli
 from schmidt.combinatorics import DivisibilityError
+
+
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -218,7 +222,7 @@ _SWEEPS = {
         ["verify", "--r-max", "3", "--n-max", "4"],
         {"r_max": 3, "n_max": 4},
         [("route-agreement", 20), ("ratio-integrality", 30), ("n-independence", 10),
-         ("t-closed-agreement", 15), ("trivial-exponent", 1)],
+         ("t-closed-agreement", 30), ("trivial-exponent", 1)],
     ),
 }
 
@@ -368,10 +372,38 @@ def test_t_table_failure_still_emits_document(monkeypatch, capsys):
 
 
 def test_verify_reports_failures_and_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli.core, "t_sum", lambda n, j, r: 1)
+    monkeypatch.setattr(cli.core, "t_row", lambda n, r: [1] * (n + 1))
     code = cli.main(["verify", "--r-max", "2", "--n-max", "4"])
     captured = capsys.readouterr()
     assert code == 1
+    assert "FAILED" in captured.out
+
+
+def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
+    # every group shares one t-row per (n, r); the closed forms never read it,
+    # so a single wrong entry must still surface as a disagreement
+    true_row = cli.core.t_row
+
+    def faulty_row(n, r):
+        row = true_row(n, r)
+        if (n, r) == (5, 4):
+            row[2] += 1
+        return row
+
+    monkeypatch.setattr(cli.core, "t_row", faulty_row)
+    code = cli.main(["verify", "--r-max", "5", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    # each reader of the row flags it on its own: c_from_t, the ratio, the closed form
+    assert fails == [
+        "FAIL inner-sum route disagrees (non-integral) witness=(r=4, n=5): "
+        "252 does not divide 257621972112",
+        "FAIL scaled inner number non-integral witness=(r=4, n=5, j=2): "
+        "252 does not divide 6400806",
+        "FAIL closed form disagrees witness=(r=4, n=5, j=2)",
+    ]
+    assert "Traceback" not in captured.err
     assert "FAILED" in captured.out
 
 
@@ -391,3 +423,31 @@ def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
 
 def test_main_returns_zero_in_process():
     assert cli.main(["compute", "--r", "2", "--n-max", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        (["compute", "--r", "2", "--n-max", "5"], "core.lhs_sum"),
+        (["verify", "--r-max", "3", "--n-max", "4"], "core.t_row"),
+    ],
+    ids=["compute", "verify"],
+)
+def test_traced_benchmark_worker_runs(argv, layer, tmp_path):
+    # the benchmark's tracer hooks the package's layers by name, so a renamed
+    # or removed hook target kills every traced run; this runs one traced worker
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, str(WORKER), str(tmp_path / "t.json"), "--", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["code"] == 0
+    assert doc["raised"] is None
+    assert doc["layers"][layer]["calls"] > 0
+    assert doc["table_cap"] > 0
+    assert (tmp_path / "t.json").exists()

@@ -5,7 +5,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schmidt.combinatorics import (
@@ -15,6 +15,8 @@ from schmidt.combinatorics import (
     central_binomial,
     exact_divide,
     factorial,
+    _binomial_column,
+    _binomial_row,
     _rising_pairs,
     pochhammer,
 )
@@ -105,6 +107,33 @@ def test_binomial_matches_math_comb(nk):
 @given(st.integers(min_value=0, max_value=700))
 def test_central_binomial_matches_math_comb(n):
     assert central_binomial(n) == math.comb(2 * n, n)
+
+
+def test_binomial_rows_match_math_comb_exhaustively_up_to_64():
+    for m in range(65):
+        assert _binomial_row(m) == [math.comb(m, k) for k in range(m + 1)]
+        for k in range(m + 1):
+            assert _binomial_column(m, k) == [math.comb(i, k) for i in range(k, m + 1)]
+
+
+@given(st.integers(min_value=0, max_value=700))
+@example(0)
+@example(700)
+def test_binomial_row_matches_math_comb(m):
+    # the t-rows and the closed-form nests walk their binomials by these
+    # recurrences instead of the table, so they get their own oracle
+    assert _binomial_row(m) == [math.comb(m, k) for k in range(m + 1)]
+
+
+@given(st.integers(min_value=0, max_value=700).flatmap(
+    lambda top: st.tuples(st.just(top), st.integers(min_value=0, max_value=top))
+))
+@example((700, 0))
+@example((700, 350))
+@example((700, 700))
+def test_binomial_column_matches_math_comb(top_k):
+    top, k = top_k
+    assert _binomial_column(top, k) == [math.comb(m, k) for m in range(k, top + 1)]
 
 
 def test_pochhammer_empty_product():

@@ -1,5 +1,7 @@
 """Schmidt numbers by each route, inner numbers, closed forms, integrality."""
 
+from math import comb
+
 import pytest
 
 from schmidt import core
@@ -41,6 +43,29 @@ def test_t_sum_values():
             assert core.t_sum(n, n, r) == 1
 
 
+def _reference_t_terms(n, j):
+    # the defining sum's terms (-1)^(n-k) D(n,k) and C(k+j,k-j), from math.comb
+    # alone so that the check shares no code with the package
+    for k in range(j, n + 1):
+        d = comb(2 * n, n - k) - (comb(2 * n, n - k - 1) if k < n else 0)
+        yield (-1) ** (n - k) * d, comb(k + j, k - j)
+
+
+def test_t_row_matches_math_comb_reference():
+    for n in range(41):
+        terms = [list(_reference_t_terms(n, j)) for j in range(n + 1)]
+        for r in range(1, 7):
+            expected = [sum(d * c**r for d, c in row) for row in terms]
+            assert core.t_row(n, r) == expected, (n, r)
+
+
+def test_t_row_rejects_bad_input():
+    with pytest.raises(ValueError):
+        core.t_row(-1, 2)
+    with pytest.raises(ValueError):
+        core.t_row(3, 0)
+
+
 def test_t_sum_rejects_bad_indices():
     with pytest.raises(ValueError):
         core.t_sum(2, 3, 2)
@@ -68,6 +93,17 @@ def test_c_from_t_values():
     assert core.c_from_t(2, 2) == 10
     assert core.c_from_t(2, 3) == 68
     assert core.c_from_t(0, 7) == 1
+
+
+def test_row_readers_take_a_held_row():
+    for r in (1, 2, 5):
+        for n in range(7):
+            row = core.t_row(n, r)
+            assert core.c_from_t(n, r, row) == core.c_from_t(n, r)
+            for j in range(n + 1):
+                assert core.t_sum(n, j, r) == row[j]
+                if r > 1:
+                    assert core.integrality_ratio(n, j, r, row) == core.integrality_ratio(n, j, r)
 
 
 def test_t3_closed_values():
