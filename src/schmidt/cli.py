@@ -28,11 +28,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import core
 from . import hypergeometric as hyp
 from .combinatorics import DivisibilityError, exact_divide
-from .legendre import legendre_forward, legendre_inverse
+from .legendre import legendre_forward, legendre_inverse, triangular_solve
 
 ROUTES = ("definition", "inverse", "closed")
 FORMATS = ("plain", "json", "csv")
@@ -125,11 +126,11 @@ def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
     return code
 
 
-def _route_values(route: str, r: int, n_max: int) -> list[int]:
+def _route_values(route: str, r: int, n_max: int, lhs: Callable[[], list[int]]) -> list[int]:
     if route == "definition":
-        return core.c_by_definition(r, n_max)
+        return triangular_solve(lhs())
     if route == "inverse":
-        a = [core.lhs_sum(n, r) for n in range(n_max + 1)]
+        a = lhs()
         values = []
         for n in range(n_max + 1):
             c_n = legendre_inverse(a, n)
@@ -142,11 +143,15 @@ def _route_values(route: str, r: int, n_max: int) -> list[int]:
 
 def run_compute(args: argparse.Namespace) -> Report:
     report = Report()
+    # a_0..a_N is built once, inside the first route group that needs it, and
+    # definition and inverse read the same list; closed never reads it, so a
+    # fault in a_n still shows up as a disagreement with closed
+    lhs = functools.cache(lambda: [core.lhs_sum(n, args.r) for n in range(args.n_max + 1)])
     per_route: dict[str, list[int]] = {}
     for route in args.routes:
         with _group(report, route):
             try:
-                per_route[route] = _route_values(route, args.r, args.n_max)
+                per_route[route] = _route_values(route, args.r, args.n_max, lhs)
             except DivisibilityError as exc:
                 report.fail(f"{route} route produced a non-integer", str(exc))
     reference_route = args.routes[0]

@@ -28,7 +28,7 @@ from .combinatorics import (
     exact_divide,
     factorial,
 )
-from .legendre import triangular_solve
+from .legendre import _forward_row, _inverse_row, triangular_solve
 
 
 def _require_order(n: int, j: int) -> None:
@@ -46,7 +46,7 @@ def lhs_sum(n: int, r: int) -> int:
     _require_exponent(r)
     if n < 0:
         raise ValueError(f"order must be >= 0, got n={n}")
-    return sum(binomial(n, k) ** r * binomial(n + k, k) ** r for k in range(n + 1))
+    return sum(f**r for f in _forward_row(n))
 
 
 def c_by_definition(r: int, n_max: int) -> list[int]:
@@ -62,19 +62,16 @@ def c_by_definition(r: int, n_max: int) -> list[int]:
 def t_row(n: int, r: int) -> list[int]:
     """t(n, 0, r), ..., t(n, n, r) by the defining alternating sum.
 
-    One C(2n, .) row gives every D(n,k) = C(2n,n-k) - C(2n,n-k-1), and
-    C(k+j,k-j) = C(k+j, 2j) is walked down its column along k, so the row
-    makes no table lookups and costs O(n^2) big-integer products per (n, r).
-    This is the oracle for the closed forms.
+    The signed coefficients (-1)^(n-k) D(n,k) are the Legendre layer's
+    inverse row, built from one C(2n, .) row, and C(k+j,k-j) = C(k+j, 2j)
+    is walked down its column along k, so the row makes no table lookups
+    and costs O(n^2) big-integer products per (n, r). This is the oracle
+    for the closed forms.
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got n={n}")
     _require_exponent(r)
-    row = _binomial_row(2 * n)
-    # (-1)^(n-k) D(n,k) for k = 0..n, with C(2n, -1) = 0 at k = n
-    signed = [
-        (-1) ** (n - k) * (row[n - k] - (row[n - k - 1] if k < n else 0)) for k in range(n + 1)
-    ]
+    signed = _inverse_row(n)
     return [
         sum(d * c**r for d, c in zip(signed[j:], _binomial_column(n + j, 2 * j)))
         for j in range(n + 1)

@@ -12,7 +12,11 @@ which also satisfy the integer identity (n+k+1) D(n,k) = (2k+1) C(2n,n-k):
 
     C(2n,n) c_n = sum_k (-1)^(n-k) D(n,k) a_k.
 
-Sequences are dense prefixes, plain lists indexed 0..N.
+Sequences are dense prefixes, plain lists indexed 0..N. Each kernel is
+written once, as a whole row: `_forward_row(n)` holds C(n,k) C(n+k,k) and
+`_inverse_row(n)` holds (-1)^(n-k) D(n,k), for k = 0..n. Every reader of
+either kernel in the package, `core.lhs_sum` and `core.t_row` included,
+goes through these two rows.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import binomial, central_binomial, exact_divide
+from .combinatorics import _binomial_row, binomial, central_binomial, exact_divide
 
 
 def _check_prefix(seq: Sequence[int], n: int) -> None:
@@ -28,10 +32,26 @@ def _check_prefix(seq: Sequence[int], n: int) -> None:
         raise IndexError(f"sequence prefix ends at index {len(seq) - 1}, needed {n}")
 
 
+def _forward_row(n: int) -> list[int]:
+    """C(n,k) C(n+k,k) for k = 0..n, read from the binomial table."""
+    return [binomial(n, k) * binomial(n + k, k) for k in range(n + 1)]
+
+
+def _inverse_row(n: int) -> list[int]:
+    """(-1)^(n-k) D(n,k) for k = 0..n, all from one C(2n, .) row.
+
+    C(2n, -1) = 0 closes the row at k = n, where D(n,n) = 1.
+    """
+    row = _binomial_row(2 * n)
+    return [
+        (-1) ** (n - k) * (row[n - k] - (row[n - k - 1] if k < n else 0)) for k in range(n + 1)
+    ]
+
+
 def legendre_forward(c: Sequence[int], n: int) -> int:
     """a_n = sum_k C(n,k) C(n+k,k) c_k."""
     _check_prefix(c, n)
-    return sum(binomial(n, k) * binomial(n + k, k) * c[k] for k in range(n + 1))
+    return sum(f * c_k for f, c_k in zip(_forward_row(n), c))
 
 
 def legendre_forward_central(c: Sequence[int], n: int) -> int:
@@ -44,7 +64,7 @@ def legendre_coefficient(n: int, k: int) -> int:
     """Inversion coefficient D(n,k) = C(2n,n-k) - C(2n,n-k-1)."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return binomial(2 * n, n - k) - binomial(2 * n, n - k - 1)
+    return (-1) ** (n - k) * _inverse_row(n)[k]
 
 
 def legendre_inverse(a: Sequence[int], n: int) -> Fraction:
@@ -55,21 +75,24 @@ def legendre_inverse(a: Sequence[int], n: int) -> Fraction:
     divisibility is enforced here.
     """
     _check_prefix(a, n)
-    acc = sum((-1) ** (n - k) * legendre_coefficient(n, k) * a[k] for k in range(n + 1))
+    acc = sum(d * a_k for d, a_k in zip(_inverse_row(n), a))
     return Fraction(acc, central_binomial(n))
 
 
 def triangular_solve(a: Sequence[int]) -> list[int]:
     """Solve a_n = sum_k C(n,k) C(n+k,k) c_k for integer c, index by index.
 
-    The diagonal coefficient is C(n,n) C(2n,n), so step n subtracts the
-    already-known part and divides by C(2n,n) exactly. A remainder raises
-    DivisibilityError, meaning the input is not the forward transform of
-    any integer sequence. This solver is deliberately brute force: it is
-    the oracle everything faster is measured against.
+    The diagonal coefficient is C(n,n) C(2n,n), the last entry of the
+    forward row, so step n subtracts the already-known part and divides by
+    it exactly. A remainder raises DivisibilityError, meaning the input is
+    not the forward transform of any integer sequence. This solver is
+    deliberately brute force: it is the oracle everything faster is
+    measured against.
     """
     c: list[int] = []
     for n, a_n in enumerate(a):
-        partial = sum(binomial(n, k) * binomial(n + k, k) * c[k] for k in range(n))
-        c.append(exact_divide(a_n - partial, central_binomial(n)))
+        row = _forward_row(n)
+        # c holds c_0..c_{n-1}, so zip stops short of the diagonal
+        partial = sum(f * c_k for f, c_k in zip(row, c))
+        c.append(exact_divide(a_n - partial, row[-1]))
     return c

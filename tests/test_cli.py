@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from schmidt import cli
+from schmidt import cli, legendre
 from schmidt.combinatorics import DivisibilityError
+from schmidt.legendre import _forward_row
 
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
@@ -318,6 +319,86 @@ def test_compute_non_integral_inverse_exits_one(monkeypatch, capsys):
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == ["FAIL inverse route produced a non-integer witness=2 does not divide 1"]
     assert captured.out == "definition: 1 2 10 56\nclosed: 1 2 10 56\n"
+
+
+def test_compute_shares_one_a_n_and_closed_still_disagrees(monkeypatch, capsys):
+    # adding the k = 3 forward coefficient to every a_n with n >= 3 is the
+    # forward transform of c_3 + 1, so definition and inverse, which read the
+    # same a_n, both print 57; closed never reads a_n and still prints 56
+    true_lhs = cli.core.lhs_sum
+
+    def shifted_lhs(n, r):
+        return true_lhs(n, r) + (_forward_row(n)[3] if n >= 3 else 0)
+
+    monkeypatch.setattr(cli.core, "lhs_sum", shifted_lhs)
+    code = cli.main(["compute", "--r", "2", "--n-max", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL routes definition and closed disagree witness=(r=2, n=3): 57 != 56"]
+    assert captured.out == (
+        "definition: 1 2 10 57 346 2252\n"
+        "inverse: 1 2 10 57 346 2252\n"
+        "closed: 1 2 10 56 346 2252\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "routes, calls",
+    [("definition,inverse,closed", 6), ("inverse,closed,definition", 6), ("closed", 0)],
+)
+def test_compute_builds_a_n_once(routes, calls, monkeypatch, capsys):
+    true_lhs = cli.core.lhs_sum
+    seen = []
+
+    def counted_lhs(n, r):
+        seen.append((n, r))
+        return true_lhs(n, r)
+
+    monkeypatch.setattr(cli.core, "lhs_sum", counted_lhs)
+    assert cli.main(["compute", "--r", "2", "--n-max", "5", "--routes", routes]) == 0
+    assert capsys.readouterr().out == "1 2 10 56 346 2252\n"
+    assert len(seen) == calls
+
+
+def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys):
+    # legendre_inverse and core.t_row read the same signed D row; the closed
+    # forms and the defining solve never do, so one wrong entry must fail the
+    # inverse route of compute and the inner-sum and closed-form checks of verify
+    true_row = legendre._inverse_row
+
+    def faulty_row(n):
+        row = true_row(n)
+        if n == 5:
+            row[2] += 1
+        return row
+
+    for module in (legendre, cli.core):
+        monkeypatch.setattr(module, "_inverse_row", faulty_row)
+
+    code = cli.main(["compute", "--r", "2", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL inverse route produced a non-integer witness=252 does not divide 567577"]
+    assert captured.out == "definition: 1 2 10 56 346 2252 15184\nclosed: 1 2 10 56 346 2252 15184\n"
+    assert "Traceback" not in captured.err
+
+    code = cli.main(["verify", "--r-max", "3", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert [line for line in fails if "inner-sum" in line] == [
+        "FAIL inner-sum route disagrees (non-integral) witness=(r=2, n=5): "
+        "252 does not divide 567577",
+        "FAIL inner-sum route disagrees (non-integral) witness=(r=3, n=5): "
+        "252 does not divide 417792241",
+    ]
+    assert [line for line in fails if "closed form" in line] == [
+        f"FAIL closed form disagrees witness=(r={r}, n=5, j={j})" for j in range(3) for r in (2, 3)
+    ]
+    assert "Traceback" not in captured.err
+    assert "FAILED" in captured.out
 
 
 _T3_ROWS = [(0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (2, 1, 24, 8), (2, 2, 1, 1)]

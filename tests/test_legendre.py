@@ -1,5 +1,6 @@
 """Forward/inverse transform pair, inversion coefficients, triangular solver."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from schmidt.combinatorics import DivisibilityError, binomial
 from schmidt.legendre import (
+    _forward_row,
+    _inverse_row,
     legendre_coefficient,
     legendre_forward,
     legendre_forward_central,
@@ -45,6 +48,26 @@ def test_forward_index_error():
 def test_forward_forms_agree(c):
     for n in range(len(c)):
         assert legendre_forward(c, n) == legendre_forward_central(c, n)
+
+
+ROW_ORDERS = [*range(65), 150, 300]
+
+
+def test_forward_row_matches_comb():
+    for n in ROW_ORDERS:
+        expected = [math.comb(n, k) * math.comb(n + k, k) for k in range(n + 1)]
+        assert _forward_row(n) == expected, n
+
+
+def test_inverse_row_matches_comb():
+    for n in ROW_ORDERS:
+        # (-1)^(n-k) D(n,k), with C(2n, -1) = 0 at k = n spelled out
+        expected = [
+            (-1) ** (n - k)
+            * (math.comb(2 * n, n - k) - (math.comb(2 * n, n - k - 1) if k < n else 0))
+            for k in range(n + 1)
+        ]
+        assert _inverse_row(n) == expected, n
 
 
 def test_coefficient_values():
