@@ -317,6 +317,20 @@ def _spec_witness(spec: hyp.WellPoisedSpec) -> str:
     return f"(a={spec.a}, pairs=[{pairs}], m={spec.m})"
 
 
+# What Andrews's nest reduces to at s = 1 and s = 2
+_REDUCTIONS = {1: "5F4 evaluation", 2: "7F6 transform"}
+
+
+def _reduces(spec: hyp.WellPoisedSpec) -> bool:
+    """Does Andrews's value equal Dougall's evaluation (s = 1) or Whipple's transform (s = 2)?"""
+    value = hyp.andrews_rhs(spec)
+    if spec.s == 1:
+        ((c, d),) = spec.pairs
+        return value == hyp.dougall_rhs(spec.a, c, d, spec.m)
+    (b, c), (d, e) = spec.pairs
+    return value == hyp.whipple_rhs(spec.a, b, c, d, e, spec.m)
+
+
 def _identity_check(report: Report, description: str, witness: str, fn) -> None:
     try:
         ok = fn()
@@ -330,23 +344,16 @@ def run_identities(args: argparse.Namespace) -> Report:
     report = Report()
 
     with _group(report, "structural-reductions"):
-        one, two, three = _FIXED_SPECS
-        ((c, d),) = one.pairs
-        _identity_check(
-            report, "s=1 nest does not reduce to the 5F4 evaluation", _spec_witness(one),
-            lambda: hyp.andrews_rhs(one) == hyp.dougall_rhs(one.a, c, d, one.m),
-        )
-        _identity_check(report, "s=1 multiple transformation failed", _spec_witness(one),
-                        lambda: hyp.check_andrews(one))
-        (b, c2), (d2, e) = two.pairs
-        _identity_check(
-            report, "s=2 nest does not reduce to the 7F6 transform", _spec_witness(two),
-            lambda: hyp.andrews_rhs(two) == hyp.whipple_rhs(two.a, b, c2, d2, e, two.m),
-        )
-        _identity_check(report, "s=2 multiple transformation failed", _spec_witness(two),
-                        lambda: hyp.check_andrews(two))
-        _identity_check(report, "s=3 multiple transformation failed", _spec_witness(three),
-                        lambda: hyp.check_andrews(three))
+        for spec in _FIXED_SPECS:
+            if spec.s in _REDUCTIONS:
+                _identity_check(
+                    report, f"s={spec.s} nest does not reduce to the {_REDUCTIONS[spec.s]}",
+                    _spec_witness(spec), lambda spec=spec: _reduces(spec),
+                )
+            _identity_check(
+                report, f"s={spec.s} multiple transformation failed", _spec_witness(spec),
+                lambda spec=spec: hyp.check_andrews(spec),
+            )
 
     with _group(report, "dougall"):
         rng = random.Random(f"{args.seed}/dougall")
@@ -380,20 +387,12 @@ def run_identities(args: argparse.Namespace) -> Report:
     with _group(report, "reduction-chain"):
         rng = random.Random(f"{args.seed}/reduction")
         for _ in range(args.trials):
-            spec = hyp.sample_well_poised(rng, 1, args.m_max)
-            ((c, d),) = spec.pairs
-            _identity_check(
-                report, "s=1 reduction disagrees with the 5F4 evaluation", _spec_witness(spec),
-                lambda spec=spec, c=c, d=d: hyp.andrews_rhs(spec)
-                == hyp.dougall_rhs(spec.a, c, d, spec.m),
-            )
-            spec = hyp.sample_well_poised(rng, 2, args.m_max)
-            (b, c), (d, e) = spec.pairs
-            _identity_check(
-                report, "s=2 reduction disagrees with the 7F6 transform", _spec_witness(spec),
-                lambda spec=spec, b=b, c=c, d=d, e=e: hyp.andrews_rhs(spec)
-                == hyp.whipple_rhs(spec.a, b, c, d, e, spec.m),
-            )
+            for s, reduction in _REDUCTIONS.items():
+                spec = hyp.sample_well_poised(rng, s, args.m_max)
+                _identity_check(
+                    report, f"s={s} reduction disagrees with the {reduction}",
+                    _spec_witness(spec), lambda spec=spec: _reduces(spec),
+                )
 
     summarize_groups(report)
     return report

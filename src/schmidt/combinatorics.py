@@ -1,20 +1,23 @@
 """Exact integer and rational combinatorial primitives.
 
 Everything computes with unbounded Python ints and fractions.Fraction, so
-no rounding ever occurs. A shared memoized factorial table backs the
-binomial helpers; callers that need a whole row or column of binomials walk
-it by recurrence instead (`_binomial_row`, `_binomial_column`). The Legendre
+no rounding ever occurs. Binomials come from two places: a scalar C(n, k)
+or C(2n, n) is `math.comb` behind `binomial` and `central_binomial`, and a
+whole row or column is walked by recurrence (`_binomial_row`,
+`_binomial_column`). Factorials come from a memoized table behind
+`factorial`, which grows only to the largest n asked for. The Legendre
 forward row C(n,k) C(n+k,k) (`legendre._forward_row`) deliberately still
-reads the table: walking it too speeds `compute` up enough that the
-benchmark gets more repetitions, and its peak-RSS figure, which includes the
-harness's own high-water mark, then reads higher. The zero
-convention C(n, k) = 0 for k outside [0, n] is what truncates all the
-implicitly bounded sums in the rest of the package; a negative upper index
-is a domain error, never a value.
+reads the scalar `binomial`: walking it too speeds `compute` up enough that
+the benchmark gets more repetitions, and its peak-RSS figure, which includes
+the harness's own high-water mark, then reads higher. The zero convention
+C(n, k) = 0 for k outside [0, n] is what truncates all the implicitly
+bounded sums in the rest of the package; a negative upper index is a domain
+error, never a value.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
@@ -42,10 +45,10 @@ class DivisibilityError(ArithmeticError):
 
 
 class CombinatoricsTable:
-    """Memoized factorials with the binomial helpers built on top.
+    """Memoized factorials.
 
-    The table only ever appends (geometric growth under a lock), so values
-    already handed out never change and concurrent readers are safe.
+    The table only ever appends (under a lock), so values already handed
+    out never change and concurrent readers are safe.
     """
 
     def __init__(self, cap: int = 128) -> None:
@@ -60,9 +63,7 @@ class CombinatoricsTable:
 
     def _grow(self, n: int) -> None:
         with self._lock:
-            # doubling keeps amortized extension cost linear in the values produced
-            target = max(n, 2 * (len(self._factorials) - 1))
-            while len(self._factorials) <= target:
+            while len(self._factorials) <= n:
                 self._factorials.append(len(self._factorials) * self._factorials[-1])
 
     def factorial(self, n: int) -> int:
@@ -71,17 +72,6 @@ class CombinatoricsTable:
         if n >= len(self._factorials):
             self._grow(n)
         return self._factorials[n]
-
-    def binomial(self, n: int, k: int) -> int:
-        """C(n, k) for n >= 0; zero whenever k < 0 or k > n."""
-        if n < 0:
-            raise ValueError(f"binomial with negative upper index {n}")
-        if k < 0 or k > n:
-            return 0
-        return self.factorial(n) // (self.factorial(k) * self.factorial(n - k))
-
-    def central_binomial(self, n: int) -> int:
-        return self.binomial(2 * n, n)
 
 
 _SHARED = CombinatoricsTable()
@@ -93,18 +83,20 @@ def factorial(n: int) -> int:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) from the shared table; zero outside 0 <= k <= n, error for n < 0."""
-    return _SHARED.binomial(n, k)
+    """C(n, k) by math.comb; zero outside 0 <= k <= n, error for n < 0."""
+    if n < 0:
+        raise ValueError(f"binomial with negative upper index {n}")
+    return math.comb(n, k) if k >= 0 else 0
 
 
 def central_binomial(n: int) -> int:
-    """C(2n, n) from the shared table."""
-    return _SHARED.central_binomial(n)
+    """C(2n, n) by math.comb; error for n < 0."""
+    return math.comb(2 * n, n)
 
 
-# The row and column walks below use no table: each value comes from the one
-# before it by one multiply and one exact division by a small int, where a
-# table binomial costs three factorial lookups and a big-integer division.
+# The row and column walks below build each value from the one before it by
+# one multiply and one exact division by a small int, where a scalar
+# binomial recomputes its value from scratch.
 
 
 def _binomial_row(m: int) -> list[int]:

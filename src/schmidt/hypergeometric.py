@@ -80,17 +80,26 @@ class WellPoisedSpec:
     def s(self) -> int:
         return len(self.pairs)
 
+    def _denominator_pairs(self) -> list[tuple[int, int]]:
+        # a/2, 1+a-b_1, 1+a-c_1, ..., 1+a-b_s, 1+a-c_s, 1+a+m, in the order
+        # of the expanded series, as unreduced integer pairs (P, Q) with Q > 0
+        an, ad = self.a.numerator, self.a.denominator
+        out = [(an, 2 * ad)]
+        for pair in self.pairs:
+            for x in pair:
+                out.append(((ad + an) * x.denominator - x.numerator * ad, ad * x.denominator))
+        out.append((an + (1 + self.m) * ad, ad))
+        return out
+
     def expand(self) -> HypSeries:
         """The full series: every numerator/denominator pair sums to 1 + a."""
         a = self.a
         numerator = [a, 1 + a / 2]
-        denominator = [a / 2]
         for b, c in self.pairs:
             numerator += [b, c]
-            denominator += [1 + a - b, 1 + a - c]
         numerator.append(Fraction(-self.m))
-        denominator.append(1 + a + self.m)
-        return HypSeries(tuple(numerator), tuple(denominator), self.m)
+        denominator = tuple(Fraction(p, q) for p, q in self._denominator_pairs())
+        return HypSeries(tuple(numerator), denominator, self.m)
 
 
 def eval_terminating(series: HypSeries) -> Fraction:
@@ -308,16 +317,9 @@ def spec_pole_free(spec: WellPoisedSpec) -> bool:
     m = spec.m
     an, ad = spec.a.numerator, spec.a.denominator
     (bn, bd), (cn, cd) = ((x.numerator, x.denominator) for x in spec.pairs[-1])
-    # a/2, 1+a+m and b_s+c_s-a-m as unreduced pairs
-    candidates = [
-        (an, 2 * ad),
-        (an + (1 + m) * ad, ad),
-        ((bn * cd + cn * bd - m * bd * cd) * ad - an * bd * cd, ad * bd * cd),
-    ]
-    for pair in spec.pairs:
-        for x in pair:
-            # 1 + a - x
-            candidates.append(((ad + an) * x.denominator - x.numerator * ad, ad * x.denominator))
+    # the series' own denominators, then the nest's trailing b_s+c_s-a-m
+    candidates = spec._denominator_pairs()
+    candidates.append(((bn * cd + cn * bd - m * bd * cd) * ad - an * bd * cd, ad * bd * cd))
     return not any(_vanishes(p, q, m) for p, q in candidates)
 
 

@@ -33,7 +33,7 @@ def _check_prefix(seq: Sequence[int], n: int) -> None:
 
 
 def _forward_row(n: int) -> list[int]:
-    """C(n,k) C(n+k,k) for k = 0..n, read from the binomial table."""
+    """C(n,k) C(n+k,k) for k = 0..n, from the scalar binomial (math.comb)."""
     return [binomial(n, k) * binomial(n + k, k) for k in range(n + 1)]
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from schmidt import cli, legendre
+from schmidt import cli, combinatorics, legendre
 from schmidt.combinatorics import DivisibilityError
 from schmidt.legendre import _forward_row
 
@@ -504,6 +504,26 @@ def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
 
 def test_main_returns_zero_in_process():
     assert cli.main(["compute", "--r", "2", "--n-max", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--r", "2", "--n-max", "80"],
+        ["compute", "--r", "3", "--n-max", "70"],
+        ["t-table", "--r", "3", "--n-max", "100"],
+    ],
+    ids=["compute-r2", "compute-r3", "t-table"],
+)
+def test_compute_and_t_table_leave_the_factorial_table_alone(argv, monkeypatch, capsys):
+    # binomials come from math.comb and walked rows, so neither command reads
+    # a factorial; a fresh table must keep its size through the whole run
+    table = combinatorics.CombinatoricsTable()
+    monkeypatch.setattr(combinatorics, "_SHARED", table)
+    before = table.cap
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert table.cap == before
 
 
 @pytest.mark.parametrize(

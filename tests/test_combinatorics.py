@@ -46,6 +46,14 @@ def test_table_values_are_stable_across_growth():
     assert table.cap >= 300
 
 
+def test_table_grows_only_to_the_largest_n_asked_for():
+    table = CombinatoricsTable(cap=128)
+    table.factorial(129)
+    assert table.cap == 129
+    table.factorial(100)
+    assert table.cap == 129
+
+
 def test_table_concurrent_extension():
     table = CombinatoricsTable(cap=2)
     results = []
@@ -99,14 +107,17 @@ def test_central_binomial_values():
     lambda n: st.tuples(st.just(n), st.integers(min_value=-3, max_value=n + 3))
 ))
 def test_binomial_matches_math_comb(nk):
-    # every route shares this table; out-of-range k must give 0
+    # binomial is math.comb itself, so the oracle shares no code with it: a
+    # falling product over k!, which is 0 for k > n; out-of-range k must give 0
     n, k = nk
-    assert binomial(n, k) == (math.comb(n, k) if k >= 0 else 0)
+    expected = math.prod(range(n - k + 1, n + 1)) // math.factorial(k) if k >= 0 else 0
+    assert binomial(n, k) == expected
 
 
 @given(st.integers(min_value=0, max_value=700))
 def test_central_binomial_matches_math_comb(n):
-    assert central_binomial(n) == math.comb(2 * n, n)
+    # (2n)! / n!^2, independent of math.comb
+    assert central_binomial(n) == math.factorial(2 * n) // math.factorial(n) ** 2
 
 
 def test_binomial_rows_match_math_comb_exhaustively_up_to_64():
