@@ -7,14 +7,10 @@ from .combinatorics import (
     central_binomial,
     exact_divide,
     factorial,
-    pochhammer,
 )
 from .core import (
     TnjValue,
     c2_closed,
-    c3_closed,
-    c4_closed,
-    c5_closed,
     c_by_definition,
     c_from_t,
     c_general,
@@ -41,9 +37,7 @@ from .hypergeometric import (
     whipple_rhs,
 )
 from .legendre import (
-    legendre_coefficient,
     legendre_forward,
-    legendre_forward_central,
     legendre_inverse,
     triangular_solve,
 )

@@ -28,7 +28,6 @@ __all__ = [
     "central_binomial",
     "exact_divide",
     "factorial",
-    "pochhammer",
 ]
 
 
@@ -123,22 +122,13 @@ def _rising_pairs(x: Fraction | int, m: int) -> tuple[list[int], list[int]]:
     vanishes exactly when nums[l] does. x must be an int or a Fraction.
     """
     if m < 0:
-        raise ValueError(f"pochhammer length must be non-negative, got {m}")
+        raise ValueError(f"rising-product length must be non-negative, got {m}")
     p, q = x.numerator, x.denominator
     nums, dens = [1], [1]
     for i in range(m):
         nums.append(nums[-1] * (p + i * q))
         dens.append(dens[-1] * q)
     return nums, dens
-
-
-def pochhammer(x: Fraction | int, m: int) -> Fraction:
-    """Rising product x (x+1) ... (x+m-1); the empty product (m = 0) is 1.
-
-    The result is 0 exactly when x is an integer in {0, -1, ..., -(m-1)}.
-    """
-    nums, dens = _rising_pairs(Fraction(x), m)
-    return Fraction(nums[m], dens[m])
 
 
 def exact_divide(a: int, b: int) -> int:

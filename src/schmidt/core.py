@@ -123,11 +123,6 @@ def c2_closed(n: int) -> int:
     return sum(x**3 for x in _binomial_row(n))
 
 
-def c3_closed(n: int) -> int:
-    """c(n, 3) = sum_j C(2j,j)^2 C(2j,n-j) C(n,j)^2."""
-    return c_general(n, 3)
-
-
 def t4_closed(n: int, j: int) -> int:
     """t(n, j, 4) = (2n)! j! / (n! (n-j)! (2j)!) * sum_k C(k+j,k-j) C(j,n-k) C(k,j) C(2j,k-j)."""
     return t_general(n, j, 4)
@@ -136,16 +131,6 @@ def t4_closed(n: int, j: int) -> int:
 def t5_closed(n: int, j: int) -> int:
     """t(n, j, 5) = (2n)! / ((2j)! (n-j)!^2) * sum_k C(k+j,k-j)^2 C(2j,n-k) C(2j,k-j)."""
     return t_general(n, j, 5)
-
-
-def c4_closed(n: int) -> int:
-    """c(n, 4) = sum_j C(2j,j)^3 C(n,j) sum_k C(k+j,k-j) C(j,n-k) C(k,j) C(2j,k-j)."""
-    return c_general(n, 4)
-
-
-def c5_closed(n: int) -> int:
-    """c(n, 5) = sum_j C(2j,j)^4 C(n,j)^2 sum_k C(k+j,k-j)^2 C(2j,n-k) C(2j,k-j)."""
-    return c_general(n, 5)
 
 
 def _nest(n: int, j: int, s: int, odd: bool) -> int:

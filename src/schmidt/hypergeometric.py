@@ -252,7 +252,12 @@ def _nest_pair(spec: WellPoisedSpec) -> tuple[int, int]:
         memo[key] = total
         return total
 
-    return node(1, 0)
+    # node reaches itself through its closure cell; deleting it on the way
+    # out breaks that cycle, so reference counting frees the tables at once
+    try:
+        return node(1, 0)
+    finally:
+        del node
 
 
 def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
@@ -303,12 +308,6 @@ def _vanishes(p: int, q: int, m: int) -> bool:
     # (p/q)_m == 0 for an unreduced pair with q > 0: p/q is an integer in
     # {0, -1, ..., -(m-1)}
     return p % q == 0 and -m * q < p <= 0
-
-
-def pochhammer_vanishes(x: Rational, m: int) -> bool:
-    """(x)_m == 0, i.e. x is an integer in {0, -1, ..., -(m-1)}."""
-    x = Fraction(x)
-    return _vanishes(x.numerator, x.denominator, m)
 
 
 def spec_pole_free(spec: WellPoisedSpec) -> bool:

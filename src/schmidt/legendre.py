@@ -54,19 +54,6 @@ def legendre_forward(c: Sequence[int], n: int) -> int:
     return sum(f * c_k for f, c_k in zip(_forward_row(n), c))
 
 
-def legendre_forward_central(c: Sequence[int], n: int) -> int:
-    """The same transform via the equivalent form sum_k C(2k,k) C(n+k,n-k) c_k."""
-    _check_prefix(c, n)
-    return sum(central_binomial(k) * binomial(n + k, n - k) * c[k] for k in range(n + 1))
-
-
-def legendre_coefficient(n: int, k: int) -> int:
-    """Inversion coefficient D(n,k) = C(2n,n-k) - C(2n,n-k-1)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return (-1) ** (n - k) * _inverse_row(n)[k]
-
-
 def legendre_inverse(a: Sequence[int], n: int) -> Fraction:
     """c_n = [sum_k (-1)^(n-k) D(n,k) a_k] / C(2n,n), as an exact rational.
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from reference import pochhammer
 from schmidt.combinatorics import (
     CombinatoricsTable,
     DivisibilityError,
@@ -18,7 +19,6 @@ from schmidt.combinatorics import (
     _binomial_column,
     _binomial_row,
     _rising_pairs,
-    pochhammer,
 )
 
 
@@ -147,21 +147,27 @@ def test_binomial_column_matches_math_comb(top_k):
     assert _binomial_column(top, k) == [math.comb(m, k) for m in range(k, top + 1)]
 
 
+def rising(x, m):
+    """(x)_m read from the last entry of _rising_pairs(x, m)."""
+    nums, dens = _rising_pairs(x, m)
+    return Fraction(nums[m], dens[m])
+
+
 def test_pochhammer_empty_product():
-    assert pochhammer(Fraction(7, 3), 0) == 1
-    assert pochhammer(-5, 0) == 1
+    assert _rising_pairs(Fraction(7, 3), 0) == ([1], [1])
+    assert _rising_pairs(-5, 0) == ([1], [1])
 
 
 def test_pochhammer_examples():
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert pochhammer(-3, 5) == 0
-    assert pochhammer(-3, 3) == -6
-    assert pochhammer(1, 6) == factorial(6)
+    assert rising(Fraction(1, 2), 2) == Fraction(3, 4)
+    assert rising(-3, 5) == 0
+    assert rising(-3, 3) == -6
+    assert rising(1, 6) == factorial(6)
 
 
 def test_pochhammer_rejects_negative_length():
     with pytest.raises(ValueError):
-        pochhammer(Fraction(1, 2), -1)
+        _rising_pairs(Fraction(1, 2), -1)
 
 
 @given(
@@ -169,7 +175,9 @@ def test_pochhammer_rejects_negative_length():
     st.integers(min_value=0, max_value=30),
 )
 def test_pochhammer_recurrence(x, m):
-    assert pochhammer(x, m + 1) == pochhammer(x, m) * (x + m)
+    nums, dens = _rising_pairs(x, m + 1)
+    for l in range(m + 1):
+        assert Fraction(nums[l + 1], dens[l + 1]) == Fraction(nums[l], dens[l]) * (x + l)
 
 
 def test_rising_pairs_are_unreduced():
@@ -181,15 +189,16 @@ def test_rising_pairs_are_unreduced():
     nums, dens = _rising_pairs(-2, 4)
     assert nums == [1, -2, 2, 0, 0]
     assert dens == [1] * 5
-    for l in range(5):
-        assert Fraction(nums[l], dens[l]) == pochhammer(-2, l)
+    for x in (-2, Fraction(-3, 2), Fraction(5, 7)):
+        nums, dens = _rising_pairs(x, 6)
+        assert [Fraction(p, q) for p, q in zip(nums, dens)] == [pochhammer(x, l) for l in range(7)]
 
 
 @pytest.mark.parametrize("q", range(12))
 def test_pochhammer_at_negative_integers(q):
     # (-q)_m = (-1)^m q! / (q-m)! for m <= q and 0 afterwards
     for m in range(q + 5):
-        value = pochhammer(-q, m)
+        value = rising(-q, m)
         if m > q:
             assert value == 0
         else:

@@ -135,12 +135,6 @@ def test_c2_closed_matches_oracle():
     assert [core.c2_closed(n) for n in range(13)] == core.c_by_definition(2, 12)
 
 
-def test_c3_closed_values():
-    assert core.c3_closed(1) == 4
-    assert core.c3_closed(2) == 68
-    assert [core.c3_closed(n) for n in range(11)] == core.c_by_definition(3, 10)
-
-
 def test_t4_closed():
     assert core.t4_closed(2, 1) == 78 == core.t_sum(2, 1, 4)
     for n in range(9):
@@ -153,16 +147,6 @@ def test_t5_closed():
     for n in range(9):
         for j in range(n + 1):
             assert core.t5_closed(n, j) == core.t_sum(n, j, 5)
-
-
-def test_c4_closed():
-    assert [core.c4_closed(n) for n in (0, 1, 2)] == [1, 8, 424]
-    assert [core.c4_closed(n) for n in range(9)] == core.c_by_definition(4, 8)
-
-
-def test_c5_closed():
-    assert [core.c5_closed(n) for n in (0, 1, 2)] == [1, 16, 2576]
-    assert [core.c5_closed(n) for n in range(9)] == core.c_by_definition(5, 8)
 
 
 def test_t_general_delegations():
@@ -186,16 +170,17 @@ def test_t_general_deep_nest_example():
 
 
 def test_c_general_delegations_and_values():
-    assert core.c_general(2, 4) == 424
+    assert [core.c_general(n, 3) for n in (1, 2)] == [4, 68]
+    assert [core.c_general(n, 4) for n in (0, 1, 2)] == [1, 8, 424]
+    assert [core.c_general(n, 5) for n in (0, 1, 2)] == [1, 16, 2576]
     assert core.c_general(2, 7) == core.c_by_definition(7, 2)[2]
     assert core.c_general(5, 1) == 1
     assert core.c_general(4, 2) == core.c2_closed(4)
-    assert core.c_general(4, 3) == core.c3_closed(4)
     with pytest.raises(ValueError):
         core.c_general(3, 0)
 
 
-@pytest.mark.parametrize("r", range(4, 21))
+@pytest.mark.parametrize("r", range(3, 21))
 def test_c_general_matches_definition_at_high_order(r):
     n_max = 30 if r == 20 else 20
     assert [core.c_general(n, r) for n in range(n_max + 1)] == core.c_by_definition(r, n_max)

