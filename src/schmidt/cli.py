@@ -214,11 +214,11 @@ def run_verify(args: argparse.Namespace) -> Report:
     report = Report()
     n_max = args.n_max
     exponents = range(2, args.r_max + 1)
-    # each t-row is built once and read by route-agreement, ratio-integrality,
-    # t-closed-agreement and the r=1 note; the closed forms never read it, so
-    # a fault in the rows still shows as a disagreement. All rows stay held,
-    # O(r_max n_max^2) integers.
+    # t-rows and closed rows are each built once per (n, r) and shared by every
+    # group that reads them; neither kind reads the other, so a fault in one
+    # still shows as a disagreement. Both stay held, 2 O(r_max n_max^2) integers.
     t_row = functools.cache(core.t_row)
+    t_closed_row = functools.cache(core.t_closed_row)
 
     # one solve per exponent, shared by route-agreement and n-independence;
     # an exponent whose solve failed is reported once and skipped afterwards
@@ -237,7 +237,8 @@ def run_verify(args: argparse.Namespace) -> Report:
                 )
                 _checked_equal(
                     report, "closed route disagrees", f"(r={r}, n={n})",
-                    lambda n=n, r=r: core.c_general(n, r), oracle[n],
+                    lambda n=n, r=r: core.c2_closed(n) if r == 2
+                    else core.c_from_t(n, r, t_closed_row(n, r)), oracle[n],
                 )
 
     with _group(report, "ratio-integrality"):
@@ -268,7 +269,7 @@ def run_verify(args: argparse.Namespace) -> Report:
                 for r in exponents:
                     _checked_equal(
                         report, "closed form disagrees", f"(r={r}, n={n}, j={j})",
-                        lambda n=n, j=j, r=r: core.t_general(n, j, r), t_row(n, r)[j],
+                        lambda n=n, j=j, r=r: t_closed_row(n, r)[j], t_row(n, r)[j],
                     )
 
     if args.r_max >= 1:

@@ -3,16 +3,17 @@
 Everything computes with unbounded Python ints and fractions.Fraction, so
 no rounding ever occurs. Binomials come from two places: a scalar C(n, k)
 or C(2n, n) is `math.comb` behind `binomial` and `central_binomial`, and a
-whole row or column is walked by recurrence (`_binomial_row`,
-`_binomial_column`). Factorials come from a memoized table behind
-`factorial`, which grows only to the largest n asked for. The Legendre
-forward row C(n,k) C(n+k,k) (`legendre._forward_row`) deliberately still
-reads the scalar `binomial`: walking it too speeds `compute` up enough that
-the benchmark gets more repetitions, and its peak-RSS figure, which includes
-the harness's own high-water mark, then reads higher. The zero convention
-C(n, k) = 0 for k outside [0, n] is what truncates all the implicitly
-bounded sums in the rest of the package; a negative upper index is a domain
-error, never a value.
+whole row, column or run of central binomials is walked by recurrence
+(`_binomial_row`, `_binomial_column`, `_central_row`). Factorials come from
+a memoized table behind `factorial`, which grows only to the largest n
+asked for; the l! of `hypergeometric._nest_pair` is its only reader in the
+package. The Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`)
+deliberately still reads the scalar `binomial`: walking it too speeds
+`compute` up enough that the benchmark gets more repetitions, and its
+peak-RSS figure, which includes the harness's own high-water mark, then
+reads higher. The zero convention C(n, k) = 0 for k outside [0, n] is what
+truncates all the implicitly bounded sums in the rest of the package; a
+negative upper index is a domain error, never a value.
 """
 
 from __future__ import annotations
@@ -112,6 +113,14 @@ def _binomial_column(top: int, k: int) -> list[int]:
     for m in range(k, top):
         column.append(column[-1] * (m + 1) // (m + 1 - k))
     return column
+
+
+def _central_row(n: int) -> list[int]:
+    """C(0, 0), C(2, 1), ..., C(2n, n), walked by C(2m+2, m+1) = C(2m, m) (4m+2) / (m+1)."""
+    row = [1]
+    for m in range(n):
+        row.append(row[-1] * (4 * m + 2) // (m + 1))
+    return row
 
 
 def _rising_pairs(x: Fraction | int, m: int) -> tuple[list[int], list[int]]:

@@ -23,15 +23,15 @@ from dataclasses import dataclass
 from .combinatorics import (
     _binomial_column,
     _binomial_row,
+    _central_row,
     binomial,
     central_binomial,
     exact_divide,
-    factorial,
 )
 from .legendre import _forward_row, _inverse_row, triangular_solve
 
 
-def _require_order(n: int, j: int) -> None:
+def _require_order(n: int, j: int = 0) -> None:
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
 
@@ -44,8 +44,7 @@ def _require_exponent(r: int) -> None:
 def lhs_sum(n: int, r: int) -> int:
     """sum_k C(n,k)^r C(n+k,k)^r, the power-sum side of the defining identity."""
     _require_exponent(r)
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got n={n}")
+    _require_order(n)
     return sum(f**r for f in _forward_row(n))
 
 
@@ -68,8 +67,7 @@ def t_row(n: int, r: int) -> list[int]:
     calls and costs O(n^2) big-integer products per (n, r). This is the
     oracle for the closed forms.
     """
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got n={n}")
+    _require_order(n)
     _require_exponent(r)
     signed = _inverse_row(n)
     return [
@@ -100,13 +98,14 @@ def integrality_ratio(n: int, j: int, r: int, row: list[int] | None = None) -> i
 def c_from_t(n: int, r: int, row: list[int] | None = None) -> int:
     """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly.
 
-    `row` is t_row(n, r) when the caller already holds it.
+    `row` is t_row(n, r) or t_closed_row(n, r) when the caller already holds it.
     """
     _require_exponent(r)
     if row is None:
         row = t_row(n, r)
-    acc = sum(central_binomial(j) ** r * t for j, t in enumerate(row))
-    return exact_divide(acc, central_binomial(n))
+    central = _central_row(n)
+    acc = sum(c**r * t for c, t in zip(central, row))
+    return exact_divide(acc, central[n])
 
 
 def t3_closed(n: int, j: int) -> int:
@@ -134,7 +133,7 @@ def t5_closed(n: int, j: int) -> int:
 
 
 def _nest(n: int, j: int, s: int, odd: bool) -> int:
-    # The (s-1)-fold integer sum behind both t_general and c_general, over
+    # The (s-1)-fold integer sum behind t_closed_row, over
     # chained indices n >= k_1 >= k_2 >= ... >= k_{s-1} >= j. The outer
     # level contributes C(2j,n-k_1) C(k_1+j,k_1-j)^2 for odd r and
     # C(j,n-k_1) C(k_1,j) C(k_1+j,k_1-j) for even r; every inner level L
@@ -170,37 +169,43 @@ def _nest(n: int, j: int, s: int, odd: bool) -> int:
     )
 
 
-def t_general(n: int, j: int, r: int) -> int:
-    """t(n, j, r) by the nested multi-sum route, for every r >= 2.
+def t_closed_row(n: int, r: int) -> list[int]:
+    """t(n, 0, r), ..., t(n, n, r) by the nested multi-sum route, for every r >= 2.
 
-    For r = 2s or r = 2s + 1 the value is a rational prefactor times an
-    (s-1)-fold nested binomial sum; the inner integer sum is computed first
-    and the prefactor divided out exactly. At s = 1 the nest is a single
-    binomial, which gives t(n, j, 2) = (2n)! j! C(j,n-j) / (n! (n-j)! (2j)!)
-    and t(n, j, 3) = (2n)! C(2j,n-j) / ((2j)! (n-j)!^2).
+    For r = 2s or r = 2s + 1 each entry is a prefactor, written only here,
+    times the (s-1)-fold nest. Odd r: (2n)! / ((2j)! (n-j)!^2) =
+    C(2n,2j) C(2n-2j,n-j), an integer, so there is no division at all. Even
+    r: (2n)! j! / (n! (n-j)! (2j)!) = C(2n,n) C(n,j) / C(2j,j), divided out
+    exactly after the product with the nest. All binomials come from walked rows.
     """
-    _require_order(n, j)
+    _require_order(n)
     if r < 2:
         raise ValueError(f"no closed route below r=2, got r={r}")
     s, odd = divmod(r, 2)
-    inner = _nest(n, j, s, bool(odd))
+    central = _central_row(n)
     if odd:
-        return exact_divide(factorial(2 * n) * inner, factorial(2 * j) * factorial(n - j) ** 2)
-    return exact_divide(
-        factorial(2 * n) * factorial(j) * inner,
-        factorial(n) * factorial(n - j) * factorial(2 * j),
-    )
+        wide = _binomial_row(2 * n)
+        return [wide[2 * j] * central[n - j] * _nest(n, j, s, True) for j in range(n + 1)]
+    return [
+        exact_divide(central[n] * c * _nest(n, j, s, False), central[j])
+        for j, c in enumerate(_binomial_row(n))
+    ]
+
+
+def t_general(n: int, j: int, r: int) -> int:
+    """t(n, j, r) by the nested multi-sum route, read from t_closed_row(n, r)."""
+    _require_order(n, j)
+    return t_closed_row(n, r)[j]
 
 
 def c_general(n: int, r: int) -> int:
     """c(n, r) by the closed multi-sum route; r = 1 and r = 2 delegate.
 
-    For r = 2s or r = 2s + 1 this is a pure integer multi-sum (no division
-    at all): an outer sum over j weights the same (s-1)-fold nest as
-    t_general, so the cost is O(s n^3).
+    For r >= 3 this is c_from_t over the closed row t_closed_row(n, r):
+    sum_j C(2j,j)^r t(n, j, r) with one exact division by C(2n,n). The
+    row's n + 1 nests make the cost O(s n^3).
     """
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got n={n}")
+    _require_order(n)
     _require_exponent(r)
     if r == 1:
         return 1
@@ -211,12 +216,7 @@ def c_general(n: int, r: int) -> int:
         # shared 2-vCPU machine), which is ~5% of a whole
         # `compute --r 2 --n-max 300`.
         return c2_closed(n)
-    s, odd = divmod(r, 2)
-    total = 0
-    for j in range(n + 1):
-        weight = binomial(n, j) ** 2 if odd else binomial(n, j)
-        total += central_binomial(j) ** (r - 1) * weight * _nest(n, j, s, bool(odd))
-    return total
+    return c_from_t(n, r, t_closed_row(n, r))
 
 
 @dataclass(frozen=True)

@@ -401,6 +401,37 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
     assert "FAILED" in captured.out
 
 
+def test_nest_fault_is_caught_by_both_closed_checks(monkeypatch, capsys):
+    # route-agreement and t-closed-agreement read the same closed row; the
+    # oracles (the defining solve and t_row) never call the nest, so one wrong
+    # nest value must fail both closed checks at exactly its (r, n, j) and
+    # nothing else
+    true_nest = cli.core._nest
+
+    def faulty_nest(n, j, s, odd):
+        return true_nest(n, j, s, odd) + ((n, j, s, odd) == (5, 2, 2, False))
+
+    monkeypatch.setattr(cli.core, "_nest", faulty_nest)
+    code = cli.main(["verify", "--r-max", "4", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL closed route disagrees witness=(r=4, n=5)",
+        "FAIL closed form disagrees witness=(r=4, n=5, j=2)",
+    ]
+    assert "Traceback" not in captured.err
+    assert "FAILED" in captured.out
+
+    code = cli.main(["compute", "--r", "4", "--n-max", "6", "--routes", "definition,closed"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL routes definition and closed disagree witness=(r=4, n=5): ")
+    assert "Traceback" not in captured.err
+
+
 _T3_ROWS = [(0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (2, 1, 24, 8), (2, 2, 1, 1)]
 
 
@@ -512,12 +543,14 @@ def test_main_returns_zero_in_process():
         ["compute", "--r", "2", "--n-max", "80"],
         ["compute", "--r", "3", "--n-max", "70"],
         ["t-table", "--r", "3", "--n-max", "100"],
+        ["verify", "--r-max", "3", "--n-max", "65"],
     ],
-    ids=["compute-r2", "compute-r3", "t-table"],
+    ids=["compute-r2", "compute-r3", "t-table", "verify"],
 )
 def test_compute_and_t_table_leave_the_factorial_table_alone(argv, monkeypatch, capsys):
-    # binomials come from math.comb and walked rows, so neither command reads
-    # a factorial; a fresh table must keep its size through the whole run
+    # binomials come from math.comb and walked rows, so none of these commands
+    # reads a factorial; a fresh table must keep its size through the whole
+    # run. At n_max = 65 a factorial prefactor would need (2n)! = 130! > 128!
     table = combinatorics.CombinatoricsTable()
     monkeypatch.setattr(combinatorics, "_SHARED", table)
     before = table.cap

@@ -18,6 +18,7 @@ from schmidt.combinatorics import (
     factorial,
     _binomial_column,
     _binomial_row,
+    _central_row,
     _rising_pairs,
 )
 
@@ -125,6 +126,13 @@ def test_binomial_rows_match_math_comb_exhaustively_up_to_64():
         assert _binomial_row(m) == [math.comb(m, k) for k in range(m + 1)]
         for k in range(m + 1):
             assert _binomial_column(m, k) == [math.comb(i, k) for i in range(k, m + 1)]
+
+
+def test_central_row_matches_math_comb():
+    # the closed t-rows and c_from_t read their C(2m, m) from this walk
+    for n in range(65):
+        assert _central_row(n) == [math.comb(2 * m, m) for m in range(n + 1)]
+    assert _central_row(300) == [math.comb(2 * m, m) for m in range(301)]
 
 
 @given(st.integers(min_value=0, max_value=700))

@@ -64,6 +64,10 @@ def test_t_row_rejects_bad_input():
         core.t_row(-1, 2)
     with pytest.raises(ValueError):
         core.t_row(3, 0)
+    with pytest.raises(ValueError):
+        core.t_closed_row(-1, 2)
+    with pytest.raises(ValueError):
+        core.t_closed_row(3, 1)
 
 
 def test_t_sum_rejects_bad_indices():
@@ -161,6 +165,7 @@ def test_t_general_delegations():
 def test_t_general_matches_defining_sum():
     for r in range(2, 13):
         for n in range(17):
+            assert core.t_closed_row(n, r) == core.t_row(n, r), (r, n)
             for j in range(n + 1):
                 assert core.t_general(n, j, r) == core.t_sum(n, j, r), (r, n, j)
 
