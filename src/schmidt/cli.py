@@ -137,7 +137,7 @@ def _route_values(route: str, r: int, n_max: int, lhs: Callable[[], list[int]]) 
             values.append(exact_divide(c_n.numerator, c_n.denominator))
         return values
     if route == "closed":
-        return [core.c_general(n, r) for n in range(n_max + 1)]
+        return core.c_closed(r, n_max)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -214,11 +214,11 @@ def run_verify(args: argparse.Namespace) -> Report:
     report = Report()
     n_max = args.n_max
     exponents = range(2, args.r_max + 1)
-    # t-rows and closed rows are each built once per (n, r) and shared by every
-    # group that reads them; neither kind reads the other, so a fault in one
-    # still shows as a disagreement. Both stay held, 2 O(r_max n_max^2) integers.
+    # t-rows are built once per (n, r) and closed rows once per r, and both are
+    # shared by every group that reads them; neither kind reads the other, so a
+    # fault in one still shows as a disagreement. Both stay held, 2 O(r_max n_max^2) integers.
     t_row = functools.cache(core.t_row)
-    t_closed_row = functools.cache(core.t_closed_row)
+    closed_rows = functools.cache(lambda r: list(core.t_closed_rows(r, n_max)))
 
     # one solve per exponent, shared by route-agreement and n-independence;
     # an exponent whose solve failed is reported once and skipped afterwards
@@ -238,7 +238,7 @@ def run_verify(args: argparse.Namespace) -> Report:
                 _checked_equal(
                     report, "closed route disagrees", f"(r={r}, n={n})",
                     lambda n=n, r=r: core.c2_closed(n) if r == 2
-                    else core.c_from_t(n, r, t_closed_row(n, r)), oracle[n],
+                    else core.c_from_t(n, r, closed_rows(r)[n]), oracle[n],
                 )
 
     with _group(report, "ratio-integrality"):
@@ -269,7 +269,7 @@ def run_verify(args: argparse.Namespace) -> Report:
                 for r in exponents:
                     _checked_equal(
                         report, "closed form disagrees", f"(r={r}, n={n}, j={j})",
-                        lambda n=n, j=j, r=r: t_closed_row(n, r)[j], t_row(n, r)[j],
+                        lambda n=n, j=j, r=r: closed_rows(r)[n][j], t_row(n, r)[j],
                     )
 
     if args.r_max >= 1:

@@ -18,13 +18,13 @@ c(n, r) is an integer, and so is every C(2j,j) t(n, j, r) / C(2n,n).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .combinatorics import (
     _binomial_column,
     _binomial_row,
     _central_row,
-    binomial,
     central_binomial,
     exact_divide,
 )
@@ -98,7 +98,7 @@ def integrality_ratio(n: int, j: int, r: int, row: list[int] | None = None) -> i
 def c_from_t(n: int, r: int, row: list[int] | None = None) -> int:
     """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly.
 
-    `row` is t_row(n, r) or t_closed_row(n, r) when the caller already holds it.
+    `row` is t(n, ., r) from t_row or t_closed_rows when the caller already holds it.
     """
     _require_exponent(r)
     if row is None:
@@ -132,91 +132,90 @@ def t5_closed(n: int, j: int) -> int:
     return t_general(n, j, 5)
 
 
-def _nest(n: int, j: int, s: int, odd: bool) -> int:
-    # The (s-1)-fold integer sum behind t_closed_row, over
-    # chained indices n >= k_1 >= k_2 >= ... >= k_{s-1} >= j. The outer
-    # level contributes C(2j,n-k_1) C(k_1+j,k_1-j)^2 for odd r and
-    # C(j,n-k_1) C(k_1,j) C(k_1+j,k_1-j) for even r; every inner level L
-    # contributes C(2j,k_{L-1}-k_L) C(k_L+j,k_L-j)^2; the trailing
-    # C(2j,k_{s-1}-j) closes the chain. At s = 1 there is no index and the
-    # nest is the single closing factor C(2j,n-j) for odd r, C(j,n-j) for
-    # even r. What lies below a level depends only on that level's index,
-    # so the chain is built bottom-up as one list per level, indexed by
-    # k - j. C(2j, d) vanishes for d > 2j, so each level costs
-    # O(n min(n, 2j)) and the whole nest O(s n^2) per (n, j). Every binomial
-    # row and column is walked by recurrence, not looked up.
-    if s == 1:
-        return binomial(2 * j if odd else j, n - j)
+def _nest_column(j: int, s: int, odd: bool, n_max: int) -> list[int]:
+    # nest(n, j) for n = j..n_max, indexed by n - j: the (s-1)-fold sum behind
+    # t_closed_rows over chained indices n >= k_1 >= ... >= k_{s-1} >= j. Each
+    # level contributes C(2j,k_{L-1}-k_L) C(k_L+j,k_L-j)^2 (the even-r outer
+    # level C(j,n-k_1) C(k_1,j) C(k_1+j,k_1-j) instead) and C(2j,k_{s-1}-j)
+    # closes the chain. With i = k - j each level is one banded convolution
+    # chain'[i] = sum_d kernel[d] weights[i-d] chain[i-d] that never reads n,
+    # so one column serves every order. Odd r starts from the closing factor,
+    # even r from [1, 0, ...], which the first level turns into it. A kernel
+    # C(m, .) vanishes past m, so a column costs O(s n_max min(n_max, 2j)).
+    length = n_max - j + 1
     band = _binomial_row(2 * j)
-    stretched = _binomial_column(n + j, 2 * j)  # C(k+j, k-j) for k = j..n
-    sq = [x * x for x in stretched]
-    chain = band[: n - j + 1] + [0] * (n - 3 * j)  # C(2j, i) for i = 0..n-j
-    for _ in range(s - 2):
-        weighted = [x * y for x, y in zip(sq, chain)]
+    stretched = _binomial_column(n_max + j, 2 * j)  # C(k+j, k-j) for k = j..n_max
+    levels = [(band, [x * x for x in stretched])] * (s - 1)
+    chain = ((band if odd else [1]) + [0] * length)[:length]
+    if not odd:
+        over = _binomial_column(n_max, j)  # C(k, j) for k = j..n_max
+        levels.append((_binomial_row(j), [x * y for x, y in zip(over, stretched)]))
+    for kernel, weights in levels:
+        weighted = [x * y for x, y in zip(weights, chain)]
         chain = [
-            sum(band[d] * weighted[i - d] for d in range(min(2 * j, i) + 1))
-            for i in range(n - j + 1)
+            sum(kernel[d] * weighted[i - d] for d in range(min(len(kernel) - 1, i) + 1))
+            for i in range(length)
         ]
-    if odd:
-        return sum(
-            band[n - k] * sq[k - j] * chain[k - j] for k in range(max(j, n - 2 * j), n + 1)
-        )
-    low = _binomial_row(j)
-    over = _binomial_column(n, j)  # C(k, j) for k = j..n
-    return sum(
-        low[n - k] * over[k - j] * stretched[k - j] * chain[k - j]
-        for k in range(max(j, n - j), n + 1)
-    )
+    return chain
 
 
-def t_closed_row(n: int, r: int) -> list[int]:
-    """t(n, 0, r), ..., t(n, n, r) by the nested multi-sum route, for every r >= 2.
+def t_closed_rows(r: int, n_max: int) -> Iterator[list[int]]:
+    """t(n, 0..n, r) for n = 0..n_max by the nested multi-sum route, for every r >= 2.
 
     For r = 2s or r = 2s + 1 each entry is a prefactor, written only here,
     times the (s-1)-fold nest. Odd r: (2n)! / ((2j)! (n-j)!^2) =
     C(2n,2j) C(2n-2j,n-j), an integer, so there is no division at all. Even
     r: (2n)! j! / (n! (n-j)! (2j)!) = C(2n,n) C(n,j) / C(2j,j), divided out
-    exactly after the product with the nest. All binomials come from walked rows.
+    exactly after the product with the nest. The nest columns, O(s n_max^3)
+    work, are built up front and held; the rows are yielded one at a time.
     """
-    _require_order(n)
+    _require_order(n_max)
     if r < 2:
         raise ValueError(f"no closed route below r=2, got r={r}")
     s, odd = divmod(r, 2)
-    central = _central_row(n)
-    if odd:
-        wide = _binomial_row(2 * n)
-        return [wide[2 * j] * central[n - j] * _nest(n, j, s, True) for j in range(n + 1)]
-    return [
-        exact_divide(central[n] * c * _nest(n, j, s, False), central[j])
-        for j, c in enumerate(_binomial_row(n))
-    ]
+    columns = [_nest_column(j, s, odd, n_max) for j in range(n_max + 1)]
+
+    def row(n: int) -> list[int]:
+        central = _central_row(n)
+        if odd:
+            wide = _binomial_row(2 * n)
+            return [wide[2 * j] * central[n - j] * columns[j][n - j] for j in range(n + 1)]
+        return [
+            exact_divide(central[n] * c * columns[j][n - j], central[j])
+            for j, c in enumerate(_binomial_row(n))
+        ]
+
+    return map(row, range(n_max + 1))
+
+
+def c_closed(r: int, n_max: int) -> list[int]:
+    """c(0, r)..c(n_max, r) by the closed multi-sum route, for every r >= 1.
+
+    For r >= 3 each value is c_from_t over its closed row from
+    t_closed_rows(r, n_max): sum_j C(2j,j)^r t(n, j, r) with one exact
+    division by C(2n,n). Each row is dropped once read.
+    """
+    _require_exponent(r)
+    _require_order(n_max)
+    if r == 1:
+        return [1] * (n_max + 1)
+    if r == 2:
+        # The s = 1 nest form sum_j C(2j,j) C(n,j) C(j,n-j) gives Franel's
+        # numbers too, but its columns cost O(n_max^3) products against the
+        # O(n_max^2) cubes of one walked row per n.
+        return [c2_closed(n) for n in range(n_max + 1)]
+    return [c_from_t(n, r, row) for n, row in enumerate(t_closed_rows(r, n_max))]
 
 
 def t_general(n: int, j: int, r: int) -> int:
-    """t(n, j, r) by the nested multi-sum route, read from t_closed_row(n, r)."""
+    """t(n, j, r) by the nested multi-sum route, read from t_closed_rows(r, n)."""
     _require_order(n, j)
-    return t_closed_row(n, r)[j]
+    return list(t_closed_rows(r, n))[n][j]
 
 
 def c_general(n: int, r: int) -> int:
-    """c(n, r) by the closed multi-sum route; r = 1 and r = 2 delegate.
-
-    For r >= 3 this is c_from_t over the closed row t_closed_row(n, r):
-    sum_j C(2j,j)^r t(n, j, r) with one exact division by C(2n,n). The
-    row's n + 1 nests make the cost O(s n^3).
-    """
-    _require_order(n)
-    _require_exponent(r)
-    if r == 1:
-        return 1
-    if r == 2:
-        # The s = 1 nest form sum_j C(2j,j) C(n,j) C(j,n-j) also gives
-        # Franel's numbers, but the cubes of one walked row are ~10x
-        # cheaper: for n = 0..300, ~30 against ~300 ms (CPython 3.11,
-        # shared 2-vCPU machine), which is ~5% of a whole
-        # `compute --r 2 --n-max 300`.
-        return c2_closed(n)
-    return c_from_t(n, r, t_closed_row(n, r))
+    """c(n, r) by the closed multi-sum route, read from c_closed(r, n)."""
+    return c_closed(r, n)[n]
 
 
 @dataclass(frozen=True)

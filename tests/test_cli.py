@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from schmidt import cli, combinatorics, legendre
+from schmidt import hypergeometric as hyp
 from schmidt.combinatorics import DivisibilityError
 from schmidt.legendre import _forward_row
 
@@ -262,7 +263,7 @@ _FRANEL = [1, 2, 10, 56]
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 @pytest.mark.parametrize("closed", [_FRANEL, [0, 0, 0, 0]], ids=["agree", "disagree"])
 def test_compute_stdout_bytes(closed, fmt, monkeypatch, capsys):
-    monkeypatch.setattr(cli.core, "c_general", lambda n, r: closed[n])
+    monkeypatch.setattr(cli.core, "c_closed", lambda r, n_max: closed[: n_max + 1])
     code = cli.main(["compute", "--r", "2", "--n-max", "3", "--format", fmt])
     captured = capsys.readouterr()
     per_route = {"definition": _FRANEL, "inverse": _FRANEL, "closed": closed}
@@ -302,7 +303,7 @@ def test_compute_stdout_bytes(closed, fmt, monkeypatch, capsys):
 
 
 def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli.core, "c_general", lambda n, r: 0)
+    monkeypatch.setattr(cli.core, "c_closed", lambda r, n_max: [0] * (n_max + 1))
     code = cli.main(["compute", "--r", "2", "--n-max", "3"])
     captured = capsys.readouterr()
     assert code == 1
@@ -402,16 +403,19 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
 
 
 def test_nest_fault_is_caught_by_both_closed_checks(monkeypatch, capsys):
-    # route-agreement and t-closed-agreement read the same closed row; the
-    # oracles (the defining solve and t_row) never call the nest, so one wrong
-    # nest value must fail both closed checks at exactly its (r, n, j) and
-    # nothing else
-    true_nest = cli.core._nest
+    # route-agreement and t-closed-agreement read the same closed rows; the
+    # oracles (the defining solve and t_row) never build a nest column, so one
+    # wrong nest value, nest(5, 2) at r = 4, must fail both closed checks at
+    # exactly its (r, n, j) and nothing else
+    true_column = cli.core._nest_column
 
-    def faulty_nest(n, j, s, odd):
-        return true_nest(n, j, s, odd) + ((n, j, s, odd) == (5, 2, 2, False))
+    def faulty_column(j, s, odd, n_max):
+        column = true_column(j, s, odd, n_max)
+        if (j, s, odd) == (2, 2, False) and n_max >= 5:
+            column[5 - j] += 1
+        return column
 
-    monkeypatch.setattr(cli.core, "_nest", faulty_nest)
+    monkeypatch.setattr(cli.core, "_nest_column", faulty_column)
     code = cli.main(["verify", "--r-max", "4", "--n-max", "6"])
     captured = capsys.readouterr()
     assert code == 1
@@ -430,6 +434,46 @@ def test_nest_fault_is_caught_by_both_closed_checks(monkeypatch, capsys):
     assert len(fails) == 1
     assert fails[0].startswith("FAIL routes definition and closed disagree witness=(r=4, n=5): ")
     assert "Traceback" not in captured.err
+
+
+def _identity_fails(monkeypatch, capsys, name, fake):
+    monkeypatch.setattr(hyp, name, fake)
+    code = cli.main(["identities", "--trials", "3", "--m-max", "4", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert "FAILED" in captured.out
+    return [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+
+
+def test_series_nest_fault_fails_only_its_own_depth(monkeypatch, capsys):
+    # only Andrews's nest at s = 3 is wrong; the s = 1 and s = 2 checks and
+    # the reductions to Dougall and Whipple never see it
+    true_pair = hyp._nest_pair
+
+    def faulty_pair(spec):
+        num, den = true_pair(spec)
+        return (num + den, den) if spec.s == 3 else (num, den)
+
+    fails = _identity_fails(monkeypatch, capsys, "_nest_pair", faulty_pair)
+    assert fails
+    assert all("s=3" in line for line in fails), fails
+
+
+def test_series_pole_is_one_failure_with_a_witness(monkeypatch, capsys):
+    true_eval = hyp.eval_terminating
+    calls = []
+
+    def pole_once(series):
+        calls.append(series)
+        if len(calls) == 1:
+            raise hyp.PoleError("injected")
+        return true_eval(series)
+
+    fails = _identity_fails(monkeypatch, capsys, "eval_terminating", pole_once)
+    assert len(fails) == 1
+    assert fails[0].endswith(": pole: injected"), fails
+    assert len(calls) > 1
 
 
 _T3_ROWS = [(0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (2, 1, 24, 8), (2, 2, 1, 1)]

@@ -65,9 +65,9 @@ def test_t_row_rejects_bad_input():
     with pytest.raises(ValueError):
         core.t_row(3, 0)
     with pytest.raises(ValueError):
-        core.t_closed_row(-1, 2)
+        core.t_closed_rows(1, 3)
     with pytest.raises(ValueError):
-        core.t_closed_row(3, 1)
+        core.t_closed_rows(2, -1)
 
 
 def test_t_sum_rejects_bad_indices():
@@ -164,8 +164,8 @@ def test_t_general_delegations():
 
 def test_t_general_matches_defining_sum():
     for r in range(2, 13):
-        for n in range(17):
-            assert core.t_closed_row(n, r) == core.t_row(n, r), (r, n)
+        for n, row in enumerate(core.t_closed_rows(r, 16)):
+            assert row == core.t_row(n, r), (r, n)
             for j in range(n + 1):
                 assert core.t_general(n, j, r) == core.t_sum(n, j, r), (r, n, j)
 
@@ -187,8 +187,10 @@ def test_c_general_delegations_and_values():
 
 @pytest.mark.parametrize("r", range(3, 21))
 def test_c_general_matches_definition_at_high_order(r):
-    n_max = 30 if r == 20 else 20
-    assert [core.c_general(n, r) for n in range(n_max + 1)] == core.c_by_definition(r, n_max)
+    assert core.c_closed(r, 60) == core.c_by_definition(r, 60)
+    if r in (3, 4, 16):
+        # the single-value form is a read of the sequence
+        assert [core.c_general(n, r) for n in range(21)] == core.c_closed(r, 20)
 
 
 def test_route_agreement_small():
