@@ -53,7 +53,7 @@ class Report:
     lines: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     checks_run: int = 0
-    groups: list[tuple[str, int, int]] = field(default_factory=list)
+    groups: dict[str, list] = field(default_factory=dict)
     failures: list[dict[str, str]] = field(default_factory=list)
 
     def fail(self, description: str, witness: str) -> None:
@@ -70,13 +70,14 @@ def _group(report: Report, name: str):
     before = report.checks_run
     start = time.perf_counter()
     yield
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    report.groups.append((name, report.checks_run - before, elapsed_ms))
+    entry = report.groups.setdefault(name, [0, 0.0])
+    entry[0] += report.checks_run - before
+    entry[1] += time.perf_counter() - start
 
 
 def summarize_groups(report: Report) -> None:
     """Fill the three renderings of a check sweep from its group counts."""
-    counts = [(name, count) for name, count, _ in report.groups]
+    counts = [(name, count) for name, (count, _) in report.groups.items()]
     report.results = {
         "checks_run": report.checks_run,
         "groups": [{"name": name, "checks": count} for name, count in counts],
@@ -120,8 +121,8 @@ def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
         print(note, file=sys.stderr)
     for failure in report.failures:
         print(f"FAIL {failure['description']} witness={failure['witness']}", file=sys.stderr)
-    for name, _, group_ms in report.groups:
-        print(f"time {name}: {group_ms} ms", file=sys.stderr)
+    for name, (_, seconds) in report.groups.items():
+        print(f"time {name}: {int(seconds * 1000)} ms", file=sys.stderr)
     print(f"elapsed {elapsed_ms} ms", file=sys.stderr)
     return code
 
@@ -210,67 +211,71 @@ def _checked_equal(report: Report, description: str, witness: str, fn, expected)
         report.check(False, f"{description} (non-integral)", f"{witness}: {exc}")
 
 
-def run_verify(args: argparse.Namespace) -> Report:
-    report = Report()
-    n_max = args.n_max
-    exponents = range(2, args.r_max + 1)
-    # t-rows are built once per (n, r) and closed rows once per r, and both are
-    # shared by every group that reads them; neither kind reads the other, so a
-    # fault in one still shows as a disagreement. Both stay held, 2 O(r_max n_max^2) integers.
-    t_row = functools.cache(core.t_row)
-    closed_rows = functools.cache(lambda r: list(core.t_closed_rows(r, n_max)))
+def _build(report: Report, what: str, r: int, build):
+    """build(), or None after one failed check if it raised DivisibilityError."""
+    try:
+        return build()
+    except DivisibilityError as exc:
+        report.check(False, f"{what} non-integral", f"(r={r}): {exc}")
+        return None
 
-    # one solve per exponent, shared by route-agreement and n-independence;
-    # an exponent whose solve failed is reported once and skipped afterwards
-    oracles: dict[int, list[int]] = {}
+
+def _verify_exponent(report: Report, r: int, n_max: int) -> None:
+    # Exponent r's solve, t-rows and closed rows are built once, in the first
+    # group, read by every group and dropped on return, so a sweep holds one
+    # exponent's rows, O(n_max^2) integers. The oracles never read the closed
+    # rows, so a fault in either still shows as a disagreement. A build that
+    # failed is reported once, and the checks of its route are skipped.
     with _group(report, "route-agreement"):
-        for r in exponents:
-            try:
-                oracle = oracles[r] = core.c_by_definition(r, n_max)
-            except DivisibilityError as exc:
-                report.check(False, "defining solve non-integral", f"(r={r}): {exc}")
-                continue
-            for n in range(n_max + 1):
-                _checked_equal(
-                    report, "inner-sum route disagrees", f"(r={r}, n={n})",
-                    lambda n=n, r=r: core.c_from_t(n, r, t_row(n, r)), oracle[n],
-                )
+        rows = [core.t_row(n, r) for n in range(n_max + 1)]
+        oracle = _build(report, "defining solve", r, lambda: core.c_by_definition(r, n_max))
+        closed = _build(report, "closed rows", r, lambda: list(core.t_closed_rows(r, n_max)))
+        for n, expected in enumerate(oracle or ()):
+            _checked_equal(
+                report, "inner-sum route disagrees", f"(r={r}, n={n})",
+                lambda: core.c_from_t(n, r, rows[n]), expected,
+            )
+            if closed:
                 _checked_equal(
                     report, "closed route disagrees", f"(r={r}, n={n})",
-                    lambda n=n, r=r: core.c2_closed(n) if r == 2
-                    else core.c_from_t(n, r, closed_rows(r)[n]), oracle[n],
+                    lambda: core.c2_closed(n) if r == 2 else core.c_from_t(n, r, closed[n]),
+                    expected,
                 )
 
     with _group(report, "ratio-integrality"):
-        for r in exponents:
-            for n in range(n_max + 1):
-                row = t_row(n, r)
-                for j in range(n + 1):
-                    try:
-                        core.integrality_ratio(n, j, r, row)
-                        report.check(True, "", "")
-                    except DivisibilityError as exc:
-                        report.check(
-                            False, "scaled inner number non-integral",
-                            f"(r={r}, n={n}, j={j}): {exc}",
-                        )
+        for n, row in enumerate(rows):
+            for j in range(n + 1):
+                try:
+                    core.integrality_ratio(n, j, r, row)
+                    report.check(True, "", "")
+                except DivisibilityError as exc:
+                    report.check(
+                        False, "scaled inner number non-integral",
+                        f"(r={r}, n={n}, j={j}): {exc}",
+                    )
 
     with _group(report, "n-independence"):
-        for r, c in oracles.items():
-            for n in range(n_max + 1):
-                report.check(
-                    legendre_forward(c, n) == core.lhs_sum(n, r),
-                    "defining identity fails", f"(r={r}, n={n})",
-                )
+        for n in range(n_max + 1) if oracle else ():
+            report.check(
+                legendre_forward(oracle, n) == core.lhs_sum(n, r),
+                "defining identity fails", f"(r={r}, n={n})",
+            )
 
     with _group(report, "t-closed-agreement"):
-        for n in range(n_max + 1):
-            for j in range(n + 1):
-                for r in exponents:
-                    _checked_equal(
-                        report, "closed form disagrees", f"(r={r}, n={n}, j={j})",
-                        lambda n=n, j=j, r=r: closed_rows(r)[n][j], t_row(n, r)[j],
-                    )
+        for n, closed_row in enumerate(closed or ()):
+            for j, value in enumerate(closed_row):
+                report.check(
+                    value == rows[n][j], "closed form disagrees", f"(r={r}, n={n}, j={j})"
+                )
+
+
+def run_verify(args: argparse.Namespace) -> Report:
+    # registered up front, so a sweep with r_max < 2 still reports each group
+    groups = ("route-agreement", "ratio-integrality", "n-independence", "t-closed-agreement")
+    report = Report(groups={name: [0, 0.0] for name in groups})
+    n_max = args.n_max
+    for r in range(2, args.r_max + 1):
+        _verify_exponent(report, r, n_max)
 
     if args.r_max >= 1:
         with _group(report, "trivial-exponent"):
@@ -281,7 +286,7 @@ def run_verify(args: argparse.Namespace) -> Report:
         # informational only: the scaled ratios at r=1 are reported, never asserted
         integral = total = 0
         for n in range(n_max + 1):
-            row = t_row(n, 1)
+            row = core.t_row(n, 1)
             for j in range(n + 1):
                 total += 1
                 try:

@@ -201,17 +201,24 @@ def _nest_pair(spec: WellPoisedSpec) -> tuple[int, int]:
     # (-m)_partial / (b_s+c_s-a-m)_partial closes the chain. Beyond
     # partial = m the trailing (-m) Pochhammer kills every continuation,
     # which bounds each loop. Every Pochhammer is tabulated once over 0..m
-    # as integer pairs, and every node value is an integer pair.
-    # A node's value depends only on (level, partial), so it is memoized,
-    # but the walk stays top-down: a pole is raised at exactly the nodes the
-    # sum reaches, never at one that a vanishing numerator skips.
+    # as integer pairs, and every value is an integer pair.
+    # A level's value depends only on partial, so the levels are summed
+    # bottom-up, each into one list over partial = 0..m (partial 0 alone at
+    # level 1). A vanishing denominator is stored as its PoleError message
+    # and raised only if the root reads it: a pole fails exactly the sums
+    # that reach it, never one that a vanishing numerator skips.
     a, m, pairs = spec.a, spec.m, spec.pairs
     b_last, c_last = pairs[-1]
     trailing_num, _ = _rising_pairs(-m, m)
     trailing_den, trailing_scale = _rising_pairs(b_last + c_last - a - m, m)
+    below: list[tuple[int, int] | str] = [
+        (num * scale, den) if den
+        else ("trailing denominator Pochhammer vanished in the nest" if num else (0, 1))
+        for num, den, scale in zip(trailing_num, trailing_den, trailing_scale)
+    ]
     top = 1 + a
-    levels = []
-    for (b_i, c_i), (b_next, c_next) in zip(pairs, pairs[1:]):
+    for level in range(len(pairs) - 1, 0, -1):
+        (b_i, c_i), (b_next, c_next) = pairs[level - 1], pairs[level]
         local_num, local_den = _rising_pairs(top - b_i - c_i, m)
         local_den = [x * factorial(l) for l, x in enumerate(local_den)]
         (bn, bd), (cn, cd), (en, ed), (fn, fd) = (
@@ -220,44 +227,29 @@ def _nest_pair(spec: WellPoisedSpec) -> tuple[int, int]:
         # ratio[cum] = (b_next)_cum (c_next)_cum / ((1+a-b_i)_cum (1+a-c_i)_cum)
         ratio_num = [w * x * y * z for w, x, y, z in zip(bn, cn, ed, fd)]
         ratio_den = [w * x * y * z for w, x, y, z in zip(bd, cd, en, fn)]
-        levels.append((local_num, local_den, ratio_num, ratio_den))
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def node(level: int, partial: int) -> tuple[int, int]:
-        key = (level, partial)
-        if key in memo:
-            return memo[key]
-        if level == len(pairs):
-            num, den = trailing_num[partial], trailing_den[partial]
-            if den == 0:
-                if num != 0:
-                    raise PoleError("trailing denominator Pochhammer vanished in the nest")
-                total = (0, 1)
-            else:
-                total = (num * trailing_scale[partial], den)
-        else:
-            local_num, local_den, ratio_num, ratio_den = levels[level - 1]
+        values: list[tuple[int, int] | str] = []
+        for partial in range(m + 1 if level > 1 else 1):
             total_num, total_den = 0, 1
             for l in range(m - partial + 1):
                 cum = partial + l
                 if local_num[l] == 0 or ratio_num[cum] == 0:
                     continue
-                if ratio_den[cum] == 0:
-                    raise PoleError(f"denominator Pochhammer vanished in the nest at level {level}")
-                below_num, below_den = node(level + 1, cum)
+                entry = below[cum] if ratio_den[cum] else (
+                    f"denominator Pochhammer vanished in the nest at level {level}"
+                )
+                if isinstance(entry, str):
+                    values.append(entry)
+                    break
+                below_num, below_den = entry
                 num = local_num[l] * ratio_num[cum] * below_num
                 den = local_den[l] * ratio_den[cum] * below_den
                 total_num, total_den = total_num * den + num * total_den, total_den * den
-            total = (total_num, total_den)
-        memo[key] = total
-        return total
-
-    # node reaches itself through its closure cell; deleting it on the way
-    # out breaks that cycle, so reference counting frees the tables at once
-    try:
-        return node(1, 0)
-    finally:
-        del node
+            else:
+                values.append((total_num, total_den))
+        below = values
+    if isinstance(below[0], str):
+        raise PoleError(below[0])
+    return below[0]
 
 
 def andrews_rhs(spec: WellPoisedSpec) -> Fraction:

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -396,7 +397,7 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
         "252 does not divide 417792241",
     ]
     assert [line for line in fails if "closed form" in line] == [
-        f"FAIL closed form disagrees witness=(r={r}, n=5, j={j})" for j in range(3) for r in (2, 3)
+        f"FAIL closed form disagrees witness=(r={r}, n=5, j={j})" for r in (2, 3) for j in range(3)
     ]
     assert "Traceback" not in captured.err
     assert "FAILED" in captured.out
@@ -575,6 +576,59 @@ def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
     assert "FAIL defining solve non-integral witness=(r=3): 2 does not divide 7" in captured.err
     assert "FAIL exponent-1 family is not all ones (non-integral) witness=" in captured.err
     assert "n-independence: 0 checks" in captured.out
+
+
+def test_verify_drops_each_exponents_rows_before_the_next(monkeypatch, capsys):
+    # verify holds one exponent's t-rows at a time: when a row is built, no
+    # row of another exponent may still be alive
+    class Row(list):
+        pass
+
+    true_row = cli.core.t_row
+    built: list[tuple[int, weakref.ref]] = []
+    stale = []
+
+    def tracked_row(n, r):
+        stale.extend((r, other) for other, ref in built if other != r and ref() is not None)
+        row = Row(true_row(n, r))
+        built.append((r, weakref.ref(row)))
+        return row
+
+    monkeypatch.setattr(cli.core, "t_row", tracked_row)
+    assert cli.main(["verify", "--r-max", "4", "--n-max", "5"]) == 0
+    capsys.readouterr()
+    assert {r for r, _ in built} == {1, 2, 3, 4}
+    assert stale == []
+
+
+def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
+    # a closed build that fails at one exponent is one witness; that exponent
+    # skips its closed checks, and every other exponent is still checked
+    true_rows = cli.core.t_closed_rows
+
+    def failing_at_four(r, n_max):
+        if r == 4:
+            raise DivisibilityError(7, 2)
+        return true_rows(r, n_max)
+
+    monkeypatch.setattr(cli.core, "t_closed_rows", failing_at_four)
+    code = cli.main(["verify", "--r-max", "5", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL closed rows non-integral witness=(r=4): 2 does not divide 7"]
+    assert captured.out.splitlines() == [
+        # 4 x 7 inner-sum checks, 7 closed-route checks at each of r = 2, 3, 5
+        # and the failed build
+        "route-agreement: 50 checks",
+        "ratio-integrality: 112 checks",
+        "n-independence: 28 checks",
+        # 28 at each of r = 2, 3, 5
+        "t-closed-agreement: 84 checks",
+        "trivial-exponent: 1 checks",
+        "1 of 275 checks FAILED",
+    ]
 
 
 def test_main_returns_zero_in_process():

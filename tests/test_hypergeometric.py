@@ -386,7 +386,7 @@ def _outcome(fn, *args):
         return "pole", str(exc)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_integer_pair_code_matches_fraction_reference_with_poles(s):
     # 700 specs per s, drawn without the pole-free filter: a pole-bearing
     # spec must raise the same PoleError message as the reference, never
