@@ -10,7 +10,8 @@ Every command fills one `Report`, and `_emit` prints it in the chosen
 format. Results go to stdout, also when a check fails; diagnostics, failure
 witnesses and timing go to stderr, which ends with `elapsed N ms`. Exit
 codes: 0 every check passed, 1 a mathematical check failed, 2 bad usage,
-141 stdout was closed before the whole report was written (`... | head`).
+141 stdout or stderr was closed before the whole report was written
+(`... | head`).
 For a fixed seed the stdout report is byte-identical across runs; elapsed
 time is only ever written to stderr.
 """
@@ -103,27 +104,26 @@ def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
         out = [",".join(map(str, row)) for row in report.table]
     else:
         out = report.lines
+    err = [*report.notes]
+    err += [f"FAIL {fail['description']} witness={fail['witness']}" for fail in report.failures]
+    err += [f"time {name}: {int(sec * 1000)} ms" for name, (_, sec) in report.groups.items()]
+    err.append(f"elapsed {elapsed_ms} ms")
     code = 1 if report.failures else 0
-    try:
-        for line in out:
-            print(line)
-        # a small report sits in the buffer until this flush; unflushed, a
-        # closed pipe would only fail at interpreter shutdown, past this guard
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away; point stdout at devnull so that the shutdown
-        # flush of what is still buffered cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        code = 141
-    for note in report.notes:
-        print(note, file=sys.stderr)
-    for failure in report.failures:
-        print(f"FAIL {failure['description']} witness={failure['witness']}", file=sys.stderr)
-    for name, (_, seconds) in report.groups.items():
-        print(f"time {name}: {int(seconds * 1000)} ms", file=sys.stderr)
-    print(f"elapsed {elapsed_ms} ms", file=sys.stderr)
+    for stream, lines in ((sys.stdout, out), (sys.stderr, err)):
+        try:
+            for line in lines:
+                print(line, file=stream)
+            # a small report sits in the buffer until this flush; unflushed,
+            # a closed pipe would only fail at interpreter shutdown, past
+            # this guard
+            stream.flush()
+        except BrokenPipeError:
+            # the reader went away; point the stream at devnull so that the
+            # shutdown flush of what is still buffered cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+            code = 141
     return code
 
 

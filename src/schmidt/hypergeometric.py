@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import _rising_pairs, binomial, exact_divide, factorial
+from .core import _require_exponent, _require_order
 
 Rational = Fraction | int
 
@@ -30,21 +31,15 @@ class PoleError(ArithmeticError):
     """A denominator Pochhammer vanished before the series terminated."""
 
 
-def _fractions(params) -> tuple[Fraction, ...]:
-    return tuple(Fraction(p) for p in params)
-
-
 @dataclass(frozen=True)
 class HypSeries:
-    """Numerator and denominator parameter lists plus the termination index m."""
+    """Numerator/denominator parameters (int or Fraction) and termination index m."""
 
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
+    numerator: tuple[Rational, ...]
+    denominator: tuple[Rational, ...]
     m: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", _fractions(self.numerator))
-        object.__setattr__(self, "denominator", _fractions(self.denominator))
         if self.m < 0:
             raise ValueError(f"termination index must be >= 0, got {self.m}")
         if -self.m not in self.numerator:
@@ -57,18 +52,16 @@ class WellPoisedSpec:
 
     Expansion inserts the (1 + a/2, a/2) special pair and the terminating
     column itself; callers never supply them. a = 0 would put a zero
-    parameter in the denominator and is rejected outright.
+    parameter in the denominator and is rejected outright. Pairs are int or
+    Fraction; a is stored as a Fraction so that a / 2 stays exact.
     """
 
     a: Fraction
-    pairs: tuple[tuple[Fraction, Fraction], ...]
+    pairs: tuple[tuple[Rational, Rational], ...]
     m: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(
-            self, "pairs", tuple((Fraction(b), Fraction(c)) for b, c in self.pairs)
-        )
         if not self.pairs:
             raise ValueError("need at least one (b, c) pair")
         if self.m < 0:
@@ -97,7 +90,7 @@ class WellPoisedSpec:
         numerator = [a, 1 + a / 2]
         for b, c in self.pairs:
             numerator += [b, c]
-        numerator.append(Fraction(-self.m))
+        numerator.append(-self.m)
         denominator = tuple(Fraction(p, q) for p, q in self._denominator_pairs())
         return HypSeries(tuple(numerator), denominator, self.m)
 
@@ -141,28 +134,28 @@ def eval_terminating(series: HypSeries) -> Fraction:
     return Fraction(total_num, total_den)
 
 
-def _prefactor_pair(a: Fraction, b: Fraction, c: Fraction, m: int) -> tuple[int, int]:
+def _prefactor_pair(a: Rational, b: Rational, c: Rational, m: int) -> tuple[int, int]:
     # (1+a)_m (1+a-b-c)_m / ((1+a-b)_m (1+a-c)_m) as an unreduced integer
-    # pair; the denominator is 0 exactly when (1+a-b)_m or (1+a-c)_m is.
+    # pair, raising PoleError when (1+a-b)_m or (1+a-c)_m vanishes
     top = 1 + a
     (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
         (nums[m], dens[m])
         for nums, dens in (_rising_pairs(x, m) for x in (top, top - b - c, top - b, top - c))
     )
-    return n1 * n2 * d3 * d4, d1 * d2 * n3 * n4
+    den = d1 * d2 * n3 * n4
+    if den == 0:
+        raise PoleError("denominator Pochhammer of the prefactor vanishes")
+    return n1 * n2 * d3 * d4, den
 
 
 def dougall_rhs(a: Rational, c: Rational, d: Rational, m: int) -> Fraction:
     """Dougall's evaluation (1+a)_m (1+a-c-d)_m / ((1+a-c)_m (1+a-d)_m)."""
-    num, den = _prefactor_pair(Fraction(a), Fraction(c), Fraction(d), m)
-    if den == 0:
-        raise PoleError("denominator Pochhammer of the closed form vanishes")
-    return Fraction(num, den)
+    return Fraction(*_prefactor_pair(a, c, d, m))
 
 
 def check_dougall(a: Rational, c: Rational, d: Rational, m: int) -> bool:
     """Does the very-well-poised 5F4 sum to Dougall's closed form?"""
-    series = WellPoisedSpec(Fraction(a), ((Fraction(c), Fraction(d)),), m).expand()
+    series = WellPoisedSpec(a, ((c, d),), m).expand()
     return eval_terminating(series) == dougall_rhs(a, c, d, m)
 
 
@@ -171,12 +164,9 @@ def whipple_rhs(
 ) -> Fraction:
     """Whipple's transform: a Dougall-style prefactor in (d, e) times the
     balanced 4F3 with parameters (1+a-b-c, d, e, -m; 1+a-b, 1+a-c, d+e-a-m)."""
-    a, b, c, d, e = (Fraction(x) for x in (a, b, c, d, e))
     pre_num, pre_den = _prefactor_pair(a, d, e, m)
-    if pre_den == 0:
-        raise PoleError("denominator Pochhammer of the prefactor vanishes")
     series = HypSeries(
-        (1 + a - b - c, d, e, Fraction(-m)),
+        (1 + a - b - c, d, e, -m),
         (1 + a - b, 1 + a - c, d + e - a - m),
         m,
     )
@@ -188,8 +178,7 @@ def check_whipple(
     a: Rational, b: Rational, c: Rational, d: Rational, e: Rational, m: int
 ) -> bool:
     """Does the very-well-poised 7F6 equal Whipple's prefactor times 4F3?"""
-    pairs = ((Fraction(b), Fraction(c)), (Fraction(d), Fraction(e)))
-    series = WellPoisedSpec(Fraction(a), pairs, m).expand()
+    series = WellPoisedSpec(a, ((b, c), (d, e)), m).expand()
     return eval_terminating(series) == whipple_rhs(a, b, c, d, e, m)
 
 
@@ -261,8 +250,6 @@ def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
     """
     b_last, c_last = spec.pairs[-1]
     pre_num, pre_den = _prefactor_pair(spec.a, b_last, c_last, spec.m)
-    if pre_den == 0:
-        raise PoleError("denominator Pochhammer of the prefactor vanishes")
     num, den = _nest_pair(spec)
     return Fraction(pre_num * num, pre_den * den)
 
@@ -282,14 +269,12 @@ def t_as_hypergeometric(n: int, j: int, r: int) -> int:
     parameters are never integers at integer offsets. The result is
     asserted integral before being returned.
     """
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
-    if r < 1:
-        raise ValueError(f"exponent must be >= 1, got r={r}")
+    _require_order(n, j)
+    _require_exponent(r)
     a = Fraction(-(2 * n + 1))
     series = HypSeries(
-        (a, 1 + a / 2) + (Fraction(-(n - j)),) * r,
-        (a / 2,) + (Fraction(-(n + j)),) * r,
+        (a, 1 + a / 2) + (-(n - j),) * r,
+        (a / 2,) + (-(n + j),) * r,
         n - j,
     )
     value = binomial(n + j, n - j) ** r * eval_terminating(series)

@@ -130,6 +130,26 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     assert re.fullmatch(r"elapsed \d+ ms", result.stderr.splitlines()[-1])
 
 
+def test_closed_stderr_exits_141_with_stdout_intact():
+    # a passing run whose diagnostics cannot be written is still no failed
+    # mathematical check: exit 141, never 1, with all of stdout written
+    argv = ["compute", "--r", "2", "--n-max", "4"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "schmidt", *argv],
+            stdout=subprocess.PIPE,
+            stderr=write_end,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stdout == run_cli(*argv).stdout == "1 2 10 56 346\n"
+
+
 def test_unknown_command_exits_two():
     result = run_cli("frobnicate")
     assert result.returncode == 2

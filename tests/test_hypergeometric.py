@@ -196,15 +196,21 @@ def test_numerator_truncation_wins_over_later_pole():
 
 
 def test_well_poised_expansion_pairing():
-    spec = WellPoisedSpec(Fraction(2, 3), ((Fraction(1, 2), Fraction(-1, 5)),
-                                           (Fraction(3), Fraction(1, 7))), 4)
-    series = spec.expand()
-    assert len(series.numerator) == len(series.denominator) + 1
-    assert series.numerator[0] == spec.a
-    # the leading column pairs with the implicit l! parameter 1
-    assert series.numerator[0] + 1 == 1 + spec.a
-    for p, q in zip(series.numerator[1:], series.denominator):
-        assert p + q == 1 + spec.a
+    for spec in (
+        WellPoisedSpec(Fraction(2, 3), ((Fraction(1, 2), Fraction(-1, 5)),
+                                        (Fraction(3), Fraction(1, 7))), 4),
+        # an int a still expands to the exact Fraction 1 + a/2, never a float
+        WellPoisedSpec(-3, ((1, Fraction(1, 2)), (2, -4)), 3),
+    ):
+        series = spec.expand()
+        assert len(series.numerator) == len(series.denominator) + 1
+        assert series.numerator[0] == spec.a
+        assert type(series.numerator[1]) is Fraction
+        assert series.numerator[1] == 1 + spec.a / 2
+        # the leading column pairs with the implicit l! parameter 1
+        assert series.numerator[0] + 1 == 1 + spec.a
+        for p, q in zip(series.numerator[1:], series.denominator):
+            assert p + q == 1 + spec.a
 
 
 def test_well_poised_rejects_zero_a():
@@ -234,9 +240,16 @@ def test_dougall_random_rationals():
 
 
 def test_dougall_pole_configuration_raises():
-    # 1 + a - c == 0 vanishes at the first step
-    with pytest.raises(PoleError):
+    # 1 + a - c == 0 vanishes at the first step; Whipple's and Andrews's
+    # prefactors over the same last pair raise the same message
+    b, c = Fraction(1, 3), Fraction(1, 5)
+    message = r"^denominator Pochhammer of the prefactor vanishes$"
+    with pytest.raises(PoleError, match=message):
         dougall_rhs(1, 2, Fraction(1, 2), 2)
+    with pytest.raises(PoleError, match=message):
+        whipple_rhs(1, b, c, 2, Fraction(1, 2), 2)
+    with pytest.raises(PoleError, match=message):
+        andrews_rhs(WellPoisedSpec(1, ((b, c), (2, Fraction(1, 2))), 2))
     with pytest.raises(PoleError):
         check_dougall(1, 2, Fraction(1, 2), 2)
 
@@ -379,6 +392,11 @@ def test_andrews_nested_zero_over_zero_is_skipped():
     assert andrews_rhs(spec) == 1
 
 
+def _as_given(x: Fraction) -> Fraction | int:
+    # an integral parameter passed as the int a caller would write
+    return x.numerator if x.denominator == 1 else x
+
+
 def _outcome(fn, *args):
     try:
         return "value", fn(*args)
@@ -390,10 +408,12 @@ def _outcome(fn, *args):
 def test_integer_pair_code_matches_fraction_reference_with_poles(s):
     # 700 specs per s, drawn without the pole-free filter: a pole-bearing
     # spec must raise the same PoleError message as the reference, never
-    # give a value or a ZeroDivisionError.
+    # give a value or a ZeroDivisionError. The same spec with its integral
+    # parameters passed as ints must give the same value or message.
     rng = random.Random(f"reference/{s}")
+    closed = {1: dougall_rhs, 2: whipple_rhs}.get(s)
     seen = set()
-    specs = 0
+    specs = int_given = 0
     while specs < 700:
         a = sample_rational(rng)
         pairs = tuple((sample_rational(rng), sample_rational(rng)) for _ in range(s))
@@ -411,6 +431,17 @@ def test_integer_pair_code_matches_fraction_reference_with_poles(s):
             outcome = _outcome(new, arg)
             assert outcome == _outcome(reference, arg), spec
             seen.add((name, outcome[0]))
+        flat = (a, *(x for pair in pairs for x in pair))
+        given = tuple(map(_as_given, flat))
+        int_given += any(type(x) is int for x in given)
+        given_spec = WellPoisedSpec(given[0], tuple(zip(given[1::2], given[2::2])), m)
+        for fn, as_fractions, as_given in (
+            (eval_terminating, (series,), (given_spec.expand(),)),
+            (check_andrews, (spec,), (given_spec,)),
+            *([(closed, (*flat, m), (*given, m))] if closed else []),
+        ):
+            assert _outcome(fn, *as_given) == _outcome(fn, *as_fractions), (fn, spec)
+    assert int_given
     assert seen == {(name, kind) for name in ("series", "andrews") for kind in ("value", "pole")}
 
 
