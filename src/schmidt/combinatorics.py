@@ -1,8 +1,9 @@
 """Exact integer and rational combinatorial primitives.
 
-Everything computes with unbounded Python ints and fractions.Fraction, so
-no rounding ever occurs. Binomials come from two places: a scalar C(n, k)
-or C(2n, n) is `math.comb` behind `binomial` and `central_binomial`, and a
+Everything computes with unbounded Python ints, so no rounding ever
+occurs; a rational, as in `_rising_pairs`, is an unreduced integer pair
+(P, Q) with Q > 0. Binomials come from two places: a scalar C(n, k) or
+C(2n, n) is `math.comb` behind `binomial` and `central_binomial`, and a
 whole row, column or run of central binomials is walked by recurrence
 (`_binomial_row`, `_binomial_column`, `_central_row`). Factorials come from
 a memoized table behind `factorial`, which grows only to the largest n
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 
 __all__ = [
     "CombinatoricsTable",
@@ -123,16 +123,16 @@ def _central_row(n: int) -> list[int]:
     return row
 
 
-def _rising_pairs(x: Fraction | int, m: int) -> tuple[list[int], list[int]]:
-    """(x)_0, (x)_1, ..., (x)_m as unreduced integer pairs (nums[l], dens[l]).
+def _rising_pairs(p: int, q: int, m: int) -> tuple[list[int], list[int]]:
+    """(x)_0, (x)_1, ..., (x)_m for x = p/q as unreduced integer pairs (nums[l], dens[l]).
 
-    With x = P/Q in lowest terms, nums[l] = P (P+Q) ... (P+(l-1)Q) and
-    dens[l] = Q^l > 0, so (x)_l = nums[l] / dens[l] is never normalised and
-    vanishes exactly when nums[l] does. x must be an int or a Fraction.
+    The pair (p, q) need not be in lowest terms, but q > 0. Then
+    nums[l] = p (p+q) ... (p+(l-1)q) and dens[l] = q^l > 0, so
+    (x)_l = nums[l] / dens[l] is never normalised and vanishes exactly when
+    nums[l] does.
     """
     if m < 0:
         raise ValueError(f"rising-product length must be non-negative, got {m}")
-    p, q = x.numerator, x.denominator
     nums, dens = [1], [1]
     for i in range(m):
         nums.append(nums[-1] * (p + i * q))

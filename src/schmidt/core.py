@@ -139,17 +139,21 @@ def _nest_column(j: int, s: int, odd: bool, n_max: int) -> list[int]:
     # level C(j,n-k_1) C(k_1,j) C(k_1+j,k_1-j) instead) and C(2j,k_{s-1}-j)
     # closes the chain. With i = k - j each level is one banded convolution
     # chain'[i] = sum_d kernel[d] weights[i-d] chain[i-d] that never reads n,
-    # so one column serves every order. Odd r starts from the closing factor,
-    # even r from [1, 0, ...], which the first level turns into it. A kernel
-    # C(m, .) vanishes past m, so a column costs O(s n_max min(n_max, 2j)).
+    # so one column serves every order. Odd r starts from the closing factor.
+    # Even r would start from [1, 0, ...], but every level's weights[0] is 1
+    # (C(2j,0)^2, or C(j,j) C(2j,0) at the outer level), so its first level
+    # maps that start to its own kernel: the chain starts there and the level
+    # is dropped. A kernel C(m, .) vanishes past m, so a column costs
+    # O(s n_max min(n_max, 2j)).
     length = n_max - j + 1
     band = _binomial_row(2 * j)
     stretched = _binomial_column(n_max + j, 2 * j)  # C(k+j, k-j) for k = j..n_max
     levels = [(band, [x * x for x in stretched])] * (s - 1)
-    chain = ((band if odd else [1]) + [0] * length)[:length]
     if not odd:
         over = _binomial_column(n_max, j)  # C(k, j) for k = j..n_max
         levels.append((_binomial_row(j), [x * y for x, y in zip(over, stretched)]))
+    start = band if odd else levels.pop(0)[0]
+    chain = (start + [0] * length)[:length]
     for kernel, weights in levels:
         weighted = [x * y for x, y in zip(weights, chain)]
         chain = [

@@ -13,22 +13,40 @@ truncates the sum early. Nothing is regularized.
 The classical evaluations checked against these series are Dougall's
 very-well-poised 5F4 summation, Whipple's 7F6-to-4F3 transformation, and
 Andrews's terminating multiple-series generalization of the latter.
+
+Arithmetic: every rational is carried as an unreduced integer pair
+(P, Q), parameters with Q > 0, from the sampled parameters to the final
+comparison, which cross-multiplies the two sides. No gcd is taken on the
+way; a Fraction is built only for a public return value (`eval_terminating`
+and the `*_rhs` functions wrap a pair evaluator) or a witness.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .combinatorics import _rising_pairs, binomial, exact_divide, factorial
 from .core import _require_exponent, _require_order
 
 Rational = Fraction | int
+Pair = tuple[int, int]
 
 
 class PoleError(ArithmeticError):
     """A denominator Pochhammer vanished before the series terminated."""
+
+
+def _pair(x: Rational) -> Pair:
+    return x.numerator, x.denominator
+
+
+def _equal(x: Pair, y: Pair) -> bool:
+    # two unreduced pairs with nonzero denominators, compared by cross-multiplication
+    return x[0] * y[1] == y[0] * x[1]
 
 
 @dataclass(frozen=True)
@@ -61,7 +79,8 @@ class WellPoisedSpec:
     m: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
+        if not isinstance(self.a, Fraction):
+            object.__setattr__(self, "a", Fraction(self.a))
         if not self.pairs:
             raise ValueError("need at least one (b, c) pair")
         if self.m < 0:
@@ -73,50 +92,48 @@ class WellPoisedSpec:
     def s(self) -> int:
         return len(self.pairs)
 
-    def _denominator_pairs(self) -> list[tuple[int, int]]:
-        # a/2, 1+a-b_1, 1+a-c_1, ..., 1+a-b_s, 1+a-c_s, 1+a+m, in the order
-        # of the expanded series, as unreduced integer pairs (P, Q) with Q > 0
-        an, ad = self.a.numerator, self.a.denominator
-        out = [(an, 2 * ad)]
-        for pair in self.pairs:
-            for x in pair:
-                out.append(((ad + an) * x.denominator - x.numerator * ad, ad * x.denominator))
-        out.append((an + (1 + self.m) * ad, ad))
-        return out
+    # The expanded series' parameters as unreduced integer pairs (P, Q) with
+    # Q > 0, computed once per spec: the pole check, the series, the
+    # prefactor and the nest all read them.
+
+    @cached_property
+    def _numerator_pairs(self) -> tuple[Pair, ...]:
+        # a, 1+a/2, b_1, c_1, ..., b_s, c_s, -m in the order of the expanded series
+        an, ad = _pair(self.a)
+        flat = [_pair(x) for pair in self.pairs for x in pair]
+        return ((an, ad), (an + 2 * ad, 2 * ad), *flat, (-self.m, 1))
+
+    @cached_property
+    def _denominator_pairs(self) -> tuple[Pair, ...]:
+        # a/2, then 1+a-x for every numerator x after 1+a/2: 1+a-b_1, 1+a-c_1,
+        # ..., 1+a-b_s, 1+a-c_s, 1+a+m
+        (an, ad), _, *rest = self._numerator_pairs
+        top = an + ad
+        return ((an, 2 * ad), *((top * q - p * ad, ad * q) for p, q in rest))
 
     def expand(self) -> HypSeries:
         """The full series: every numerator/denominator pair sums to 1 + a."""
-        a = self.a
-        numerator = [a, 1 + a / 2]
-        for b, c in self.pairs:
-            numerator += [b, c]
-        numerator.append(-self.m)
-        denominator = tuple(Fraction(p, q) for p, q in self._denominator_pairs())
-        return HypSeries(tuple(numerator), denominator, self.m)
+        return HypSeries(
+            tuple(Fraction(p, q) for p, q in self._numerator_pairs),
+            tuple(Fraction(p, q) for p, q in self._denominator_pairs),
+            self.m,
+        )
 
 
-def eval_terminating(series: HypSeries) -> Fraction:
-    """Sum the series exactly from its consecutive-term ratios.
-
-    The l-th ratio is prod(p_i + l) / ((l + 1) prod(q_j + l)). A zero
-    numerator factor zeroes every later term and truncates the sum; a zero
-    denominator factor met while the numerator side is still nonzero is a
-    pole. The arithmetic runs on integer pairs and builds one Fraction at
-    the end.
-    """
+def _series_pair(top: Sequence[Pair], bottom: Sequence[Pair], m: int) -> Pair:
+    # The series with numerator parameters `top` and denominators `bottom`,
+    # all unreduced pairs (P, Q), as an unreduced pair (num, den != 0).
     # A parameter P/Q contributes the integer P + l*Q to the l-th ratio and
     # its Q to the other side. One forward scan finds the truncation index
     # and any pole; the sum is then nested, S = 1 + r_0 (1 + r_1 (1 + ...)),
     # and folded from the inside out without a gcd.
-    top = [(p.numerator, p.denominator) for p in series.numerator]
-    bottom = [(q.numerator, q.denominator) for q in series.denominator]
     top_scale = bottom_scale = 1
     for _, q in bottom:
         top_scale *= q
     for _, q in top:
         bottom_scale *= q
     ratios = []
-    for l in range(series.m):
+    for l in range(m):
         num = top_scale
         for p, q in top:
             num *= p + l * q
@@ -131,32 +148,81 @@ def eval_terminating(series: HypSeries) -> Fraction:
     total_num = total_den = 1
     for num, den in reversed(ratios):
         total_num, total_den = den * total_den + num * total_num, den * total_den
-    return Fraction(total_num, total_den)
+    return total_num, total_den
 
 
-def _prefactor_pair(a: Rational, b: Rational, c: Rational, m: int) -> tuple[int, int]:
-    # (1+a)_m (1+a-b-c)_m / ((1+a-b)_m (1+a-c)_m) as an unreduced integer
-    # pair, raising PoleError when (1+a-b)_m or (1+a-c)_m vanishes
-    top = 1 + a
-    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
-        (nums[m], dens[m])
-        for nums, dens in (_rising_pairs(x, m) for x in (top, top - b - c, top - b, top - c))
+def eval_terminating(series: HypSeries) -> Fraction:
+    """Sum the series exactly from its consecutive-term ratios.
+
+    The l-th ratio is prod(p_i + l) / ((l + 1) prod(q_j + l)). A zero
+    numerator factor zeroes every later term and truncates the sum; a zero
+    denominator factor met while the numerator side is still nonzero is a
+    pole. The arithmetic runs on integer pairs and builds one Fraction at
+    the end.
+    """
+    top, bottom = (list(map(_pair, side)) for side in (series.numerator, series.denominator))
+    return Fraction(*_series_pair(top, bottom, series.m))
+
+
+def _expanded_pair(spec: WellPoisedSpec) -> Pair:
+    # spec.expand() summed without building its Fractions
+    return _series_pair(spec._numerator_pairs, spec._denominator_pairs, spec.m)
+
+
+def _shifts(a: Pair, b: Pair, c: Pair) -> tuple[Pair, Pair, Pair, Pair]:
+    # 1+a, 1+a-b, 1+a-c and 1+a-b-c as unreduced pairs over the denominators
+    # Q_a, Q_a Q_b, Q_a Q_c and Q_a Q_b Q_c
+    (an, ad), (bn, bd), (cn, cd) = a, b, c
+    top = an + ad
+    minus_b = top * bd - bn * ad
+    return (
+        (top, ad),
+        (minus_b, ad * bd),
+        (top * cd - cn * ad, ad * cd),
+        (minus_b * cd - cn * ad * bd, ad * bd * cd),
     )
-    den = d1 * d2 * n3 * n4
+
+
+def _closing_pair(a: Pair, b: Pair, c: Pair, m: int) -> Pair:
+    # b+c-a-m = 1-m-(1+a-b-c): the last denominator of Whipple's 4F3 in
+    # (d, e) and of the trailing ratio that closes Andrews's nest
+    p, q = _shifts(a, b, c)[3]
+    return (1 - m) * q - p, q
+
+
+def _prefactor_pair(a: Pair, b: Pair, c: Pair, m: int) -> Pair:
+    # (1+a)_m (1+a-b-c)_m / ((1+a-b)_m (1+a-c)_m) as an unreduced integer
+    # pair, raising PoleError when (1+a-b)_m or (1+a-c)_m vanishes. Over the
+    # denominators of _shifts the powers Q^m of the two sides are equal, so
+    # only the rising numerators are multiplied.
+    (top, top_q), (minus_b, b_q), (minus_c, c_q), (minus_bc, bc_q) = _shifts(a, b, c)
+    num = den = 1
+    for i in range(m):
+        num *= (top + i * top_q) * (minus_bc + i * bc_q)
+        den *= (minus_b + i * b_q) * (minus_c + i * c_q)
     if den == 0:
         raise PoleError("denominator Pochhammer of the prefactor vanishes")
-    return n1 * n2 * d3 * d4, den
+    return num, den
 
 
 def dougall_rhs(a: Rational, c: Rational, d: Rational, m: int) -> Fraction:
     """Dougall's evaluation (1+a)_m (1+a-c-d)_m / ((1+a-c)_m (1+a-d)_m)."""
-    return Fraction(*_prefactor_pair(a, c, d, m))
+    return Fraction(*_prefactor_pair(_pair(a), _pair(c), _pair(d), m))
 
 
 def check_dougall(a: Rational, c: Rational, d: Rational, m: int) -> bool:
     """Does the very-well-poised 5F4 sum to Dougall's closed form?"""
-    series = WellPoisedSpec(a, ((c, d),), m).expand()
-    return eval_terminating(series) == dougall_rhs(a, c, d, m)
+    series = _expanded_pair(WellPoisedSpec(a, ((c, d),), m))
+    return _equal(series, _prefactor_pair(_pair(a), _pair(c), _pair(d), m))
+
+
+def _whipple_pair(a: Pair, b: Pair, c: Pair, d: Pair, e: Pair, m: int) -> Pair:
+    pre_num, pre_den = _prefactor_pair(a, d, e, m)
+    _, minus_b, minus_c, minus_bc = _shifts(a, b, c)
+    num, den = _series_pair(
+        [minus_bc, d, e, (-m, 1)], [minus_b, minus_c, _closing_pair(a, d, e, m)], m
+    )
+    return pre_num * num, pre_den * den
 
 
 def whipple_rhs(
@@ -164,25 +230,18 @@ def whipple_rhs(
 ) -> Fraction:
     """Whipple's transform: a Dougall-style prefactor in (d, e) times the
     balanced 4F3 with parameters (1+a-b-c, d, e, -m; 1+a-b, 1+a-c, d+e-a-m)."""
-    pre_num, pre_den = _prefactor_pair(a, d, e, m)
-    series = HypSeries(
-        (1 + a - b - c, d, e, -m),
-        (1 + a - b, 1 + a - c, d + e - a - m),
-        m,
-    )
-    value = eval_terminating(series)
-    return Fraction(pre_num * value.numerator, pre_den * value.denominator)
+    return Fraction(*_whipple_pair(*map(_pair, (a, b, c, d, e)), m))
 
 
 def check_whipple(
     a: Rational, b: Rational, c: Rational, d: Rational, e: Rational, m: int
 ) -> bool:
     """Does the very-well-poised 7F6 equal Whipple's prefactor times 4F3?"""
-    series = WellPoisedSpec(a, ((b, c), (d, e)), m).expand()
-    return eval_terminating(series) == whipple_rhs(a, b, c, d, e, m)
+    series = _expanded_pair(WellPoisedSpec(a, ((b, c), (d, e)), m))
+    return _equal(series, _whipple_pair(*map(_pair, (a, b, c, d, e)), m))
 
 
-def _nest_pair(spec: WellPoisedSpec) -> tuple[int, int]:
+def _nest_pair(spec: WellPoisedSpec) -> Pair:
     # Level i < s sums over l_i, with partial = l_1 + ... + l_{i-1} and
     # cum = partial + l_i. It keeps its own local Pochhammer
     # (1+a-b_i-c_i)_{l_i} but raises the next pair and its own denominators
@@ -196,27 +255,28 @@ def _nest_pair(spec: WellPoisedSpec) -> tuple[int, int]:
     # level 1). A vanishing denominator is stored as its PoleError message
     # and raised only if the root reads it: a pole fails exactly the sums
     # that reach it, never one that a vanishing numerator skips.
-    a, m, pairs = spec.a, spec.m, spec.pairs
-    b_last, c_last = pairs[-1]
-    trailing_num, _ = _rising_pairs(-m, m)
-    trailing_den, trailing_scale = _rising_pairs(b_last + c_last - a - m, m)
-    below: list[tuple[int, int] | str] = [
+    m = spec.m
+    a, _, *flat, _ = spec._numerator_pairs
+    pairs = list(zip(flat[::2], flat[1::2]))
+    trailing_num, _ = _rising_pairs(-m, 1, m)
+    trailing_den, trailing_scale = _rising_pairs(*_closing_pair(a, *pairs[-1], m), m)
+    below: list[Pair | str] = [
         (num * scale, den) if den
         else ("trailing denominator Pochhammer vanished in the nest" if num else (0, 1))
         for num, den, scale in zip(trailing_num, trailing_den, trailing_scale)
     ]
-    top = 1 + a
     for level in range(len(pairs) - 1, 0, -1):
         (b_i, c_i), (b_next, c_next) = pairs[level - 1], pairs[level]
-        local_num, local_den = _rising_pairs(top - b_i - c_i, m)
+        _, minus_b, minus_c, minus_bc = _shifts(a, b_i, c_i)
+        local_num, local_den = _rising_pairs(*minus_bc, m)
         local_den = [x * factorial(l) for l, x in enumerate(local_den)]
         (bn, bd), (cn, cd), (en, ed), (fn, fd) = (
-            _rising_pairs(x, m) for x in (b_next, c_next, top - b_i, top - c_i)
+            _rising_pairs(*x, m) for x in (b_next, c_next, minus_b, minus_c)
         )
         # ratio[cum] = (b_next)_cum (c_next)_cum / ((1+a-b_i)_cum (1+a-c_i)_cum)
         ratio_num = [w * x * y * z for w, x, y, z in zip(bn, cn, ed, fd)]
         ratio_den = [w * x * y * z for w, x, y, z in zip(bd, cd, en, fn)]
-        values: list[tuple[int, int] | str] = []
+        values: list[Pair | str] = []
         for partial in range(m + 1 if level > 1 else 1):
             total_num, total_den = 0, 1
             for l in range(m - partial + 1):
@@ -241,6 +301,13 @@ def _nest_pair(spec: WellPoisedSpec) -> tuple[int, int]:
     return below[0]
 
 
+def _andrews_pair(spec: WellPoisedSpec) -> Pair:
+    a, _, *flat, _ = spec._numerator_pairs
+    pre_num, pre_den = _prefactor_pair(a, flat[-2], flat[-1], spec.m)
+    num, den = _nest_pair(spec)
+    return pre_num * num, pre_den * den
+
+
 def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
     """Andrews's multiple-series value for the expanded spec.
 
@@ -248,15 +315,12 @@ def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
     nested sum; the nest collapses to 1 for s = 1 and reproduces Whipple's
     4F3 parameter for parameter at s = 2.
     """
-    b_last, c_last = spec.pairs[-1]
-    pre_num, pre_den = _prefactor_pair(spec.a, b_last, c_last, spec.m)
-    num, den = _nest_pair(spec)
-    return Fraction(pre_num * num, pre_den * den)
+    return Fraction(*_andrews_pair(spec))
 
 
 def check_andrews(spec: WellPoisedSpec) -> bool:
     """Does the expanded very-well-poised series equal the multiple-sum value?"""
-    return eval_terminating(spec.expand()) == andrews_rhs(spec)
+    return _equal(_expanded_pair(spec), _andrews_pair(spec))
 
 
 def t_as_hypergeometric(n: int, j: int, r: int) -> int:
@@ -291,17 +355,20 @@ def spec_pole_free(spec: WellPoisedSpec) -> bool:
     """No denominator Pochhammer of the series, the prefactor, or the nested
     sums can vanish at or before the termination index."""
     m = spec.m
-    an, ad = spec.a.numerator, spec.a.denominator
-    (bn, bd), (cn, cd) = ((x.numerator, x.denominator) for x in spec.pairs[-1])
     # the series' own denominators, then the nest's trailing b_s+c_s-a-m
-    candidates = spec._denominator_pairs()
-    candidates.append(((bn * cd + cn * bd - m * bd * cd) * ad - an * bd * cd, ad * bd * cd))
+    a, *_, b, c, _ = spec._numerator_pairs
+    candidates = (*spec._denominator_pairs, _closing_pair(a, b, c, m))
     return not any(_vanishes(p, q, m) for p, q in candidates)
+
+
+# Every value sample_rational can return, at 6 (P + 6) + (Q - 1) for P/Q
+_SAMPLES = tuple(Fraction(p, q) for p in range(-6, 7) for q in range(1, 7))
 
 
 def sample_rational(rng: random.Random) -> Fraction:
     """Numerator uniform in [-6, 6], denominator uniform in [1, 6]."""
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    p = rng.randint(-6, 6)
+    return _SAMPLES[6 * (p + 6) + rng.randint(1, 6) - 1]
 
 
 def sample_well_poised(rng: random.Random, s: int, m_max: int) -> WellPoisedSpec:

@@ -6,6 +6,7 @@ would see them. Failure injection for exit code 1 is done in-process with
 monkeypatching, since the real computations never disagree.
 """
 
+import itertools
 import json
 import os
 import re
@@ -482,19 +483,60 @@ def test_series_nest_fault_fails_only_its_own_depth(monkeypatch, capsys):
 
 
 def test_series_pole_is_one_failure_with_a_witness(monkeypatch, capsys):
-    true_eval = hyp.eval_terminating
+    true_eval = hyp._series_pair
     calls = []
 
-    def pole_once(series):
-        calls.append(series)
+    def pole_once(top, bottom, m):
+        calls.append((top, bottom, m))
         if len(calls) == 1:
             raise hyp.PoleError("injected")
-        return true_eval(series)
+        return true_eval(top, bottom, m)
 
-    fails = _identity_fails(monkeypatch, capsys, "eval_terminating", pole_once)
+    fails = _identity_fails(monkeypatch, capsys, "_series_pair", pole_once)
     assert len(fails) == 1
     assert fails[0].endswith(": pole: injected"), fails
     assert len(calls) > 1
+
+
+def test_identity_failure_lines_are_pinned(monkeypatch, capsys):
+    # every check fails, alternately by a False and by a PoleError, so each
+    # lazily formatted witness, with and without its pole suffix, is pinned
+    calls = itertools.count()
+
+    def fake(*args):
+        if next(calls) % 2:
+            raise hyp.PoleError("injected")
+        return False
+
+    for name in ("check_dougall", "check_whipple", "check_andrews"):
+        monkeypatch.setattr(hyp, name, fake)
+    monkeypatch.setattr(cli, "_reduces", fake)
+    assert cli.main(["identities", "--trials", "1", "--m-max", "4", "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("FAIL")] == [
+        "FAIL s=1 nest does not reduce to the 5F4 evaluation"
+        " witness=(a=1/2, pairs=[(1/3, 1/4)], m=2)",
+        "FAIL s=1 multiple transformation failed"
+        " witness=(a=1/2, pairs=[(1/3, 1/4)], m=2): pole: injected",
+        "FAIL s=2 nest does not reduce to the 7F6 transform"
+        " witness=(a=-7/2, pairs=[(1/2, -1/3), (2/5, 1)], m=3)",
+        "FAIL s=2 multiple transformation failed"
+        " witness=(a=-7/2, pairs=[(1/2, -1/3), (2/5, 1)], m=3): pole: injected",
+        "FAIL s=3 multiple transformation failed"
+        " witness=(a=3, pairs=[(1/6, -2/3), (1/2, 5/6), (-1/4, 2)], m=2)",
+        "FAIL 5F4 summation failed witness=(a=-2/3, c=2/5, d=3/4, m=2): pole: injected",
+        "FAIL 7F6 transformation failed witness=(a=1/4, b=-3/4, c=-4, d=3/2, e=3/4, m=1)",
+        "FAIL multiple transformation failed at s=1"
+        " witness=(a=-2/5, pairs=[(-2/3, -6/5)], m=3): pole: injected",
+        "FAIL multiple transformation failed at s=2"
+        " witness=(a=-1/6, pairs=[(1/4, 2/5), (6, -1)], m=4)",
+        "FAIL multiple transformation failed at s=3"
+        " witness=(a=2, pairs=[(0, -5/4), (0, -6), (-1/6, -5/4)], m=2): pole: injected",
+        "FAIL s=1 reduction disagrees with the 5F4 evaluation"
+        " witness=(a=-5/4, pairs=[(-3, 5/3)], m=4)",
+        "FAIL s=2 reduction disagrees with the 7F6 transform"
+        " witness=(a=-4/3, pairs=[(-3/5, -5/6), (0, -3)], m=2): pole: injected",
+    ]
 
 
 _T3_ROWS = [(0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (2, 1, 24, 8), (2, 2, 1, 1)]

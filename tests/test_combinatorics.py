@@ -156,14 +156,15 @@ def test_binomial_column_matches_math_comb(top_k):
 
 
 def rising(x, m):
-    """(x)_m read from the last entry of _rising_pairs(x, m)."""
-    nums, dens = _rising_pairs(x, m)
+    """(x)_m read from the last entry of _rising_pairs(P, Q, m) for x = P/Q in lowest terms."""
+    x = Fraction(x)
+    nums, dens = _rising_pairs(x.numerator, x.denominator, m)
     return Fraction(nums[m], dens[m])
 
 
 def test_pochhammer_empty_product():
-    assert _rising_pairs(Fraction(7, 3), 0) == ([1], [1])
-    assert _rising_pairs(-5, 0) == ([1], [1])
+    assert _rising_pairs(7, 3, 0) == ([1], [1])
+    assert _rising_pairs(-5, 1, 0) == ([1], [1])
 
 
 def test_pochhammer_examples():
@@ -175,31 +176,39 @@ def test_pochhammer_examples():
 
 def test_pochhammer_rejects_negative_length():
     with pytest.raises(ValueError):
-        _rising_pairs(Fraction(1, 2), -1)
+        _rising_pairs(1, 2, -1)
 
 
 @given(
-    st.fractions(min_value=-10, max_value=10, max_denominator=20),
+    st.integers(min_value=-200, max_value=200),
+    st.integers(min_value=1, max_value=20),
     st.integers(min_value=0, max_value=30),
 )
-def test_pochhammer_recurrence(x, m):
-    nums, dens = _rising_pairs(x, m + 1)
+def test_pochhammer_recurrence(p, q, m):
+    # (p, q) is taken as given, in lowest terms or not
+    x = Fraction(p, q)
+    nums, dens = _rising_pairs(p, q, m + 1)
     for l in range(m + 1):
         assert Fraction(nums[l + 1], dens[l + 1]) == Fraction(nums[l], dens[l]) * (x + l)
 
 
 def test_rising_pairs_are_unreduced():
-    # (x)_l = nums[l] / dens[l] with dens[l] = Q^l, so a vanishing product
-    # shows in nums alone
-    nums, dens = _rising_pairs(Fraction(-3, 2), 4)
+    # (p/q)_l = nums[l] / dens[l] with dens[l] = q^l for the pair as given,
+    # so a vanishing product shows in nums alone
+    nums, dens = _rising_pairs(-3, 2, 4)
     assert nums == [1, -3, 3, 3, 9]
     assert dens == [1, 2, 4, 8, 16]
-    nums, dens = _rising_pairs(-2, 4)
+    nums, dens = _rising_pairs(-6, 4, 4)
+    assert nums == [1, -6, 12, 24, 144]
+    assert dens == [1, 4, 16, 64, 256]
+    nums, dens = _rising_pairs(-2, 1, 4)
     assert nums == [1, -2, 2, 0, 0]
     assert dens == [1] * 5
-    for x in (-2, Fraction(-3, 2), Fraction(5, 7)):
-        nums, dens = _rising_pairs(x, 6)
-        assert [Fraction(p, q) for p, q in zip(nums, dens)] == [pochhammer(x, l) for l in range(7)]
+    for p, q in ((-2, 1), (-4, 2), (-3, 2), (-6, 4), (5, 7), (10, 14)):
+        nums, dens = _rising_pairs(p, q, 6)
+        assert [Fraction(a, b) for a, b in zip(nums, dens)] == [
+            pochhammer(Fraction(p, q), l) for l in range(7)
+        ]
 
 
 @pytest.mark.parametrize("q", range(12))

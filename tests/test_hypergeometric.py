@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from reference import pochhammer
+from schmidt import cli
 from schmidt.combinatorics import binomial
 from schmidt.core import t3_closed, t_sum
 from schmidt.hypergeometric import (
@@ -125,14 +126,54 @@ def reference_nest(spec: WellPoisedSpec) -> Fraction:
     return node(1, 0)
 
 
-def reference_andrews_rhs(spec: WellPoisedSpec) -> Fraction:
+def reference_series(spec: WellPoisedSpec) -> HypSeries:
     a, m = spec.a, spec.m
-    b_last, c_last = spec.pairs[-1]
-    den = rising(1 + a - b_last, m) * rising(1 + a - c_last, m)
+    flat = [x for pair in spec.pairs for x in pair]
+    return HypSeries(
+        (a, 1 + a / 2, *flat, Fraction(-m)),
+        (a / 2, *(1 + a - x for x in flat), 1 + a + m),
+        m,
+    )
+
+
+def reference_prefactor(a, b, c, m: int) -> Fraction:
+    den = rising(1 + a - b, m) * rising(1 + a - c, m)
     if den == 0:
         raise PoleError("denominator Pochhammer of the prefactor vanishes")
-    prefactor = rising(1 + a, m) * rising(1 + a - b_last - c_last, m) / den
-    return prefactor * reference_nest(spec)
+    return rising(1 + a, m) * rising(1 + a - b - c, m) / den
+
+
+def reference_whipple_rhs(a, b, c, d, e, m: int) -> Fraction:
+    prefactor = reference_prefactor(a, d, e, m)
+    series = HypSeries((1 + a - b - c, d, e, -m), (1 + a - b, 1 + a - c, d + e - a - m), m)
+    return prefactor * reference_eval_terminating(series)
+
+
+def reference_andrews_rhs(spec: WellPoisedSpec) -> Fraction:
+    b_last, c_last = spec.pairs[-1]
+    return reference_prefactor(spec.a, b_last, c_last, spec.m) * reference_nest(spec)
+
+
+# The checks as compositions of the references, each evaluating its left
+# side first, so that the first pole met decides the message.
+
+
+def reference_check_dougall(a, c, d, m: int) -> bool:
+    series = reference_series(WellPoisedSpec(a, ((c, d),), m))
+    return reference_eval_terminating(series) == reference_prefactor(a, c, d, m)
+
+
+def reference_check_whipple(a, b, c, d, e, m: int) -> bool:
+    series = reference_series(WellPoisedSpec(a, ((b, c), (d, e)), m))
+    return reference_eval_terminating(series) == reference_whipple_rhs(a, b, c, d, e, m)
+
+
+def reference_reduces(spec: WellPoisedSpec) -> bool:
+    value = reference_andrews_rhs(spec)
+    flat = [x for pair in spec.pairs for x in pair]
+    if spec.s == 1:
+        return value == reference_prefactor(spec.a, *flat, spec.m)
+    return value == reference_whipple_rhs(spec.a, *flat, spec.m)
 
 
 def reference_spec_pole_free(spec: WellPoisedSpec) -> bool:
@@ -409,9 +450,16 @@ def test_integer_pair_code_matches_fraction_reference_with_poles(s):
     # 700 specs per s, drawn without the pole-free filter: a pole-bearing
     # spec must raise the same PoleError message as the reference, never
     # give a value or a ZeroDivisionError. The same spec with its integral
-    # parameters passed as ints must give the same value or message.
+    # parameters passed as ints must give the same value or message. At
+    # s = 1 and 2 the checks that compare integer pairs, Dougall's or
+    # Whipple's and the CLI's reduction, must give the reference's bool or
+    # message too.
     rng = random.Random(f"reference/{s}")
     closed = {1: dougall_rhs, 2: whipple_rhs}.get(s)
+    check, reference_check = {
+        1: (check_dougall, reference_check_dougall),
+        2: (check_whipple, reference_check_whipple),
+    }.get(s, (None, None))
     seen = set()
     specs = int_given = 0
     while specs < 700:
@@ -424,14 +472,21 @@ def test_integer_pair_code_matches_fraction_reference_with_poles(s):
         spec = WellPoisedSpec(a, pairs, m)
         assert spec_pole_free(spec) == reference_spec_pole_free(spec), spec
         series = spec.expand()
-        for name, new, reference, arg in (
-            ("series", eval_terminating, reference_eval_terminating, series),
-            ("andrews", andrews_rhs, reference_andrews_rhs, spec),
-        ):
-            outcome = _outcome(new, arg)
-            assert outcome == _outcome(reference, arg), spec
-            seen.add((name, outcome[0]))
+        assert series == reference_series(spec), spec
         flat = (a, *(x for pair in pairs for x in pair))
+        compared = [
+            ("series", eval_terminating, reference_eval_terminating, (series,)),
+            ("andrews", andrews_rhs, reference_andrews_rhs, (spec,)),
+        ]
+        if check:
+            compared += [
+                ("check", check, reference_check, (*flat, m)),
+                ("reduces", cli._reduces, reference_reduces, (spec,)),
+            ]
+        for name, new, reference, args in compared:
+            outcome = _outcome(new, *args)
+            assert outcome == _outcome(reference, *args), (name, spec)
+            seen.add((name, outcome[0]))
         given = tuple(map(_as_given, flat))
         int_given += any(type(x) is int for x in given)
         given_spec = WellPoisedSpec(given[0], tuple(zip(given[1::2], given[2::2])), m)
@@ -442,7 +497,8 @@ def test_integer_pair_code_matches_fraction_reference_with_poles(s):
         ):
             assert _outcome(fn, *as_given) == _outcome(fn, *as_fractions), (fn, spec)
     assert int_given
-    assert seen == {(name, kind) for name in ("series", "andrews") for kind in ("value", "pole")}
+    names = [name for name, *_ in compared]
+    assert seen == {(name, kind) for name in names for kind in ("value", "pole")}
 
 
 def test_andrews_m0():
@@ -455,6 +511,56 @@ def test_sampler_is_deterministic():
     first = sample_well_poised(random.Random(7), 3, 5)
     second = sample_well_poised(random.Random(7), 3, 5)
     assert first == second
+
+
+class _Draws:
+    """A generator stand-in whose randint returns the queued draws in order."""
+
+    def __init__(self, *draws: int) -> None:
+        self.draws = list(draws)
+
+    def randint(self, low: int, high: int) -> int:
+        value = self.draws.pop(0)
+        assert low <= value <= high
+        return value
+
+
+def test_sampler_draw_order_is_pinned():
+    # These values fix the generator call order that every seeded identities
+    # report depends on: numerator before denominator, a before the pairs,
+    # the pairs in order, m last.
+    for p in range(-6, 7):
+        for q in range(1, 7):
+            draws = _Draws(p, q)
+            assert sample_rational(draws) == Fraction(p, q)
+            assert draws.draws == []
+    rng = random.Random("0/andrews/3")
+    assert [sample_well_poised(rng, 3, 8) for _ in range(3)] == [
+        WellPoisedSpec(
+            Fraction(2),
+            ((Fraction(0), Fraction(-5, 4)), (Fraction(0), Fraction(-6)),
+             (Fraction(-1, 6), Fraction(-5, 4))),
+            5,
+        ),
+        WellPoisedSpec(
+            Fraction(1, 4),
+            ((Fraction(0), Fraction(2, 3)), (Fraction(-5, 2), Fraction(-3)),
+             (Fraction(1, 5), Fraction(1))),
+            2,
+        ),
+        WellPoisedSpec(
+            Fraction(-5, 2),
+            ((Fraction(0), Fraction(3)), (Fraction(-4, 5), Fraction(1)),
+             (Fraction(-1), Fraction(-1, 3))),
+            4,
+        ),
+    ]
+    rng = random.Random("0/dougall")
+    assert [sample_dougall(rng, 8) for _ in range(3)] == [
+        (Fraction(-2, 3), Fraction(2, 5), Fraction(3, 4), 4),
+        (Fraction(2), Fraction(-2), Fraction(-5, 4), 5),
+        (Fraction(-1, 4), Fraction(-3, 2), Fraction(3), 8),
+    ]
 
 
 def test_pochhammer_vanishes_predicate():
