@@ -7,8 +7,11 @@ C(2n, n) is `math.comb` behind `binomial` and `central_binomial`, and a
 whole row, column or run of central binomials is walked by recurrence
 (`_binomial_row`, `_binomial_column`, `_central_row`). Factorials come from
 a memoized table behind `factorial`, which grows only to the largest n
-asked for; the l! of `hypergeometric._nest_pair` is its only reader in the
-package. The Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`)
+asked for. Nothing in the package reads the table or `_rising_pairs` any
+more (`hypergeometric._nest_pair` forms its Pochhammer quotients and l! as
+running products); the table stays because the benchmark's tracer
+(`perfbench/tracing.py`) patches `CombinatoricsTable.factorial`. The
+Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`)
 deliberately still reads the scalar `binomial`: walking it too speeds
 `compute` up enough that the benchmark gets more repetitions, and its
 peak-RSS figure, which includes the harness's own high-water mark, then

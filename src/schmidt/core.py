@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .combinatorics import (
     _binomial_column,
@@ -212,9 +213,12 @@ def c_closed(r: int, n_max: int) -> list[int]:
 
 
 def t_general(n: int, j: int, r: int) -> int:
-    """t(n, j, r) by the nested multi-sum route, read from t_closed_rows(r, n)."""
+    """t(n, j, r) by the nested multi-sum route, read from t_closed_rows(r, n).
+
+    The rows before n are computed and dropped one at a time; only row n is held.
+    """
     _require_order(n, j)
-    return list(t_closed_rows(r, n))[n][j]
+    return next(islice(t_closed_rows(r, n), n, None))[j]
 
 
 def c_general(n: int, r: int) -> int:

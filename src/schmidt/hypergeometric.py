@@ -18,7 +18,17 @@ Arithmetic: every rational is carried as an unreduced integer pair
 (P, Q), parameters with Q > 0, from the sampled parameters to the final
 comparison, which cross-multiplies the two sides. No gcd is taken on the
 way; a Fraction is built only for a public return value (`eval_terminating`
-and the `*_rhs` functions wrap a pair evaluator) or a witness.
+and the `*_rhs` functions wrap a pair evaluator) or a witness. The
+expanded series' pairs are written once (`_well_poised_top` and
+`_well_poised_bottom`), for a spec on its first use and for Dougall's and
+Whipple's checks without a spec. Andrews's nest tabulates its Pochhammer
+quotients as running products, one loop per level.
+
+Sampling: `sample_well_poised` draws from `rng.getrandbits` by the stdlib's
+own rejection loop, so it consumes exactly the stream that `randint` calls
+in the same order would, and it builds each candidate as integer pairs from
+a table of the 78 possible rationals. A `WellPoisedSpec` is built only for
+an accepted draw, and it keeps the pairs the sampler computed.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .combinatorics import _rising_pairs, binomial, exact_divide, factorial
+from .combinatorics import binomial, exact_divide
 from .core import _require_exponent, _require_order
 
 Rational = Fraction | int
@@ -47,6 +57,27 @@ def _pair(x: Rational) -> Pair:
 def _equal(x: Pair, y: Pair) -> bool:
     # two unreduced pairs with nonzero denominators, compared by cross-multiplication
     return x[0] * y[1] == y[0] * x[1]
+
+
+def _require_well_poised(a_numerator: int, m: int) -> None:
+    if m < 0:
+        raise ValueError(f"termination index must be >= 0, got {m}")
+    if a_numerator == 0:
+        raise ValueError("a = 0 would put a zero parameter in the denominator")
+
+
+def _well_poised_top(a: Pair, flat: Sequence[Pair], m: int) -> tuple[Pair, ...]:
+    # a, 1+a/2, b_1, c_1, ..., b_s, c_s, -m: the expanded series' numerators
+    an, ad = a
+    return ((an, ad), (an + 2 * ad, 2 * ad), *flat, (-m, 1))
+
+
+def _well_poised_bottom(top: Sequence[Pair]) -> tuple[Pair, ...]:
+    # a/2, then 1+a-x for every numerator x after 1+a/2: 1+a-b_1, 1+a-c_1,
+    # ..., 1+a-b_s, 1+a-c_s, 1+a+m
+    an, ad = top[0]
+    shift = an + ad
+    return ((an, 2 * ad), *[(shift * q - p * ad, ad * q) for p, q in top[2:]])
 
 
 @dataclass(frozen=True)
@@ -83,10 +114,7 @@ class WellPoisedSpec:
             object.__setattr__(self, "a", Fraction(self.a))
         if not self.pairs:
             raise ValueError("need at least one (b, c) pair")
-        if self.m < 0:
-            raise ValueError(f"termination index must be >= 0, got {self.m}")
-        if self.a == 0:
-            raise ValueError("a = 0 would put a zero parameter in the denominator")
+        _require_well_poised(self.a.numerator, self.m)
 
     @property
     def s(self) -> int:
@@ -94,22 +122,17 @@ class WellPoisedSpec:
 
     # The expanded series' parameters as unreduced integer pairs (P, Q) with
     # Q > 0, computed once per spec: the pole check, the series, the
-    # prefactor and the nest all read them.
+    # prefactor and the nest all read them. A sampled spec is handed the
+    # pairs its sampler already computed.
 
     @cached_property
     def _numerator_pairs(self) -> tuple[Pair, ...]:
-        # a, 1+a/2, b_1, c_1, ..., b_s, c_s, -m in the order of the expanded series
-        an, ad = _pair(self.a)
         flat = [_pair(x) for pair in self.pairs for x in pair]
-        return ((an, ad), (an + 2 * ad, 2 * ad), *flat, (-self.m, 1))
+        return _well_poised_top(_pair(self.a), flat, self.m)
 
     @cached_property
     def _denominator_pairs(self) -> tuple[Pair, ...]:
-        # a/2, then 1+a-x for every numerator x after 1+a/2: 1+a-b_1, 1+a-c_1,
-        # ..., 1+a-b_s, 1+a-c_s, 1+a+m
-        (an, ad), _, *rest = self._numerator_pairs
-        top = an + ad
-        return ((an, 2 * ad), *((top * q - p * ad, ad * q) for p, q in rest))
+        return _well_poised_bottom(self._numerator_pairs)
 
     def expand(self) -> HypSeries:
         """The full series: every numerator/denominator pair sums to 1 + a."""
@@ -210,10 +233,18 @@ def dougall_rhs(a: Rational, c: Rational, d: Rational, m: int) -> Fraction:
     return Fraction(*_prefactor_pair(_pair(a), _pair(c), _pair(d), m))
 
 
+def _well_poised_pair(a: Pair, flat: Sequence[Pair], m: int) -> Pair:
+    # _expanded_pair of the spec with base a and parameters flat, validated
+    # as WellPoisedSpec validates it but never built
+    _require_well_poised(a[0], m)
+    top = _well_poised_top(a, flat, m)
+    return _series_pair(top, _well_poised_bottom(top), m)
+
+
 def check_dougall(a: Rational, c: Rational, d: Rational, m: int) -> bool:
     """Does the very-well-poised 5F4 sum to Dougall's closed form?"""
-    series = _expanded_pair(WellPoisedSpec(a, ((c, d),), m))
-    return _equal(series, _prefactor_pair(_pair(a), _pair(c), _pair(d), m))
+    a, c, d = _pair(a), _pair(c), _pair(d)
+    return _equal(_well_poised_pair(a, (c, d), m), _prefactor_pair(a, c, d, m))
 
 
 def _whipple_pair(a: Pair, b: Pair, c: Pair, d: Pair, e: Pair, m: int) -> Pair:
@@ -237,8 +268,8 @@ def check_whipple(
     a: Rational, b: Rational, c: Rational, d: Rational, e: Rational, m: int
 ) -> bool:
     """Does the very-well-poised 7F6 equal Whipple's prefactor times 4F3?"""
-    series = _expanded_pair(WellPoisedSpec(a, ((b, c), (d, e)), m))
-    return _equal(series, _whipple_pair(*map(_pair, (a, b, c, d, e)), m))
+    a, *flat = map(_pair, (a, b, c, d, e))
+    return _equal(_well_poised_pair(a, flat, m), _whipple_pair(a, *flat, m))
 
 
 def _nest_pair(spec: WellPoisedSpec) -> Pair:
@@ -248,50 +279,62 @@ def _nest_pair(spec: WellPoisedSpec) -> Pair:
     # to the cumulative index; past the last level the trailing ratio
     # (-m)_partial / (b_s+c_s-a-m)_partial closes the chain. Beyond
     # partial = m the trailing (-m) Pochhammer kills every continuation,
-    # which bounds each loop. Every Pochhammer is tabulated once over 0..m
-    # as integer pairs, and every value is an integer pair.
+    # which bounds each loop, and up to it (-m)_partial is nonzero. Every
+    # quotient is tabulated over 0..m as running products of integer pairs.
     # A level's value depends only on partial, so the levels are summed
     # bottom-up, each into one list over partial = 0..m (partial 0 alone at
     # level 1). A vanishing denominator is stored as its PoleError message
     # and raised only if the root reads it: a pole fails exactly the sums
-    # that reach it, never one that a vanishing numerator skips.
+    # that reach it, never one that a vanishing numerator skips. At s = 1
+    # there is no level and the trailing ratio is read at partial 0: 1.
+    if spec.s == 1:
+        return 1, 1
     m = spec.m
     a, _, *flat, _ = spec._numerator_pairs
     pairs = list(zip(flat[::2], flat[1::2]))
-    trailing_num, _ = _rising_pairs(-m, 1, m)
-    trailing_den, trailing_scale = _rising_pairs(*_closing_pair(a, *pairs[-1], m), m)
-    below: list[Pair | str] = [
-        (num * scale, den) if den
-        else ("trailing denominator Pochhammer vanished in the nest" if num else (0, 1))
-        for num, den, scale in zip(trailing_num, trailing_den, trailing_scale)
-    ]
-    for level in range(len(pairs) - 1, 0, -1):
-        (b_i, c_i), (b_next, c_next) = pairs[level - 1], pairs[level]
-        _, minus_b, minus_c, minus_bc = _shifts(a, b_i, c_i)
-        local_num, local_den = _rising_pairs(*minus_bc, m)
-        local_den = [x * factorial(l) for l, x in enumerate(local_den)]
-        (bn, bd), (cn, cd), (en, ed), (fn, fd) = (
-            _rising_pairs(*x, m) for x in (b_next, c_next, minus_b, minus_c)
+    p, q = _closing_pair(a, *pairs[-1], m)
+    below: list[Pair | str] = [(1, 1)]
+    num = den = scale = 1
+    for i in range(m):
+        num *= i - m
+        den *= p + i * q
+        scale *= q
+        below.append(
+            (num * scale, den) if den else "trailing denominator Pochhammer vanished in the nest"
         )
-        # ratio[cum] = (b_next)_cum (c_next)_cum / ((1+a-b_i)_cum (1+a-c_i)_cum)
-        ratio_num = [w * x * y * z for w, x, y, z in zip(bn, cn, ed, fd)]
-        ratio_den = [w * x * y * z for w, x, y, z in zip(bd, cd, en, fn)]
+    for level in range(len(pairs) - 1, 0, -1):
+        (b_i, c_i), ((bn, bd), (cn, cd)) = pairs[level - 1], pairs[level]
+        _, (en, ed), (fn, fd), (gn, gd) = _shifts(a, b_i, c_i)
+        # local[l] = (1+a-b_i-c_i)_l / l! and step[cum] = (b_next)_cum
+        # (c_next)_cum / ((1+a-b_i)_cum (1+a-c_i)_cum) times below[cum], each
+        # kept only while its numerator is nonzero: a running product that
+        # vanishes stays zero, and a zero term is skipped, never read
+        local: list[Pair] = [(1, 1)]
+        step = [below[0]]
+        local_num = local_den = ratio_num = ratio_den = 1
+        for i in range(m):
+            local_num *= gn + i * gd
+            local_den *= (i + 1) * gd
+            if local_num:
+                local.append((local_num, local_den))
+            ratio_num *= (bn + i * bd) * (cn + i * cd) * ed * fd
+            ratio_den *= bd * cd * (en + i * ed) * (fn + i * fd)
+            if ratio_num:
+                entry = below[i + 1]
+                if not ratio_den:
+                    entry = f"denominator Pochhammer vanished in the nest at level {level}"
+                elif not isinstance(entry, str):
+                    entry = (ratio_num * entry[0], ratio_den * entry[1])
+                step.append(entry)
         values: list[Pair | str] = []
         for partial in range(m + 1 if level > 1 else 1):
             total_num, total_den = 0, 1
-            for l in range(m - partial + 1):
-                cum = partial + l
-                if local_num[l] == 0 or ratio_num[cum] == 0:
-                    continue
-                entry = below[cum] if ratio_den[cum] else (
-                    f"denominator Pochhammer vanished in the nest at level {level}"
-                )
+            for (num, den), entry in zip(local, step[partial:]):
                 if isinstance(entry, str):
                     values.append(entry)
                     break
-                below_num, below_den = entry
-                num = local_num[l] * ratio_num[cum] * below_num
-                den = local_den[l] * ratio_den[cum] * below_den
+                num *= entry[0]
+                den *= entry[1]
                 total_num, total_den = total_num * den + num * total_den, total_den * den
             else:
                 values.append((total_num, total_den))
@@ -354,6 +397,8 @@ def _vanishes(p: int, q: int, m: int) -> bool:
 def spec_pole_free(spec: WellPoisedSpec) -> bool:
     """No denominator Pochhammer of the series, the prefactor, or the nested
     sums can vanish at or before the termination index."""
+    # reads only m, _numerator_pairs and _denominator_pairs, which is all a
+    # sampler's _Candidate carries
     m = spec.m
     # the series' own denominators, then the nest's trailing b_s+c_s-a-m
     a, *_, b, c, _ = spec._numerator_pairs
@@ -361,8 +406,10 @@ def spec_pole_free(spec: WellPoisedSpec) -> bool:
     return not any(_vanishes(p, q, m) for p, q in candidates)
 
 
-# Every value sample_rational can return, at 6 (P + 6) + (Q - 1) for P/Q
+# Every value sample_rational can return, at 6 (P + 6) + (Q - 1) for P/Q,
+# and the same values as reduced integer pairs
 _SAMPLES = tuple(Fraction(p, q) for p in range(-6, 7) for q in range(1, 7))
+_SAMPLE_PAIRS = tuple(map(_pair, _SAMPLES))
 
 
 def sample_rational(rng: random.Random) -> Fraction:
@@ -371,24 +418,57 @@ def sample_rational(rng: random.Random) -> Fraction:
     return _SAMPLES[6 * (p + 6) + rng.randint(1, 6) - 1]
 
 
+def _below(getrandbits, n: int) -> int:
+    # rng.randint(0, n - 1) from rng.getrandbits by the stdlib's own rejection
+    # loop, so that it consumes the same stream: a k-bit draw, repeated while
+    # it is >= n. At n = 1 it still spends one getrandbits(1).
+    k = n.bit_length()
+    x = getrandbits(k)
+    while x >= n:
+        x = getrandbits(k)
+    return x
+
+
+def _sample_index(getrandbits) -> int:
+    # sample_rational's two draws, as the index of its value in _SAMPLES
+    return 6 * _below(getrandbits, 13) + _below(getrandbits, 6)
+
+
+class _Candidate:
+    """The part of a drawn spec that spec_pole_free reads, before it is accepted."""
+
+    __slots__ = ("m", "_numerator_pairs", "_denominator_pairs")
+
+    def __init__(self, m: int, top: tuple[Pair, ...], bottom: tuple[Pair, ...]) -> None:
+        self.m, self._numerator_pairs, self._denominator_pairs = m, top, bottom
+
+
 def sample_well_poised(rng: random.Random, s: int, m_max: int) -> WellPoisedSpec:
     """Rejection-sample a pole-free spec with s pairs and m <= m_max.
 
     Deterministic for a given generator state: candidates with a = 0 or a
     vanishing denominator Pochhammer are discarded and the draw repeats.
+    The draws are those of sample_rational for a, then for b_1, c_1, ...,
+    b_s, c_s, then randint(0, m_max) for m, taken from rng.getrandbits.
     """
     if s < 1:
         raise ValueError(f"need at least one pair, got s={s}")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
+    getrandbits = rng.getrandbits
     while True:
-        a = sample_rational(rng)
-        pairs = tuple((sample_rational(rng), sample_rational(rng)) for _ in range(s))
-        m = rng.randint(0, m_max)
-        if a == 0:
+        a = _sample_index(getrandbits)
+        drawn = [_sample_index(getrandbits) for _ in range(2 * s)]
+        m = _below(getrandbits, m_max + 1)
+        if not _SAMPLE_PAIRS[a][0]:
             continue
-        spec = WellPoisedSpec(a, pairs, m)
-        if spec_pole_free(spec):
+        top = _well_poised_top(_SAMPLE_PAIRS[a], [_SAMPLE_PAIRS[i] for i in drawn], m)
+        bottom = _well_poised_bottom(top)
+        if spec_pole_free(_Candidate(m, top, bottom)):
+            values = [_SAMPLES[i] for i in drawn]
+            spec = WellPoisedSpec(_SAMPLES[a], tuple(zip(values[::2], values[1::2])), m)
+            # the cached properties read the instance dict first
+            vars(spec).update(_numerator_pairs=top, _denominator_pairs=bottom)
             return spec
 
 

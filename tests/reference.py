@@ -20,3 +20,34 @@ def pochhammer(x, m):
 def legendre_forward_central(c, n):
     """a_n = sum_k C(2k,k) C(n+k,n-k) c_k, the central-binomial form of the forward transform."""
     return sum(comb(2 * k, k) * comb(n + k, n - k) * c[k] for k in range(n + 1))
+
+
+def well_poised_pole_free(a, pairs, m):
+    """No denominator of the expanded very-well-poised series (a/2, 1+a-b_i, 1+a-c_i, 1+a+m),
+    nor the trailing b_s+c_s-a-m of Andrews's nest, is an integer in (-m, 0]."""
+    b_last, c_last = pairs[-1]
+    candidates = [a / 2, 1 + a + m, b_last + c_last - a - m]
+    for b, c in pairs:
+        candidates += [1 + a - b, 1 + a - c]
+    return not any(x.denominator == 1 and -m < x <= 0 for x in candidates)
+
+
+def sample_rational_by_randint(rng):
+    """Numerator uniform in [-6, 6], denominator uniform in [1, 6], in that order."""
+    p = rng.randint(-6, 6)
+    return Fraction(p, rng.randint(1, 6))
+
+
+def sample_well_poised_by_randint(rng, s, m_max):
+    """A pole-free (a, pairs, m) by randint draws: a, then b_1, c_1, ..., b_s, c_s, then m.
+
+    A draw with a = 0 or a vanishing denominator is discarded and the draws repeat.
+    """
+    while True:
+        a = sample_rational_by_randint(rng)
+        pairs = tuple(
+            (sample_rational_by_randint(rng), sample_rational_by_randint(rng)) for _ in range(s)
+        )
+        m = rng.randint(0, m_max)
+        if a != 0 and well_poised_pole_free(a, pairs, m):
+            return a, pairs, m

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import pochhammer
+from reference import pochhammer, sample_well_poised_by_randint, well_poised_pole_free
 from schmidt import cli
 from schmidt.combinatorics import binomial
 from schmidt.core import t3_closed, t_sum
@@ -28,6 +28,7 @@ from schmidt.hypergeometric import (
     spec_pole_free,
     t_as_hypergeometric,
     whipple_rhs,
+    _below,
     _vanishes,
 )
 
@@ -177,12 +178,7 @@ def reference_reduces(spec: WellPoisedSpec) -> bool:
 
 
 def reference_spec_pole_free(spec: WellPoisedSpec) -> bool:
-    a, m = spec.a, spec.m
-    b_last, c_last = spec.pairs[-1]
-    candidates = [a / 2, 1 + a + m, b_last + c_last - a - m]
-    for b, c in spec.pairs:
-        candidates += [1 + a - b, 1 + a - c]
-    return not any(x.denominator == 1 and -m < x <= 0 for x in candidates)
+    return well_poised_pole_free(spec.a, spec.pairs, spec.m)
 
 
 def test_eval_m0_is_one():
@@ -501,6 +497,28 @@ def test_integer_pair_code_matches_fraction_reference_with_poles(s):
     assert seen == {(name, kind) for name in names for kind in ("value", "pole")}
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_nest_matches_fraction_reference_past_m8(s):
+    # m up to 12, past the m = 8 of the identities benchmark, where the
+    # running products of Andrews's nest grow longest: the nest must give
+    # the reference's value or PoleError message on pole-bearing specs too
+    rng = random.Random(f"nest/{s}")
+    seen = set()
+    specs = 0
+    while specs < 300:
+        a = sample_rational(rng)
+        pairs = tuple((sample_rational(rng), sample_rational(rng)) for _ in range(s))
+        m = rng.randint(0, 12)
+        if a == 0:
+            continue
+        specs += 1
+        spec = WellPoisedSpec(a, pairs, m)
+        outcome = _outcome(andrews_rhs, spec)
+        assert outcome == _outcome(reference_andrews_rhs, spec), spec
+        seen.add((outcome[0], m > 8))
+    assert seen == {(kind, past) for kind in ("value", "pole") for past in (False, True)}
+
+
 def test_andrews_m0():
     spec = WellPoisedSpec(Fraction(5, 3), ((1, 2), (Fraction(1, 2), Fraction(7, 5))), 0)
     assert andrews_rhs(spec) == 1
@@ -561,6 +579,43 @@ def test_sampler_draw_order_is_pinned():
         (Fraction(2), Fraction(-2), Fraction(-5, 4), 5),
         (Fraction(-1, 4), Fraction(-3, 2), Fraction(3), 8),
     ]
+
+
+def test_sampler_stream_matches_randint_reference():
+    # sample_well_poised draws through getrandbits; it must return the specs
+    # of the randint sampler it replaced, draw for draw, hand each spec the
+    # pairs that spec would compute itself, and leave the generator in the
+    # same state
+    specs = 0
+    for seed in ("0", "1", "stream"):
+        for s in (1, 2, 3, 4):
+            for m_max in (0, 1, 8, 12):
+                rng = random.Random(f"{seed}/{s}/{m_max}")
+                reference = random.Random(f"{seed}/{s}/{m_max}")
+                for _ in range(110):
+                    spec = sample_well_poised(rng, s, m_max)
+                    expected = WellPoisedSpec(*sample_well_poised_by_randint(reference, s, m_max))
+                    assert spec == expected
+                    assert spec._numerator_pairs == expected._numerator_pairs
+                    assert spec._denominator_pairs == expected._denominator_pairs
+                    specs += 1
+                assert rng.getstate() == reference.getstate()
+    assert specs >= 5000
+
+
+def test_draw_helper_matches_randint():
+    for n in range(1, 17):
+        rng, reference = random.Random(f"below/{n}"), random.Random(f"below/{n}")
+        for _ in range(200):
+            assert _below(rng.getrandbits, n) == reference.randint(0, n - 1)
+        assert rng.getstate() == reference.getstate()
+    # a width-1 draw has one value but still spends one getrandbits(1), or
+    # more while they read 1; from a seed whose first bit is 0, exactly one
+    seed = next(x for x in range(100) if random.Random(x).getrandbits(1) == 0)
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert _below(rng.getrandbits, 1) == 0
+    reference.getrandbits(1)
+    assert rng.getstate() == reference.getstate() != random.Random(seed).getstate()
 
 
 def test_pochhammer_vanishes_predicate():
