@@ -227,7 +227,7 @@ def _verify_exponent(report: Report, r: int, n_max: int) -> None:
     # rows, so a fault in either still shows as a disagreement. A build that
     # failed is reported once, and the checks of its route are skipped.
     with _group(report, "route-agreement"):
-        rows = [core.t_row(n, r) for n in range(n_max + 1)]
+        rows = core.t_rows(r, n_max)
         oracle = _build(report, "defining solve", r, lambda: core.c_by_definition(r, n_max))
         closed = _build(report, "closed rows", r, lambda: list(core.t_closed_rows(r, n_max)))
         for n, expected in enumerate(oracle or ()):
@@ -285,8 +285,7 @@ def run_verify(args: argparse.Namespace) -> Report:
             )
         # informational only: the scaled ratios at r=1 are reported, never asserted
         integral = total = 0
-        for n in range(n_max + 1):
-            row = core.t_row(n, 1)
+        for n, row in enumerate(core.t_rows(1, n_max)):
             for j in range(n + 1):
                 total += 1
                 try:

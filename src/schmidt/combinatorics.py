@@ -1,23 +1,21 @@
-"""Exact integer and rational combinatorial primitives.
+"""Exact integer combinatorial primitives.
 
 Everything computes with unbounded Python ints, so no rounding ever
-occurs; a rational, as in `_rising_pairs`, is an unreduced integer pair
-(P, Q) with Q > 0. Binomials come from two places: a scalar C(n, k) or
-C(2n, n) is `math.comb` behind `binomial` and `central_binomial`, and a
-whole row, column or run of central binomials is walked by recurrence
+occurs. Binomials come from two places: a scalar C(n, k) or C(2n, n) is
+`math.comb` behind `binomial` and `central_binomial`, and a whole row,
+column or run of central binomials is walked by recurrence
 (`_binomial_row`, `_binomial_column`, `_central_row`). Factorials come from
 a memoized table behind `factorial`, which grows only to the largest n
-asked for. Nothing in the package reads the table or `_rising_pairs` any
-more (`hypergeometric._nest_pair` forms its Pochhammer quotients and l! as
-running products); the table stays because the benchmark's tracer
-(`perfbench/tracing.py`) patches `CombinatoricsTable.factorial`. The
-Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`)
-deliberately still reads the scalar `binomial`: walking it too speeds
-`compute` up enough that the benchmark gets more repetitions, and its
-peak-RSS figure, which includes the harness's own high-water mark, then
-reads higher. The zero convention C(n, k) = 0 for k outside [0, n] is what
-truncates all the implicitly bounded sums in the rest of the package; a
-negative upper index is a domain error, never a value.
+asked for. Nothing in the package reads the table any more; it stays
+because the benchmark's tracer (`perfbench/tracing.py`) patches
+`CombinatoricsTable.factorial`. The Legendre forward row C(n,k) C(n+k,k)
+(`legendre._forward_row`) deliberately still reads the scalar `binomial`:
+walking it too speeds `compute` up enough that the benchmark gets more
+repetitions, and its peak-RSS figure, which includes the harness's own
+high-water mark, then reads higher. The zero convention C(n, k) = 0 for k
+outside [0, n] is what truncates all the implicitly bounded sums in the
+rest of the package; a negative upper index is a domain error, never a
+value.
 """
 
 from __future__ import annotations
@@ -124,23 +122,6 @@ def _central_row(n: int) -> list[int]:
     for m in range(n):
         row.append(row[-1] * (4 * m + 2) // (m + 1))
     return row
-
-
-def _rising_pairs(p: int, q: int, m: int) -> tuple[list[int], list[int]]:
-    """(x)_0, (x)_1, ..., (x)_m for x = p/q as unreduced integer pairs (nums[l], dens[l]).
-
-    The pair (p, q) need not be in lowest terms, but q > 0. Then
-    nums[l] = p (p+q) ... (p+(l-1)q) and dens[l] = q^l > 0, so
-    (x)_l = nums[l] / dens[l] is never normalised and vanishes exactly when
-    nums[l] does.
-    """
-    if m < 0:
-        raise ValueError(f"rising-product length must be non-negative, got {m}")
-    nums, dens = [1], [1]
-    for i in range(m):
-        nums.append(nums[-1] * (p + i * q))
-        dens.append(dens[-1] * q)
-    return nums, dens
 
 
 def exact_divide(a: int, b: int) -> int:

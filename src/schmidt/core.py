@@ -18,9 +18,10 @@ c(n, r) is an integer, and so is every C(2j,j) t(n, j, r) / C(2n,n).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
+from operator import mul
 
 from .combinatorics import (
     _binomial_column,
@@ -59,22 +60,47 @@ def c_by_definition(r: int, n_max: int) -> list[int]:
     return triangular_solve([lhs_sum(n, r) for n in range(n_max + 1)])
 
 
+def _inner_row(n: int, powers: list[list[int]]) -> list[int]:
+    # t(n, j, r) for j = 0..n, given powers[j] = C(k+j, 2j)^r for k = j, j+1, ...
+    # at least up to n: the dot product of the inverse row's tail from k = j
+    # with that column, which map stops at k = n.
+    signed = _inverse_row(n)
+    return [sum(map(mul, signed[j:], powers[j])) for j in range(n + 1)]
+
+
+def _column_powers(top: int, r: int) -> list[list[int]]:
+    # C(k+j, k-j)^r = C(k+j, 2j)^r for k = j..top, walked down each column
+    # and raised once per entry, for j = 0..top
+    return [[c**r for c in _binomial_column(top + j, 2 * j)] for j in range(top + 1)]
+
+
 def t_row(n: int, r: int) -> list[int]:
     """t(n, 0, r), ..., t(n, n, r) by the defining alternating sum.
 
     The signed coefficients (-1)^(n-k) D(n,k) are the Legendre layer's
     inverse row, built from one C(2n, .) row, and C(k+j,k-j) = C(k+j, 2j)
     is walked down its column along k, so the row makes no scalar binomial
-    calls and costs O(n^2) big-integer products per (n, r). This is the
-    oracle for the closed forms.
+    calls and costs O(n^2) powers and big-integer products. A whole
+    sequence of rows is cheaper from t_rows, which raises each column entry
+    to r once. This is the oracle for the closed forms.
     """
     _require_order(n)
     _require_exponent(r)
-    signed = _inverse_row(n)
-    return [
-        sum(d * c**r for d, c in zip(signed[j:], _binomial_column(n + j, 2 * j)))
-        for j in range(n + 1)
-    ]
+    return _inner_row(n, _column_powers(n, r))
+
+
+def t_rows(r: int, n_max: int) -> list[list[int]]:
+    """t_row(n, r) for n = 0..n_max, all held.
+
+    Every row reads the same columns C(k+j, 2j)^r, k = j..n_max, so each is
+    walked and raised to r once for the whole sequence: O(n_max^2) powers
+    and O(n_max^3) big-integer products, where n_max + 1 calls of t_row
+    would raise O(n_max^3) powers.
+    """
+    _require_exponent(r)
+    _require_order(n_max)
+    powers = _column_powers(n_max, r)
+    return [_inner_row(n, powers) for n in range(n_max + 1)]
 
 
 def t_sum(n: int, j: int, r: int) -> int:
@@ -99,14 +125,14 @@ def integrality_ratio(n: int, j: int, r: int, row: list[int] | None = None) -> i
 def c_from_t(n: int, r: int, row: list[int] | None = None) -> int:
     """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly.
 
-    `row` is t(n, ., r) from t_row or t_closed_rows when the caller already holds it.
+    `row` is t(n, ., r) from t_row, t_rows or t_closed_rows when the caller
+    already holds it.
     """
     _require_exponent(r)
     if row is None:
         row = t_row(n, r)
     central = _central_row(n)
-    acc = sum(c**r * t for c, t in zip(central, row))
-    return exact_divide(acc, central[n])
+    return exact_divide(sum(map(mul, map(pow, central, repeat(r)), row)), central[n])
 
 
 def t3_closed(n: int, j: int) -> int:
@@ -144,8 +170,8 @@ def _nest_column(j: int, s: int, odd: bool, n_max: int) -> list[int]:
     # Even r would start from [1, 0, ...], but every level's weights[0] is 1
     # (C(2j,0)^2, or C(j,j) C(2j,0) at the outer level), so its first level
     # maps that start to its own kernel: the chain starts there and the level
-    # is dropped. A kernel C(m, .) vanishes past m, so a column costs
-    # O(s n_max min(n_max, 2j)).
+    # is dropped. A kernel C(m, .) ends at m, so a column costs
+    # O(s n_max min(n_max, 2j)) products.
     length = n_max - j + 1
     band = _binomial_row(2 * j)
     stretched = _binomial_column(n_max + j, 2 * j)  # C(k+j, k-j) for k = j..n_max
@@ -157,38 +183,45 @@ def _nest_column(j: int, s: int, odd: bool, n_max: int) -> list[int]:
     chain = (start + [0] * length)[:length]
     for kernel, weights in levels:
         weighted = [x * y for x, y in zip(weights, chain)]
-        chain = [
-            sum(kernel[d] * weighted[i - d] for d in range(min(len(kernel) - 1, i) + 1))
-            for i in range(length)
-        ]
+        # weighted[i::-1] runs i - d for d = 0, 1, ...; map stops at the kernel's end
+        chain = [sum(map(mul, kernel, weighted[i::-1])) for i in range(length)]
     return chain
+
+
+def _require_closed_exponent(r: int) -> None:
+    if r < 2:
+        raise ValueError(f"no closed route below r=2, got r={r}")
+
+
+def _closed_entries(n: int, odd: bool, nests: Iterable[tuple[int, int]]) -> list[int]:
+    # t(n, j, r) for each (j, nest(n, j)) given: the prefactor times the nest.
+    # Odd r: (2n)! / ((2j)! (n-j)!^2) = C(2n,2j) C(2n-2j,n-j), an integer, so
+    # there is no division at all. Even r: (2n)! j! / (n! (n-j)! (2j)!) =
+    # C(2n,n) C(n,j) / C(2j,j), divided out exactly after the product with
+    # the nest.
+    central = _central_row(n)
+    if odd:
+        wide = _binomial_row(2 * n)
+        return [wide[2 * j] * central[n - j] * nest for j, nest in nests]
+    narrow = _binomial_row(n)
+    return [exact_divide(central[n] * narrow[j] * nest, central[j]) for j, nest in nests]
 
 
 def t_closed_rows(r: int, n_max: int) -> Iterator[list[int]]:
     """t(n, 0..n, r) for n = 0..n_max by the nested multi-sum route, for every r >= 2.
 
-    For r = 2s or r = 2s + 1 each entry is a prefactor, written only here,
-    times the (s-1)-fold nest. Odd r: (2n)! / ((2j)! (n-j)!^2) =
-    C(2n,2j) C(2n-2j,n-j), an integer, so there is no division at all. Even
-    r: (2n)! j! / (n! (n-j)! (2j)!) = C(2n,n) C(n,j) / C(2j,j), divided out
-    exactly after the product with the nest. The nest columns, O(s n_max^3)
-    work, are built up front and held; the rows are yielded one at a time.
+    For r = 2s or r = 2s + 1 each entry is a prefactor, an integer for odd r
+    and divided out exactly for even r, times the (s-1)-fold nest. The nest
+    columns, O(s n_max^3) work, are built up front and held; the rows are
+    yielded one at a time.
     """
     _require_order(n_max)
-    if r < 2:
-        raise ValueError(f"no closed route below r=2, got r={r}")
+    _require_closed_exponent(r)
     s, odd = divmod(r, 2)
     columns = [_nest_column(j, s, odd, n_max) for j in range(n_max + 1)]
 
     def row(n: int) -> list[int]:
-        central = _central_row(n)
-        if odd:
-            wide = _binomial_row(2 * n)
-            return [wide[2 * j] * central[n - j] * columns[j][n - j] for j in range(n + 1)]
-        return [
-            exact_divide(central[n] * c * columns[j][n - j], central[j])
-            for j, c in enumerate(_binomial_row(n))
-        ]
+        return _closed_entries(n, odd, ((j, columns[j][n - j]) for j in range(n + 1)))
 
     return map(row, range(n_max + 1))
 
@@ -213,12 +246,15 @@ def c_closed(r: int, n_max: int) -> list[int]:
 
 
 def t_general(n: int, j: int, r: int) -> int:
-    """t(n, j, r) by the nested multi-sum route, read from t_closed_rows(r, n).
+    """t(n, j, r) by the nested multi-sum route, from the one nest column at j.
 
-    The rows before n are computed and dropped one at a time; only row n is held.
+    The column runs over orders j..n, O(s n min(n, 2j)) products, and only
+    its last entry is read; the prefactor is the one t_closed_rows applies.
     """
     _require_order(n, j)
-    return next(islice(t_closed_rows(r, n), n, None))[j]
+    _require_closed_exponent(r)
+    s, odd = divmod(r, 2)
+    return _closed_entries(n, odd, [(j, _nest_column(j, s, odd, n)[n - j])])[0]
 
 
 def c_general(n: int, r: int) -> int:
@@ -239,10 +275,8 @@ class TnjValue:
 
 def t_table(r: int, n_max: int) -> list[TnjValue]:
     """Every inner number and scaled ratio for 0 <= j <= n <= n_max, row by row."""
-    _require_exponent(r)
     out: list[TnjValue] = []
-    for n in range(n_max + 1):
-        row = t_row(n, r)
+    for n, row in enumerate(t_rows(r, n_max)):
         out.extend(
             TnjValue(n, j, r, value, integrality_ratio(n, j, r, row))
             for j, value in enumerate(row)

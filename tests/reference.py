@@ -22,6 +22,34 @@ def legendre_forward_central(c, n):
     return sum(comb(2 * k, k) * comb(n + k, n - k) * c[k] for k in range(n + 1))
 
 
+def nest(n, j, r):
+    """The (s-1)-fold nest of the closed t(n, j, r), r = 2s or 2s + 1, term by term.
+
+    Over chained indices n = k_0 >= k_1 >= ... >= k_{s-1} >= j, level L
+    contributes C(2j, k_{L-1}-k_L) C(k_L+j, k_L-j)^2, except that the outer
+    level of an even r contributes C(j, n-k_1) C(k_1, j) C(k_1+j, k_1-j), and
+    C(2j, k_{s-1}-j) closes the chain. At s = 1 the nest is the closing
+    factor alone, C(2j, n-j) for odd r and C(j, n-j) for even r.
+    """
+    s, odd = divmod(r, 2)
+    if s == 1:
+        return comb(2 * j, n - j) if odd else comb(j, n - j)
+
+    def below(level, k):
+        if level == s:
+            return comb(2 * j, k - j)
+        total = 0
+        for inner in range(j, k + 1):
+            if level == 1 and not odd:
+                factor = comb(j, k - inner) * comb(inner, j) * comb(inner + j, inner - j)
+            else:
+                factor = comb(2 * j, k - inner) * comb(inner + j, inner - j) ** 2
+            total += factor * below(level + 1, inner)
+        return total
+
+    return below(1, n)
+
+
 def well_poised_pole_free(a, pairs, m):
     """No denominator of the expanded very-well-poised series (a/2, 1+a-b_i, 1+a-c_i, 1+a+m),
     nor the trailing b_s+c_s-a-m of Andrews's nest, is an integer in (-m, 0]."""

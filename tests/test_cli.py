@@ -385,7 +385,7 @@ def test_compute_builds_a_n_once(routes, calls, monkeypatch, capsys):
 
 
 def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys):
-    # legendre_inverse and core.t_row read the same signed D row; the closed
+    # legendre_inverse and core.t_rows read the same signed D row; the closed
     # forms and the defining solve never do, so one wrong entry must fail the
     # inverse route of compute and the inner-sum and closed-form checks of verify
     true_row = legendre._inverse_row
@@ -426,7 +426,7 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
 
 def test_nest_fault_is_caught_by_both_closed_checks(monkeypatch, capsys):
     # route-agreement and t-closed-agreement read the same closed rows; the
-    # oracles (the defining solve and t_row) never build a nest column, so one
+    # oracles (the defining solve and t_rows) never build a nest column, so one
     # wrong nest value, nest(5, 2) at r = 4, must fail both closed checks at
     # exactly its (r, n, j) and nothing else
     true_column = cli.core._nest_column
@@ -591,7 +591,9 @@ def test_t_table_failure_still_emits_document(monkeypatch, capsys):
 
 
 def test_verify_reports_failures_and_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli.core, "t_row", lambda n, r: [1] * (n + 1))
+    monkeypatch.setattr(
+        cli.core, "t_rows", lambda r, n_max: [[1] * (n + 1) for n in range(n_max + 1)]
+    )
     code = cli.main(["verify", "--r-max", "2", "--n-max", "4"])
     captured = capsys.readouterr()
     assert code == 1
@@ -601,15 +603,15 @@ def test_verify_reports_failures_and_exits_one(monkeypatch, capsys):
 def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
     # every group shares one t-row per (n, r); the closed forms never read it,
     # so a single wrong entry must still surface as a disagreement
-    true_row = cli.core.t_row
+    true_rows = cli.core.t_rows
 
-    def faulty_row(n, r):
-        row = true_row(n, r)
-        if (n, r) == (5, 4):
-            row[2] += 1
-        return row
+    def faulty_rows(r, n_max):
+        rows = true_rows(r, n_max)
+        if r == 4:
+            rows[5][2] += 1
+        return rows
 
-    monkeypatch.setattr(cli.core, "t_row", faulty_row)
+    monkeypatch.setattr(cli.core, "t_rows", faulty_rows)
     code = cli.main(["verify", "--r-max", "5", "--n-max", "6"])
     captured = capsys.readouterr()
     assert code == 1
@@ -646,17 +648,17 @@ def test_verify_drops_each_exponents_rows_before_the_next(monkeypatch, capsys):
     class Row(list):
         pass
 
-    true_row = cli.core.t_row
+    true_rows = cli.core.t_rows
     built: list[tuple[int, weakref.ref]] = []
     stale = []
 
-    def tracked_row(n, r):
+    def tracked_rows(r, n_max):
         stale.extend((r, other) for other, ref in built if other != r and ref() is not None)
-        row = Row(true_row(n, r))
-        built.append((r, weakref.ref(row)))
-        return row
+        rows = [Row(row) for row in true_rows(r, n_max)]
+        built.extend((r, weakref.ref(row)) for row in rows)
+        return rows
 
-    monkeypatch.setattr(cli.core, "t_row", tracked_row)
+    monkeypatch.setattr(cli.core, "t_rows", tracked_rows)
     assert cli.main(["verify", "--r-max", "4", "--n-max", "5"]) == 0
     capsys.readouterr()
     assert {r for r, _ in built} == {1, 2, 3, 4}
@@ -723,7 +725,7 @@ def test_compute_and_t_table_leave_the_factorial_table_alone(argv, monkeypatch, 
     "argv, layer",
     [
         (["compute", "--r", "2", "--n-max", "5"], "core.lhs_sum"),
-        (["verify", "--r-max", "3", "--n-max", "4"], "core.t_row"),
+        (["verify", "--r-max", "3", "--n-max", "4"], "core.t_rows"),
     ],
     ids=["compute", "verify"],
 )

@@ -2,7 +2,6 @@
 
 import math
 import threading
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -19,8 +18,8 @@ from schmidt.combinatorics import (
     _binomial_column,
     _binomial_row,
     _central_row,
-    _rising_pairs,
 )
+from schmidt.hypergeometric import _vanishes
 
 
 def test_factorial_small_values():
@@ -155,71 +154,18 @@ def test_binomial_column_matches_math_comb(top_k):
     assert _binomial_column(top, k) == [math.comb(m, k) for m in range(k, top + 1)]
 
 
-def rising(x, m):
-    """(x)_m read from the last entry of _rising_pairs(P, Q, m) for x = P/Q in lowest terms."""
-    x = Fraction(x)
-    nums, dens = _rising_pairs(x.numerator, x.denominator, m)
-    return Fraction(nums[m], dens[m])
-
-
-def test_pochhammer_empty_product():
-    assert _rising_pairs(7, 3, 0) == ([1], [1])
-    assert _rising_pairs(-5, 1, 0) == ([1], [1])
-
-
-def test_pochhammer_examples():
-    assert rising(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert rising(-3, 5) == 0
-    assert rising(-3, 3) == -6
-    assert rising(1, 6) == factorial(6)
-
-
-def test_pochhammer_rejects_negative_length():
-    with pytest.raises(ValueError):
-        _rising_pairs(1, 2, -1)
-
-
-@given(
-    st.integers(min_value=-200, max_value=200),
-    st.integers(min_value=1, max_value=20),
-    st.integers(min_value=0, max_value=30),
-)
-def test_pochhammer_recurrence(p, q, m):
-    # (p, q) is taken as given, in lowest terms or not
-    x = Fraction(p, q)
-    nums, dens = _rising_pairs(p, q, m + 1)
-    for l in range(m + 1):
-        assert Fraction(nums[l + 1], dens[l + 1]) == Fraction(nums[l], dens[l]) * (x + l)
-
-
-def test_rising_pairs_are_unreduced():
-    # (p/q)_l = nums[l] / dens[l] with dens[l] = q^l for the pair as given,
-    # so a vanishing product shows in nums alone
-    nums, dens = _rising_pairs(-3, 2, 4)
-    assert nums == [1, -3, 3, 3, 9]
-    assert dens == [1, 2, 4, 8, 16]
-    nums, dens = _rising_pairs(-6, 4, 4)
-    assert nums == [1, -6, 12, 24, 144]
-    assert dens == [1, 4, 16, 64, 256]
-    nums, dens = _rising_pairs(-2, 1, 4)
-    assert nums == [1, -2, 2, 0, 0]
-    assert dens == [1] * 5
-    for p, q in ((-2, 1), (-4, 2), (-3, 2), (-6, 4), (5, 7), (10, 14)):
-        nums, dens = _rising_pairs(p, q, 6)
-        assert [Fraction(a, b) for a, b in zip(nums, dens)] == [
-            pochhammer(Fraction(p, q), l) for l in range(7)
-        ]
-
-
 @pytest.mark.parametrize("q", range(12))
 def test_pochhammer_at_negative_integers(q):
-    # (-q)_m = (-1)^m q! / (q-m)! for m <= q and 0 afterwards
+    # (-q)_m = (-1)^m q! / (q-m)! for m <= q and 0 afterwards: the factorial
+    # table against the rising-product reference the hypergeometric tests
+    # read, and the hypergeometric layer's vanishing predicate on the same values
     for m in range(q + 5):
-        value = rising(-q, m)
+        value = pochhammer(-q, m)
         if m > q:
             assert value == 0
         else:
             assert value == (-1) ** m * factorial(q) // factorial(q - m)
+        assert _vanishes(-q, 1, m) == (m > q), m
 
 
 def test_exact_divide_values():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from reference import nest
 from schmidt import core
 from schmidt.combinatorics import DivisibilityError, binomial, central_binomial
 from schmidt.legendre import legendre_forward
@@ -52,11 +53,19 @@ def _reference_t_terms(n, j):
 
 
 def test_t_row_matches_math_comb_reference():
+    terms = [[list(_reference_t_terms(n, j)) for j in range(n + 1)] for n in range(41)]
+
+    def expected(n, r):
+        return [sum(d * c**r for d, c in row) for row in terms[n]]
+
     for n in range(41):
-        terms = [list(_reference_t_terms(n, j)) for j in range(n + 1)]
         for r in range(1, 7):
-            expected = [sum(d * c**r for d, c in row) for row in terms]
-            assert core.t_row(n, r) == expected, (n, r)
+            assert core.t_row(n, r) == expected(n, r), (n, r)
+    # t_rows raises each column entry once for every order it serves
+    for r in range(1, 11):
+        rows = [expected(n, r) for n in range(31)]
+        for n_max in (0, 1, 2, 13, 30):
+            assert core.t_rows(r, n_max) == rows[: n_max + 1], (r, n_max)
 
 
 def test_t_row_rejects_bad_input():
@@ -64,6 +73,10 @@ def test_t_row_rejects_bad_input():
         core.t_row(-1, 2)
     with pytest.raises(ValueError):
         core.t_row(3, 0)
+    with pytest.raises(ValueError):
+        core.t_rows(0, 3)
+    with pytest.raises(ValueError):
+        core.t_rows(2, -1)
     with pytest.raises(ValueError):
         core.t_closed_rows(1, 3)
     with pytest.raises(ValueError):
@@ -168,6 +181,15 @@ def test_t_general_matches_defining_sum():
             assert row == core.t_row(n, r), (r, n)
             for j in range(n + 1):
                 assert core.t_general(n, j, r) == core.t_sum(n, j, r), (r, n, j)
+
+
+@pytest.mark.parametrize("r", range(2, 10))
+def test_nest_column_matches_brute_force_nest(r):
+    # s <= 4, odd and even r: every level of the banded convolution against
+    # the chained sum written out term by term
+    s, odd = divmod(r, 2)
+    for j in range(9):
+        assert core._nest_column(j, s, odd, 14) == [nest(n, j, r) for n in range(j, 15)], j
 
 
 def test_t_general_deep_nest_example():
