@@ -9,7 +9,6 @@ from .combinatorics import (
     factorial,
 )
 from .core import (
-    TnjValue,
     c2_closed,
     c_by_definition,
     c_from_t,
@@ -30,6 +29,7 @@ from .hypergeometric import (
     andrews_rhs,
     check_andrews,
     check_dougall,
+    check_reduction,
     check_whipple,
     dougall_rhs,
     eval_terminating,

@@ -6,12 +6,12 @@ Commands:
     verify      exhaustive route-agreement and integrality sweep
     identities  seeded random checks of the classical summation identities
 
-Every command fills one `Report`, and `_emit` prints it in the chosen
-format. Results go to stdout, also when a check fails; diagnostics, failure
-witnesses and timing go to stderr, which ends with `elapsed N ms`. Exit
-codes: 0 every check passed, 1 a mathematical check failed, 2 bad usage,
-141 stdout or stderr was closed before the whole report was written
-(`... | head`).
+Every command fills one `Report` with its rows, or a sweep's group counts;
+`_render` builds only the chosen format, and `_emit` prints it. Results go
+to stdout, also when a check fails; diagnostics, failure witnesses and
+timing go to stderr, which ends with `elapsed N ms`. Exit codes: 0 every
+check passed, 1 a mathematical check failed, 2 bad usage, 141 stdout or
+stderr was closed before the whole report was written (`... | head`).
 For a fixed seed the stdout report is byte-identical across runs; elapsed
 time is only ever written to stderr.
 """
@@ -29,7 +29,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import core
 from . import hypergeometric as hyp
@@ -42,16 +42,16 @@ FORMATS = ("plain", "json", "csv")
 
 @dataclass
 class Report:
-    """One command's outcome, held once for all three output formats.
+    """One command's outcome: its table once, with big integers as decimal strings.
 
-    `results` is the JSON `results` object, `table` the CSV header and rows,
-    and `lines` the plain output. `notes` are informational stderr lines.
-    Each group is (name, checks, elapsed ms); the times go to stderr only.
+    `rows` holds one tuple per CSV line under the column names in `header`.
+    A check sweep leaves both empty and is rendered from `groups`, each
+    (name, checks, elapsed seconds); the times go to stderr only, as do the
+    informational `notes`.
     """
 
-    results: dict = field(default_factory=dict)
-    table: list[tuple] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
+    header: tuple[str, ...] = ()
+    rows: list[tuple] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     checks_run: int = 0
     groups: dict[str, list] = field(default_factory=dict)
@@ -76,34 +76,58 @@ def _group(report: Report, name: str):
     entry[1] += time.perf_counter() - start
 
 
-def summarize_groups(report: Report) -> None:
-    """Fill the three renderings of a check sweep from its group counts."""
-    counts = [(name, count) for name, (count, _) in report.groups.items()]
-    report.results = {
-        "checks_run": report.checks_run,
-        "groups": [{"name": name, "checks": count} for name, count in counts],
-    }
-    report.table = [("group", "checks"), *counts]
-    report.lines = [f"{name}: {count} checks" for name, count in counts]
-    if report.failures:
-        report.lines.append(f"{len(report.failures)} of {report.checks_run} checks FAILED")
+def _render(command: str, params: dict, report: Report) -> Iterable[str]:
+    """The stdout lines of `report` in params["format"], the only format built.
+
+    CSV is `header` then `rows`, with a sweep's group counts as its rows; the
+    JSON `results` object and the plain lines are formed from the same rows.
+    """
+    header, rows, fmt = report.header, report.rows, params["format"]
+    if not header:
+        header = ("group", "checks")
+        rows = [(name, count) for name, (count, _) in report.groups.items()]
+    if fmt == "csv":
+        return (",".join(map(str, row)) for row in (header, *rows))
+    if command == "t-table":
+        if fmt == "json":
+            results = {"rows": [dict(zip(header, row)) for row in rows]}
+        else:
+            lines = []
+            # the rows run n by n, so one pass groups them
+            for n, group in itertools.groupby(rows, key=lambda row: row[0]):
+                _, _, ts, ratios = zip(*group)
+                lines.append(f"n={n}: t = {' '.join(ts)} ; ratio = {' '.join(ratios)}")
+            return lines
+    elif command == "compute":
+        agree = not report.failures
+        if agree:  # the one sequence every route computed
+            by_route = [(route, rows) for route in params["routes"]]
+        else:  # each route that finished, route by route
+            by_route = itertools.groupby(rows, key=lambda row: row[1])
+        if fmt == "json":
+            routes = [
+                {"route": route, "values": [{"n": n, "c": c} for n, *_, c in values]}
+                for route, values in by_route
+            ]
+            results = {"routes": routes, "routes_agree": agree}
+        elif agree:
+            return [" ".join(c for _, c in rows)]
+        else:
+            return [f"{route}: " + " ".join(c for *_, c in values) for route, values in by_route]
+    elif fmt == "json":
+        groups = [{"name": name, "checks": count} for name, count in rows]
+        results = {"checks_run": report.checks_run, "groups": groups}
     else:
-        report.lines.append(f"all {report.checks_run} checks passed")
+        verdict = f"all {report.checks_run} checks passed"
+        if report.failures:
+            verdict = f"{len(report.failures)} of {report.checks_run} checks FAILED"
+        return [*(f"{name}: {count} checks" for name, count in rows), verdict]
+    doc = {"command": command, "params": params, "results": results, "failures": report.failures}
+    return [json.dumps(doc, indent=2)]
 
 
 def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
-    if params["format"] == "json":
-        doc = {
-            "command": command,
-            "params": params,
-            "results": report.results,
-            "failures": report.failures,
-        }
-        out = [json.dumps(doc, indent=2)]
-    elif params["format"] == "csv":
-        out = [",".join(map(str, row)) for row in report.table]
-    else:
-        out = report.lines
+    out = _render(command, params, report)
     err = [*report.notes]
     err += [f"FAIL {fail['description']} witness={fail['witness']}" for fail in report.failures]
     err += [f"time {name}: {int(sec * 1000)} ms" for name, (_, sec) in report.groups.items()]
@@ -167,40 +191,26 @@ def run_compute(args: argparse.Namespace) -> Report:
                     )
                     break
 
-    digits = {route: [str(v) for v in values] for route, values in per_route.items()}
-    report.results = {
-        "routes": [
-            {"route": route, "values": [{"n": n, "c": c} for n, c in enumerate(values)]}
-            for route, values in digits.items()
-        ],
-        "routes_agree": not report.failures,
-    }
+    # each value is stringified once: the agreed sequence once for all routes
     if report.failures:
-        report.table = [("n", "route", "c")] + [
-            (n, route, c) for route, values in digits.items() for n, c in enumerate(values)
+        report.header = ("n", "route", "c")
+        report.rows = [
+            (n, route, str(c)) for route, values in per_route.items() for n, c in enumerate(values)
         ]
-        report.lines = [f"{route}: " + " ".join(values) for route, values in digits.items()]
     else:
-        report.table = [("n", "c"), *enumerate(digits[reference_route])]
-        report.lines = [" ".join(digits[reference_route])]
+        report.header = ("n", "c")
+        report.rows = [(n, str(c)) for n, c in enumerate(per_route[reference_route])]
     return report
 
 
 def run_t_table(args: argparse.Namespace) -> Report:
-    report = Report()
+    report = Report(header=("n", "j", "t", "ratio"))
     try:
-        values = core.t_table(args.r, args.n_max)
+        table = core.t_table(args.r, args.n_max)
     except DivisibilityError as exc:
         report.fail("scaled inner number non-integral", str(exc))
-        values = []
-    header = ("n", "j", "t", "ratio")
-    rows = [(v.n, v.j, str(v.value), str(v.ratio)) for v in values]
-    report.results = {"rows": [dict(zip(header, row)) for row in rows]}
-    report.table = [header, *rows]
-    # t_table yields the rows n by n, so one pass groups them
-    for n, group in itertools.groupby(rows, key=lambda row: row[0]):
-        _, _, ts, ratios = zip(*group)
-        report.lines.append(f"n={n}: t = {' '.join(ts)} ; ratio = {' '.join(ratios)}")
+        return report
+    report.rows = [(n, j, str(t), str(ratio)) for n, j, t, ratio in table]
     return report
 
 
@@ -297,7 +307,6 @@ def run_verify(args: argparse.Namespace) -> Report:
             f"note: r=1 scaled ratios integral for {integral}/{total} pairs (not asserted)"
         )
 
-    summarize_groups(report)
     return report
 
 
@@ -322,16 +331,8 @@ def _spec_witness(spec: hyp.WellPoisedSpec) -> str:
     return f"(a={spec.a}, pairs=[{pairs}], m={spec.m})"
 
 
-# What Andrews's nest reduces to at s = 1 and s = 2
+# What Andrews's nest reduces to at s = 1 and s = 2 (hyp.check_reduction)
 _REDUCTIONS = {1: "5F4 evaluation", 2: "7F6 transform"}
-
-
-def _reduces(spec: hyp.WellPoisedSpec) -> bool:
-    """Does Andrews's value equal Dougall's evaluation (s = 1) or Whipple's transform (s = 2)?"""
-    value = hyp._andrews_pair(spec)
-    a, _, *flat, _ = spec._numerator_pairs
-    closed = hyp._prefactor_pair if spec.s == 1 else hyp._whipple_pair
-    return hyp._equal(value, closed(a, *flat, spec.m))
 
 
 def _identity_check(report: Report, description: str, witness: Callable[[], str], fn) -> None:
@@ -352,7 +353,7 @@ def run_identities(args: argparse.Namespace) -> Report:
             if spec.s in _REDUCTIONS:
                 _identity_check(
                     report, f"s={spec.s} nest does not reduce to the {_REDUCTIONS[spec.s]}",
-                    lambda: _spec_witness(spec), lambda: _reduces(spec),
+                    lambda: _spec_witness(spec), lambda: hyp.check_reduction(spec),
                 )
             _identity_check(
                 report, f"s={spec.s} multiple transformation failed",
@@ -395,10 +396,9 @@ def run_identities(args: argparse.Namespace) -> Report:
                 spec = hyp.sample_well_poised(rng, s, args.m_max)
                 _identity_check(
                     report, f"s={s} reduction disagrees with the {reduction}",
-                    lambda: _spec_witness(spec), lambda: _reduces(spec),
+                    lambda: _spec_witness(spec), lambda: hyp.check_reduction(spec),
                 )
 
-    summarize_groups(report)
     return report
 
 

@@ -19,7 +19,6 @@ c(n, r) is an integer, and so is every C(2j,j) t(n, j, r) / C(2n,n).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
 
@@ -262,23 +261,10 @@ def c_general(n: int, r: int) -> int:
     return c_closed(r, n)[n]
 
 
-@dataclass(frozen=True)
-class TnjValue:
-    """Inner number at (n, j) with its scaled ratio; C(2n,n) ratio == C(2j,j) value."""
-
-    n: int
-    j: int
-    r: int
-    value: int
-    ratio: int
-
-
-def t_table(r: int, n_max: int) -> list[TnjValue]:
-    """Every inner number and scaled ratio for 0 <= j <= n <= n_max, row by row."""
-    out: list[TnjValue] = []
-    for n, row in enumerate(t_rows(r, n_max)):
-        out.extend(
-            TnjValue(n, j, r, value, integrality_ratio(n, j, r, row))
-            for j, value in enumerate(row)
-        )
-    return out
+def t_table(r: int, n_max: int) -> list[tuple[int, int, int, int]]:
+    """(n, j, t(n, j, r), C(2j,j) t(n, j, r) / C(2n,n)) for 0 <= j <= n <= n_max, row by row."""
+    return [
+        (n, j, value, integrality_ratio(n, j, r, row))
+        for n, row in enumerate(t_rows(r, n_max))
+        for j, value in enumerate(row)
+    ]

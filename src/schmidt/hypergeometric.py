@@ -355,8 +355,7 @@ def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
     """Andrews's multiple-series value for the expanded spec.
 
     A Dougall-style prefactor in the last pair multiplies an (s-1)-fold
-    nested sum; the nest collapses to 1 for s = 1 and reproduces Whipple's
-    4F3 parameter for parameter at s = 2.
+    nested sum; check_reduction compares it with the closed forms at s <= 2.
     """
     return Fraction(*_andrews_pair(spec))
 
@@ -364,6 +363,20 @@ def andrews_rhs(spec: WellPoisedSpec) -> Fraction:
 def check_andrews(spec: WellPoisedSpec) -> bool:
     """Does the expanded very-well-poised series equal the multiple-sum value?"""
     return _equal(_expanded_pair(spec), _andrews_pair(spec))
+
+
+def check_reduction(spec: WellPoisedSpec) -> bool:
+    """Does Andrews's value reduce to its classical closed form, at s = 1 or 2?
+
+    At s = 1 the nest is empty and Andrews's value is Dougall's prefactor
+    times (1, 1), so the check only confirms that the nest is 1. At s = 2 it
+    compares the prefactor times the nest with Whipple's 4F3 transform.
+    """
+    if spec.s > 2:
+        raise ValueError(f"no classical reduction beyond s=2, got s={spec.s}")
+    a, _, *flat, _ = spec._numerator_pairs
+    closed = _prefactor_pair if spec.s == 1 else _whipple_pair
+    return _equal(_andrews_pair(spec), closed(a, *flat, spec.m))
 
 
 def t_as_hypergeometric(n: int, j: int, r: int) -> int:

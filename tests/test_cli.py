@@ -334,14 +334,40 @@ def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
     )
 
 
-def test_compute_non_integral_inverse_exits_one(monkeypatch, capsys):
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_compute_non_integral_inverse_exits_one(fmt, monkeypatch, capsys):
+    # the route that raised is missing from every format's output
     monkeypatch.setattr(cli, "legendre_inverse", lambda a, n: Fraction(1, 2))
-    code = cli.main(["compute", "--r", "2", "--n-max", "3"])
+    code = cli.main(["compute", "--r", "2", "--n-max", "3", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == ["FAIL inverse route produced a non-integer witness=2 does not divide 1"]
-    assert captured.out == "definition: 1 2 10 56\nclosed: 1 2 10 56\n"
+    shown = ("definition", "closed")
+    if fmt == "json":
+        doc = {
+            "command": "compute",
+            "params": {"r": 2, "n_max": 3, "routes": list(cli.ROUTES), "format": fmt},
+            "results": {
+                "routes": [
+                    {"route": route, "values": [{"n": n, "c": str(c)} for n, c in enumerate(_FRANEL)]}
+                    for route in shown
+                ],
+                "routes_agree": False,
+            },
+            "failures": [
+                {"description": "inverse route produced a non-integer",
+                 "witness": "2 does not divide 1"}
+            ],
+        }
+        expected = json.dumps(doc, indent=2) + "\n"
+    elif fmt == "csv":
+        expected = "n,route,c\n" + "".join(
+            f"{n},{route},{c}\n" for route in shown for n, c in enumerate(_FRANEL)
+        )
+    else:
+        expected = "definition: 1 2 10 56\nclosed: 1 2 10 56\n"
+    assert captured.out == expected
 
 
 def test_compute_shares_one_a_n_and_closed_still_disagrees(monkeypatch, capsys):
@@ -510,7 +536,7 @@ def test_identity_failure_lines_are_pinned(monkeypatch, capsys):
 
     for name in ("check_dougall", "check_whipple", "check_andrews"):
         monkeypatch.setattr(hyp, name, fake)
-    monkeypatch.setattr(cli, "_reduces", fake)
+    monkeypatch.setattr(hyp, "check_reduction", fake)
     assert cli.main(["identities", "--trials", "1", "--m-max", "4", "--seed", "0"]) == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("FAIL")] == [
@@ -626,6 +652,53 @@ def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
     ]
     assert "Traceback" not in captured.err
     assert "FAILED" in captured.out
+
+
+_FAILED_SWEEP = [("route-agreement", 56), ("ratio-integrality", 112), ("n-independence", 28),
+                 ("t-closed-agreement", 112), ("trivial-exponent", 1)]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
+    # the fault of test_verify_catches_one_wrong_inner_number, pinned in every format
+    true_rows = cli.core.t_rows
+
+    def faulty_rows(r, n_max):
+        rows = true_rows(r, n_max)
+        if r == 4:
+            rows[5][2] += 1
+        return rows
+
+    monkeypatch.setattr(cli.core, "t_rows", faulty_rows)
+    code = cli.main(["verify", "--r-max", "5", "--n-max", "6", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    failures = [
+        {"description": "inner-sum route disagrees (non-integral)",
+         "witness": "(r=4, n=5): 252 does not divide 257621972112"},
+        {"description": "scaled inner number non-integral",
+         "witness": "(r=4, n=5, j=2): 252 does not divide 6400806"},
+        {"description": "closed form disagrees", "witness": "(r=4, n=5, j=2)"},
+    ]
+    if fmt == "json":
+        doc = {
+            "command": "verify",
+            "params": {"r_max": 5, "n_max": 6, "format": fmt},
+            "results": {
+                "checks_run": 309,
+                "groups": [{"name": name, "checks": count} for name, count in _FAILED_SWEEP],
+            },
+            "failures": failures,
+        }
+        expected = json.dumps(doc, indent=2) + "\n"
+    elif fmt == "csv":
+        expected = "group,checks\n" + "".join(f"{name},{count}\n" for name, count in _FAILED_SWEEP)
+    else:
+        expected = "".join(f"{name}: {count} checks\n" for name, count in _FAILED_SWEEP)
+        expected += "3 of 309 checks FAILED\n"
+    assert captured.out == expected
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL {f['description']} witness={f['witness']}" for f in failures]
 
 
 def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):

@@ -237,8 +237,7 @@ def test_c1_is_power_of_two():
 
 
 def test_t_table_rows():
-    rows = core.t_table(3, 2)
-    assert [(v.n, v.j, v.value, v.ratio) for v in rows] == [
+    assert [(n, j, t, ratio) for n, j, t, ratio in core.t_table(3, 2)] == [
         (0, 0, 1, 1),
         (1, 0, 0, 0),
         (1, 1, 1, 1),
@@ -249,8 +248,8 @@ def test_t_table_rows():
 
 
 def test_t_table_ratio_consistency():
-    for v in core.t_table(4, 7):
-        assert v.ratio * central_binomial(v.n) == central_binomial(v.j) * v.value
+    for n, j, t, ratio in core.t_table(4, 7):
+        assert ratio * central_binomial(n) == central_binomial(j) * t
 
 
 def test_binomial_product_identity():

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from reference import pochhammer, sample_well_poised_by_randint, well_poised_pole_free
-from schmidt import cli
 from schmidt.combinatorics import binomial
 from schmidt.core import t3_closed, t_sum
 from schmidt.hypergeometric import (
@@ -18,6 +17,7 @@ from schmidt.hypergeometric import (
     andrews_rhs,
     check_andrews,
     check_dougall,
+    check_reduction,
     check_whipple,
     dougall_rhs,
     eval_terminating,
@@ -365,6 +365,18 @@ def test_andrews_reduction_chain():
         assert andrews_rhs(spec) == whipple_rhs(spec.a, b, c, d, e, spec.m)
 
 
+def test_check_reduction_rejects_s_past_two():
+    # Andrews's nest has a classical closed form only at s = 1 and s = 2
+    spec = WellPoisedSpec(
+        Fraction(3),
+        ((Fraction(1, 6), Fraction(-2, 3)), (Fraction(1, 2), Fraction(5, 6)),
+         (Fraction(-1, 4), Fraction(2))),
+        2,
+    )
+    with pytest.raises(ValueError, match="beyond s=2, got s=3"):
+        check_reduction(spec)
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -477,7 +489,7 @@ def test_integer_pair_code_matches_fraction_reference_with_poles(s):
         if check:
             compared += [
                 ("check", check, reference_check, (*flat, m)),
-                ("reduces", cli._reduces, reference_reduces, (spec,)),
+                ("reduces", check_reduction, reference_reduces, (spec,)),
             ]
         for name, new, reference, args in compared:
             outcome = _outcome(new, *args)
