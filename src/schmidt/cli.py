@@ -7,7 +7,7 @@ Commands:
     identities  seeded random checks of the classical summation identities
 
 Every command fills one `Report` with its rows, or a sweep's group counts;
-`_render` builds only the chosen format, and `_emit` prints it. Results go
+`_render` builds only the chosen format, and `_emit` writes it. Results go
 to stdout, also when a check fails; diagnostics, failure witnesses and
 timing go to stderr, which ends with `elapsed N ms`. Exit codes: 0 every
 check passed, 1 a mathematical check failed, 2 bad usage, 141 stdout or
@@ -76,18 +76,24 @@ def _group(report: Report, name: str):
     entry[1] += time.perf_counter() - start
 
 
+def _lines(lines: Iterable[str]) -> Iterable[str]:
+    return (line + "\n" for line in lines)
+
+
 def _render(command: str, params: dict, report: Report) -> Iterable[str]:
-    """The stdout lines of `report` in params["format"], the only format built.
+    """The stdout text of `report` in params["format"], the only format built, chunk by chunk.
 
     CSV is `header` then `rows`, with a sweep's group counts as its rows; the
     JSON `results` object and the plain lines are formed from the same rows.
+    The JSON document comes straight from the encoder's chunks, so it is
+    never held as one string.
     """
     header, rows, fmt = report.header, report.rows, params["format"]
     if not header:
         header = ("group", "checks")
         rows = [(name, count) for name, (count, _) in report.groups.items()]
     if fmt == "csv":
-        return (",".join(map(str, row)) for row in (header, *rows))
+        return _lines(",".join(map(str, row)) for row in (header, *rows))
     if command == "t-table":
         if fmt == "json":
             results = {"rows": [dict(zip(header, row)) for row in rows]}
@@ -97,7 +103,7 @@ def _render(command: str, params: dict, report: Report) -> Iterable[str]:
             for n, group in itertools.groupby(rows, key=lambda row: row[0]):
                 _, _, ts, ratios = zip(*group)
                 lines.append(f"n={n}: t = {' '.join(ts)} ; ratio = {' '.join(ratios)}")
-            return lines
+            return _lines(lines)
     elif command == "compute":
         agree = not report.failures
         if agree:  # the one sequence every route computed
@@ -111,9 +117,11 @@ def _render(command: str, params: dict, report: Report) -> Iterable[str]:
             ]
             results = {"routes": routes, "routes_agree": agree}
         elif agree:
-            return [" ".join(c for _, c in rows)]
+            return _lines([" ".join(c for _, c in rows)])
         else:
-            return [f"{route}: " + " ".join(c for *_, c in values) for route, values in by_route]
+            return _lines(
+                f"{route}: " + " ".join(c for *_, c in values) for route, values in by_route
+            )
     elif fmt == "json":
         groups = [{"name": name, "checks": count} for name, count in rows]
         results = {"checks_run": report.checks_run, "groups": groups}
@@ -121,9 +129,9 @@ def _render(command: str, params: dict, report: Report) -> Iterable[str]:
         verdict = f"all {report.checks_run} checks passed"
         if report.failures:
             verdict = f"{len(report.failures)} of {report.checks_run} checks FAILED"
-        return [*(f"{name}: {count} checks" for name, count in rows), verdict]
+        return _lines([*(f"{name}: {count} checks" for name, count in rows), verdict])
     doc = {"command": command, "params": params, "results": results, "failures": report.failures}
-    return [json.dumps(doc, indent=2)]
+    return itertools.chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
 
 
 def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
@@ -133,10 +141,9 @@ def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
     err += [f"time {name}: {int(sec * 1000)} ms" for name, (_, sec) in report.groups.items()]
     err.append(f"elapsed {elapsed_ms} ms")
     code = 1 if report.failures else 0
-    for stream, lines in ((sys.stdout, out), (sys.stderr, err)):
+    for stream, chunks in ((sys.stdout, out), (sys.stderr, _lines(err))):
         try:
-            for line in lines:
-                print(line, file=stream)
+            stream.writelines(chunks)
             # a small report sits in the buffer until this flush; unflushed,
             # a closed pipe would only fail at interpreter shutdown, past
             # this guard
@@ -230,25 +237,35 @@ def _build(report: Report, what: str, r: int, build):
         return None
 
 
-def _verify_exponent(report: Report, r: int, n_max: int) -> None:
+def _verify_exponent(
+    report: Report, r: int, n_max: int, held: core._SweepRows, powers: list[list[int]]
+) -> None:
     # Exponent r's solve, t-rows and closed rows are built once, in the first
     # group, read by every group and dropped on return, so a sweep holds one
-    # exponent's rows, O(n_max^2) integers. The oracles never read the closed
-    # rows, so a fault in either still shows as a disagreement. A build that
-    # failed is reported once, and the checks of its route are skipped.
+    # exponent's rows, O(n_max^2) integers, besides the r-independent `held`
+    # rows and the columns C(k+j, 2j)^r in `powers`. The oracles never read
+    # the closed rows, and the closed rows read none of `held`, so a fault in
+    # either still shows as a disagreement. A build that failed is reported
+    # once, and the checks of its route are skipped.
+    central = held.central
     with _group(report, "route-agreement"):
-        rows = core.t_rows(r, n_max)
-        oracle = _build(report, "defining solve", r, lambda: core.c_by_definition(r, n_max))
+        rows = core.t_rows(r, n_max, inverse=held.inverse, powers=powers)
+        oracle = _build(
+            report, "defining solve", r,
+            lambda: core.c_by_definition(r, n_max, forward=held.forward),
+        )
         closed = _build(report, "closed rows", r, lambda: list(core.t_closed_rows(r, n_max)))
         for n, expected in enumerate(oracle or ()):
             _checked_equal(
                 report, "inner-sum route disagrees", f"(r={r}, n={n})",
-                lambda: core.c_from_t(n, r, rows[n]), expected,
+                lambda: core.c_from_t(n, r, rows[n], central), expected,
             )
             if closed:
                 _checked_equal(
                     report, "closed route disagrees", f"(r={r}, n={n})",
-                    lambda: core.c2_closed(n) if r == 2 else core.c_from_t(n, r, closed[n]),
+                    lambda: (
+                        core.c2_closed(n) if r == 2 else core.c_from_t(n, r, closed[n], central)
+                    ),
                     expected,
                 )
 
@@ -256,7 +273,7 @@ def _verify_exponent(report: Report, r: int, n_max: int) -> None:
         for n, row in enumerate(rows):
             for j in range(n + 1):
                 try:
-                    core.integrality_ratio(n, j, r, row)
+                    core.integrality_ratio(n, j, r, row, central)
                     report.check(True, "", "")
                 except DivisibilityError as exc:
                     report.check(
@@ -265,9 +282,9 @@ def _verify_exponent(report: Report, r: int, n_max: int) -> None:
                     )
 
     with _group(report, "n-independence"):
-        for n in range(n_max + 1) if oracle else ():
+        for n, forward in enumerate(held.forward if oracle else ()):
             report.check(
-                legendre_forward(oracle, n) == core.lhs_sum(n, r),
+                legendre_forward(oracle, n, forward) == core.lhs_sum(n, r, forward),
                 "defining identity fails", f"(r={r}, n={n})",
             )
 
@@ -284,29 +301,35 @@ def run_verify(args: argparse.Namespace) -> Report:
     groups = ("route-agreement", "ratio-integrality", "n-independence", "t-closed-agreement")
     report = Report(groups={name: [0, 0.0] for name in groups})
     n_max = args.n_max
+    if args.r_max < 1:
+        return report
+    # every exponent reads the same forward, inverse and central rows, built
+    # once here; its powers C(k+j, 2j)^r are the previous exponent's times
+    # the bases, with the bases themselves as the powers at r = 1
+    held = core._sweep_rows(n_max)
+    powers = held.bases
     for r in range(2, args.r_max + 1):
-        _verify_exponent(report, r, n_max)
+        powers = core._next_powers(powers, held.bases)
+        _verify_exponent(report, r, n_max, held, powers)
 
-    if args.r_max >= 1:
-        with _group(report, "trivial-exponent"):
-            _checked_equal(
-                report, "exponent-1 family is not all ones", f"(n_max={n_max})",
-                lambda: core.c_by_definition(1, n_max), [1] * (n_max + 1),
-            )
-        # informational only: the scaled ratios at r=1 are reported, never asserted
-        integral = total = 0
-        for n, row in enumerate(core.t_rows(1, n_max)):
-            for j in range(n + 1):
-                total += 1
-                try:
-                    core.integrality_ratio(n, j, 1, row)
-                    integral += 1
-                except DivisibilityError:
-                    pass
-        report.notes.append(
-            f"note: r=1 scaled ratios integral for {integral}/{total} pairs (not asserted)"
+    with _group(report, "trivial-exponent"):
+        _checked_equal(
+            report, "exponent-1 family is not all ones", f"(n_max={n_max})",
+            lambda: core.c_by_definition(1, n_max, forward=held.forward), [1] * (n_max + 1),
         )
-
+    # informational only: the scaled ratios at r=1 are reported, never asserted
+    integral = total = 0
+    for n, row in enumerate(core.t_rows(1, n_max, inverse=held.inverse, powers=held.bases)):
+        for j in range(n + 1):
+            total += 1
+            try:
+                core.integrality_ratio(n, j, 1, row, held.central)
+                integral += 1
+            except DivisibilityError:
+                pass
+    report.notes.append(
+        f"note: r=1 scaled ratios integral for {integral}/{total} pairs (not asserted)"
+    )
     return report
 
 

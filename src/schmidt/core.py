@@ -18,15 +18,15 @@ c(n, r) is an integer, and so is every C(2j,j) t(n, j, r) / C(2n,n).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import mul
+from typing import NamedTuple
 
 from .combinatorics import (
     _binomial_column,
     _binomial_row,
     _central_row,
-    central_binomial,
     exact_divide,
 )
 from .legendre import _forward_row, _inverse_row, triangular_solve
@@ -42,35 +42,80 @@ def _require_exponent(r: int) -> None:
         raise ValueError(f"exponent must be >= 1, got r={r}")
 
 
-def lhs_sum(n: int, r: int) -> int:
-    """sum_k C(n,k)^r C(n+k,k)^r, the power-sum side of the defining identity."""
-    _require_exponent(r)
-    _require_order(n)
-    return sum(f**r for f in _forward_row(n))
+def lhs_sum(n: int, r: int, row: list[int] | None = None) -> int:
+    """sum_k C(n,k)^r C(n+k,k)^r, the power-sum side of the defining identity.
 
-
-def c_by_definition(r: int, n_max: int) -> list[int]:
-    """c(0, r)..c(n_max, r) by solving the defining system directly.
-
-    Propagates DivisibilityError from the solver; such an error would
-    falsify the integrality statement, so it is never swallowed.
+    `row` is the forward row _forward_row(n) when the caller already holds it.
     """
     _require_exponent(r)
-    return triangular_solve([lhs_sum(n, r) for n in range(n_max + 1)])
+    _require_order(n)
+    if row is None:
+        row = _forward_row(n)
+    return sum(f**r for f in row)
 
 
-def _inner_row(n: int, powers: list[list[int]]) -> list[int]:
-    # t(n, j, r) for j = 0..n, given powers[j] = C(k+j, 2j)^r for k = j, j+1, ...
-    # at least up to n: the dot product of the inverse row's tail from k = j
-    # with that column, which map stops at k = n.
-    signed = _inverse_row(n)
-    return [sum(map(mul, signed[j:], powers[j])) for j in range(n + 1)]
+def c_by_definition(r: int, n_max: int, forward: Sequence[list[int]] | None = None) -> list[int]:
+    """c(0, r)..c(n_max, r) by solving the defining system directly.
+
+    `forward` holds the forward rows _forward_row(0..n_max) when the caller
+    already holds them; otherwise each is built for lhs_sum and again for
+    the solve, and neither is kept. Propagates DivisibilityError from the
+    solver; such an error would falsify the integrality statement, so it is
+    never swallowed.
+    """
+    _require_exponent(r)
+    a = [lhs_sum(n, r, None if forward is None else forward[n]) for n in range(n_max + 1)]
+    return triangular_solve(a, forward)
+
+
+def _inner_row(signed: list[int], powers: list[list[int]]) -> list[int]:
+    # t(n, j, r) for j = 0..n, from the inverse row (-1)^(n-k) D(n,k) and
+    # powers[j] = C(k+j, 2j)^r for k = j, j+1, ... at least up to n: the dot
+    # product of the inverse row's tail from k = j with that column, which
+    # map stops at k = n.
+    return [sum(map(mul, signed[j:], powers[j])) for j in range(len(signed))]
+
+
+def _column_bases(top: int) -> list[list[int]]:
+    # C(k+j, k-j) = C(k+j, 2j) for k = j..top, walked down each column, for j = 0..top
+    return [_binomial_column(top + j, 2 * j) for j in range(top + 1)]
 
 
 def _column_powers(top: int, r: int) -> list[list[int]]:
-    # C(k+j, k-j)^r = C(k+j, 2j)^r for k = j..top, walked down each column
-    # and raised once per entry, for j = 0..top
-    return [[c**r for c in _binomial_column(top + j, 2 * j)] for j in range(top + 1)]
+    # the columns of _column_bases(top), each entry raised to r once
+    return [[c**r for c in column] for column in _column_bases(top)]
+
+
+def _next_powers(powers: list[list[int]], bases: list[list[int]]) -> list[list[int]]:
+    # the columns C(k+j, 2j)^(r+1) from the columns ^r and the bases
+    # C(k+j, 2j): one product per entry, where _column_powers raises a power
+    return [list(map(mul, column, base)) for column, base in zip(powers, bases)]
+
+
+class _SweepRows(NamedTuple):
+    """The rows a sweep over exponents reads that do not depend on r, to order n_max.
+
+    forward[n] is _forward_row(n) and inverse[n] is _inverse_row(n), for
+    n = 0..n_max; central is _central_row(n_max), whose prefix to C(2n,n)
+    serves every order n; bases are the columns C(k+j, 2j), k = j..n_max,
+    for j = 0..n_max, whose running products give each exponent's powers.
+    Together O(n_max^2) integers.
+    """
+
+    forward: list[list[int]]
+    inverse: list[list[int]]
+    central: list[int]
+    bases: list[list[int]]
+
+
+def _sweep_rows(n_max: int) -> _SweepRows:
+    orders = range(n_max + 1)
+    return _SweepRows(
+        [_forward_row(n) for n in orders],
+        [_inverse_row(n) for n in orders],
+        _central_row(n_max),
+        _column_bases(n_max),
+    )
 
 
 def t_row(n: int, r: int) -> list[int]:
@@ -85,21 +130,30 @@ def t_row(n: int, r: int) -> list[int]:
     """
     _require_order(n)
     _require_exponent(r)
-    return _inner_row(n, _column_powers(n, r))
+    return _inner_row(_inverse_row(n), _column_powers(n, r))
 
 
-def t_rows(r: int, n_max: int) -> list[list[int]]:
+def t_rows(
+    r: int,
+    n_max: int,
+    inverse: Sequence[list[int]] | None = None,
+    powers: list[list[int]] | None = None,
+) -> list[list[int]]:
     """t_row(n, r) for n = 0..n_max, all held.
 
     Every row reads the same columns C(k+j, 2j)^r, k = j..n_max, so each is
     walked and raised to r once for the whole sequence: O(n_max^2) powers
     and O(n_max^3) big-integer products, where n_max + 1 calls of t_row
-    would raise O(n_max^3) powers.
+    would raise O(n_max^3) powers. `inverse` holds _inverse_row(n) for
+    n = 0..n_max and `powers` those columns when the caller already holds
+    them, as a sweep over exponents does.
     """
     _require_exponent(r)
     _require_order(n_max)
-    powers = _column_powers(n_max, r)
-    return [_inner_row(n, powers) for n in range(n_max + 1)]
+    if powers is None:
+        powers = _column_powers(n_max, r)
+    signed_rows = map(_inverse_row, range(n_max + 1)) if inverse is None else inverse[: n_max + 1]
+    return [_inner_row(signed, powers) for signed in signed_rows]
 
 
 def t_sum(n: int, j: int, r: int) -> int:
@@ -108,30 +162,40 @@ def t_sum(n: int, j: int, r: int) -> int:
     return t_row(n, r)[j]
 
 
-def integrality_ratio(n: int, j: int, r: int, row: list[int] | None = None) -> int:
+def integrality_ratio(
+    n: int, j: int, r: int, row: list[int] | None = None, central: list[int] | None = None
+) -> int:
     """C(2j,j) t(n, j, r) / C(2n,n), divided out exactly.
 
     Integrality of this ratio is the strong form of the integrality
     statement; a DivisibilityError here is a counterexample witness.
-    `row` is t_row(n, r) when the caller already holds it.
+    `row` is t_row(n, r) when the caller already holds it, and `central`
+    the walked central binomials C(0,0)..C(2m,m), m >= n (_central_row(n),
+    built here otherwise).
     """
     _require_order(n, j)
     if row is None:
         row = t_row(n, r)
-    return exact_divide(central_binomial(j) * row[j], central_binomial(n))
+    if central is None:
+        central = _central_row(n)
+    return exact_divide(central[j] * row[j], central[n])
 
 
-def c_from_t(n: int, r: int, row: list[int] | None = None) -> int:
+def c_from_t(
+    n: int, r: int, row: list[int] | None = None, central: list[int] | None = None
+) -> int:
     """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly.
 
     `row` is t(n, ., r) from t_row, t_rows or t_closed_rows when the caller
-    already holds it.
+    already holds it, and `central` as for integrality_ratio.
     """
     _require_exponent(r)
     if row is None:
         row = t_row(n, r)
-    central = _central_row(n)
-    return exact_divide(sum(map(mul, map(pow, central, repeat(r)), row)), central[n])
+    if central is None:
+        central = _central_row(n)
+    # row first, so that map stops at j = n before raising any later C(2j,j)
+    return exact_divide(sum(map(mul, row, map(pow, central, repeat(r)))), central[n])
 
 
 def t3_closed(n: int, j: int) -> int:
@@ -262,9 +326,13 @@ def c_general(n: int, r: int) -> int:
 
 
 def t_table(r: int, n_max: int) -> list[tuple[int, int, int, int]]:
-    """(n, j, t(n, j, r), C(2j,j) t(n, j, r) / C(2n,n)) for 0 <= j <= n <= n_max, row by row."""
+    """(n, j, t(n, j, r), C(2j,j) t(n, j, r) / C(2n,n)) for 0 <= j <= n <= n_max, row by row.
+
+    Every ratio reads its C(2j,j) and C(2n,n) from one walked central row.
+    """
+    central = _central_row(n_max)
     return [
-        (n, j, value, integrality_ratio(n, j, r, row))
+        (n, j, value, integrality_ratio(n, j, r, row, central))
         for n, row in enumerate(t_rows(r, n_max))
         for j, value in enumerate(row)
     ]

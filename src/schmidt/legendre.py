@@ -16,7 +16,9 @@ Sequences are dense prefixes, plain lists indexed 0..N. Each kernel is
 written once, as a whole row: `_forward_row(n)` holds C(n,k) C(n+k,k) and
 `_inverse_row(n)` holds (-1)^(n-k) D(n,k), for k = 0..n. Every reader of
 either kernel in the package, `core.lhs_sum` and `core.t_row` included,
-goes through these two rows.
+goes through these two rows. Neither row depends on anything but n, so a
+reader also takes rows its caller already holds, as a sweep over many
+exponents does.
 """
 
 from __future__ import annotations
@@ -48,10 +50,15 @@ def _inverse_row(n: int) -> list[int]:
     ]
 
 
-def legendre_forward(c: Sequence[int], n: int) -> int:
-    """a_n = sum_k C(n,k) C(n+k,k) c_k."""
+def legendre_forward(c: Sequence[int], n: int, row: list[int] | None = None) -> int:
+    """a_n = sum_k C(n,k) C(n+k,k) c_k.
+
+    `row` is _forward_row(n) when the caller already holds it.
+    """
     _check_prefix(c, n)
-    return sum(f * c_k for f, c_k in zip(_forward_row(n), c))
+    if row is None:
+        row = _forward_row(n)
+    return sum(f * c_k for f, c_k in zip(row, c))
 
 
 def legendre_inverse(a: Sequence[int], n: int) -> Fraction:
@@ -66,7 +73,7 @@ def legendre_inverse(a: Sequence[int], n: int) -> Fraction:
     return Fraction(acc, central_binomial(n))
 
 
-def triangular_solve(a: Sequence[int]) -> list[int]:
+def triangular_solve(a: Sequence[int], forward: Sequence[list[int]] | None = None) -> list[int]:
     """Solve a_n = sum_k C(n,k) C(n+k,k) c_k for integer c, index by index.
 
     The diagonal coefficient is C(n,n) C(2n,n), the last entry of the
@@ -74,11 +81,12 @@ def triangular_solve(a: Sequence[int]) -> list[int]:
     it exactly. A remainder raises DivisibilityError, meaning the input is
     not the forward transform of any integer sequence. This solver is
     deliberately brute force: it is the oracle everything faster is
-    measured against.
+    measured against. `forward` holds _forward_row(n) for n = 0, 1, ...
+    when the caller already holds those rows.
     """
     c: list[int] = []
     for n, a_n in enumerate(a):
-        row = _forward_row(n)
+        row = _forward_row(n) if forward is None else forward[n]
         # c holds c_0..c_{n-1}, so zip stops short of the diagonal
         partial = sum(f * c_k for f, c_k in zip(row, c))
         c.append(exact_divide(a_n - partial, row[-1]))

@@ -22,6 +22,18 @@ def legendre_forward_central(c, n):
     return sum(comb(2 * k, k) * comb(n + k, n - k) * c[k] for k in range(n + 1))
 
 
+def inner_number(n, j, r):
+    """t(n, j, r) = sum_{k=j..n} (-1)^(n-k) D(n,k) C(k+j,k-j)^r, term by term.
+
+    D(n,k) = C(2n,n-k) - C(2n,n-k-1), with C(2n,-1) = 0 at k = n.
+    """
+    total = 0
+    for k in range(j, n + 1):
+        d = comb(2 * n, n - k) - (comb(2 * n, n - k - 1) if k < n else 0)
+        total += (-1) ** (n - k) * d * comb(k + j, k - j) ** r
+    return total
+
+
 def nest(n, j, r):
     """The (s-1)-fold nest of the closed t(n, j, r), r = 2s or 2s + 1, term by term.
 

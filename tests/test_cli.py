@@ -6,6 +6,7 @@ would see them. Failure injection for exit code 1 is done in-process with
 monkeypatching, since the real computations never disagree.
 """
 
+import io
 import itertools
 import json
 import os
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -411,9 +413,11 @@ def test_compute_builds_a_n_once(routes, calls, monkeypatch, capsys):
 
 
 def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys):
-    # legendre_inverse and core.t_rows read the same signed D row; the closed
-    # forms and the defining solve never do, so one wrong entry must fail the
-    # inverse route of compute and the inner-sum and closed-form checks of verify
+    # legendre_inverse and core.t_rows read the same signed D row, which
+    # verify builds once per sweep for every exponent; the closed forms and
+    # the defining solve never read it, so one wrong entry must fail the
+    # inverse route of compute and the inner-sum and closed-form checks of
+    # verify at each exponent
     true_row = legendre._inverse_row
 
     def faulty_row(n):
@@ -618,7 +622,7 @@ def test_t_table_failure_still_emits_document(monkeypatch, capsys):
 
 def test_verify_reports_failures_and_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli.core, "t_rows", lambda r, n_max: [[1] * (n + 1) for n in range(n_max + 1)]
+        cli.core, "t_rows", lambda r, n_max, **held: [[1] * (n + 1) for n in range(n_max + 1)]
     )
     code = cli.main(["verify", "--r-max", "2", "--n-max", "4"])
     captured = capsys.readouterr()
@@ -631,8 +635,8 @@ def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
     # so a single wrong entry must still surface as a disagreement
     true_rows = cli.core.t_rows
 
-    def faulty_rows(r, n_max):
-        rows = true_rows(r, n_max)
+    def faulty_rows(r, n_max, **held):
+        rows = true_rows(r, n_max, **held)
         if r == 4:
             rows[5][2] += 1
         return rows
@@ -663,8 +667,8 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
     # the fault of test_verify_catches_one_wrong_inner_number, pinned in every format
     true_rows = cli.core.t_rows
 
-    def faulty_rows(r, n_max):
-        rows = true_rows(r, n_max)
+    def faulty_rows(r, n_max, **held):
+        rows = true_rows(r, n_max, **held)
         if r == 4:
             rows[5][2] += 1
         return rows
@@ -702,7 +706,7 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
 
 
 def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
-    def failing_solve(r, n_max):
+    def failing_solve(r, n_max, forward=None):
         raise DivisibilityError(7, 2)
 
     monkeypatch.setattr(cli.core, "c_by_definition", failing_solve)
@@ -717,17 +721,22 @@ def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
 
 def test_verify_drops_each_exponents_rows_before_the_next(monkeypatch, capsys):
     # verify holds one exponent's t-rows at a time: when a row is built, no
-    # row of another exponent may still be alive
+    # row of another exponent may still be alive. Every exponent reads the
+    # same held inverse rows, and its columns C(k+j, 2j)^r come to t_rows
+    # already raised, by running products
     class Row(list):
         pass
 
     true_rows = cli.core.t_rows
     built: list[tuple[int, weakref.ref]] = []
     stale = []
+    inverse_held = set()
 
-    def tracked_rows(r, n_max):
+    def tracked_rows(r, n_max, **held):
         stale.extend((r, other) for other, ref in built if other != r and ref() is not None)
-        rows = [Row(row) for row in true_rows(r, n_max)]
+        inverse_held.add(id(held["inverse"]))
+        assert held["powers"] == cli.core._column_powers(n_max, r)
+        rows = [Row(row) for row in true_rows(r, n_max, **held)]
         built.extend((r, weakref.ref(row)) for row in rows)
         return rows
 
@@ -736,6 +745,64 @@ def test_verify_drops_each_exponents_rows_before_the_next(monkeypatch, capsys):
     capsys.readouterr()
     assert {r for r, _ in built} == {1, 2, 3, 4}
     assert stale == []
+    assert len(inverse_held) == 1
+
+
+def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys):
+    # the forward, inverse and central rows do not depend on r, so a sweep
+    # builds each once for all exponents and for the r = 1 checks. The one
+    # central row C(0,0)..C(2N,N) serves every order n <= N. The closed
+    # route's prefactor walks its own central rows, one per (r, n), and reads
+    # none of the held ones, so a fault in them cannot reach it.
+    built = {"_forward_row": Counter(), "_inverse_row": Counter(), "_central_row": Counter()}
+
+    def counted(name, true_fn):
+        def fn(n):
+            caller = sys._getframe(1).f_code.co_name
+            built[name][n, "closed" if caller == "_closed_entries" else "sweep"] += 1
+            return true_fn(n)
+
+        return fn
+
+    for name in built:
+        for module in (legendre, cli.core):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cli.main(["verify", "--r-max", "6", "--n-max", "8"]) == 0
+    capsys.readouterr()
+    once = Counter({(n, "sweep"): 1 for n in range(9)})
+    assert built["_forward_row"] == once
+    assert built["_inverse_row"] == once
+    assert built["_central_row"] == Counter(
+        {(8, "sweep"): 1, **{(n, "closed"): 5 for n in range(9)}}
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["t-table", "--r", "3", "--n-max", "30"], ["verify", "--r-max", "3", "--n-max", "4"]],
+    ids=["t-table", "verify"],
+)
+def test_json_document_is_written_in_chunks(argv, monkeypatch):
+    # the document is streamed from the encoder, never built as one string,
+    # and the chunks join to exactly what json.dumps would have printed
+    class Recorder(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert cli.main([*argv, "--format", "json"]) == 0
+    text = out.getvalue()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert len(out.sizes) > 10
+    assert max(out.sizes) < len(text) / 10
 
 
 def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):

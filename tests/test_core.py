@@ -4,10 +4,10 @@ from math import comb
 
 import pytest
 
-from reference import nest
+from reference import inner_number, nest
 from schmidt import core
-from schmidt.combinatorics import DivisibilityError, binomial, central_binomial
-from schmidt.legendre import legendre_forward
+from schmidt.combinatorics import DivisibilityError, _central_row, binomial, central_binomial
+from schmidt.legendre import _forward_row, legendre_forward
 
 
 def test_lhs_sum_values():
@@ -121,6 +121,40 @@ def test_row_readers_take_a_held_row():
                 assert core.t_sum(n, j, r) == row[j]
                 if r > 1:
                     assert core.integrality_ratio(n, j, r, row) == core.integrality_ratio(n, j, r)
+
+
+def test_readers_take_held_sweep_rows():
+    # each reader gives the same value from rows its caller holds as from the
+    # rows it builds itself; a central row serves every order up to its own
+    held = core._sweep_rows(12)
+    central = _central_row(12)
+    assert held.central == central
+    for r in (1, 2, 5):
+        assert core.c_by_definition(r, 12, held.forward) == core.c_by_definition(r, 12)
+        for n in range(13):
+            assert core.lhs_sum(n, r, held.forward[n]) == core.lhs_sum(n, r)
+            row = core.t_row(n, r)
+            assert core.c_from_t(n, r, row, central) == core.c_from_t(n, r)
+            for j in range(n + 1):
+                assert core.integrality_ratio(n, j, r, row, central) * central[n] == (
+                    central[j] * row[j]
+                )
+
+
+def test_running_power_t_rows_match_t_row_and_reference():
+    # verify's t-rows: held inverse rows, and each exponent's columns
+    # C(k+j, 2j)^r as the previous exponent's times the bases
+    n_max = 20
+    held = core._sweep_rows(n_max)
+    powers = held.bases
+    for r in range(1, 13):
+        if r > 1:
+            powers = core._next_powers(powers, held.bases)
+        assert powers == core._column_powers(n_max, r), r
+        rows = core.t_rows(r, n_max, inverse=held.inverse, powers=powers)
+        for n, row in enumerate(rows):
+            assert row == core.t_row(n, r), (n, r)
+            assert row == [inner_number(n, j, r) for j in range(n + 1)], (n, r)
 
 
 def test_t3_closed_values():
