@@ -19,7 +19,6 @@ time is only ever written to stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
@@ -29,14 +28,16 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from . import core
 from . import hypergeometric as hyp
-from .combinatorics import DivisibilityError, exact_divide
-from .legendre import legendre_forward, legendre_inverse, triangular_solve
+from .combinatorics import DivisibilityError
+from .legendre import legendre_forward
 
-ROUTES = ("definition", "inverse", "closed")
+# what `compute` runs without --routes; every key of core.ROUTES is accepted
+DEFAULT_ROUTES = ("definition", "inverse", "closed")
 FORMATS = ("plain", "json", "csv")
 
 
@@ -47,7 +48,8 @@ class Report:
     `rows` holds one tuple per CSV line under the column names in `header`.
     A check sweep leaves both empty and is rendered from `groups`, each
     (name, checks, elapsed seconds); the times go to stderr only, as do the
-    informational `notes`.
+    informational `notes`. A witness given with `fields` is a format string,
+    filled in only for a check that fails.
     """
 
     header: tuple[str, ...] = ()
@@ -60,10 +62,10 @@ class Report:
     def fail(self, description: str, witness: str) -> None:
         self.failures.append({"description": description, "witness": witness})
 
-    def check(self, ok: bool, description: str, witness: str) -> None:
+    def check(self, ok: bool, description: str, witness: str, *fields) -> None:
         self.checks_run += 1
         if not ok:
-            self.fail(description, witness)
+            self.fail(description, witness.format(*fields) if fields else witness)
 
 
 @contextmanager
@@ -158,34 +160,28 @@ def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
     return code
 
 
-def _route_values(route: str, r: int, n_max: int, lhs: Callable[[], list[int]]) -> list[int]:
-    if route == "definition":
-        return triangular_solve(lhs())
-    if route == "inverse":
-        a = lhs()
-        values = []
-        for n in range(n_max + 1):
-            c_n = legendre_inverse(a, n)
-            values.append(exact_divide(c_n.numerator, c_n.denominator))
-        return values
-    if route == "closed":
-        return core.c_closed(r, n_max)
-    raise ValueError(f"unknown route {route!r}")
+def _route(report: Report, name: str, inputs: core.RouteInputs, read=None) -> list | None:
+    # read(inputs), route `name` by default; a DivisibilityError falsifies integrality
+    # at r, so it is one failed check, and the caller skips the route's checks at r
+    try:
+        return (read or core.ROUTES[name])(inputs)
+    except DivisibilityError as exc:
+        report.check(False, f"{name} route non-integral", f"(r={inputs.r}): {exc}")
+        return None
 
 
 def run_compute(args: argparse.Namespace) -> Report:
     report = Report()
-    # a_0..a_N is built once, inside the first route group that needs it, and
-    # definition and inverse read the same list; closed never reads it, so a
-    # fault in a_n still shows up as a disagreement with closed
-    lhs = functools.cache(lambda: [core.lhs_sum(n, args.r) for n in range(args.n_max + 1)])
+    # the routes share one set of inputs, each built in the first group that
+    # needs it: definition and inverse read one a_0..a_N; closed never reads
+    # it, so a fault in a_n still shows up as a disagreement with closed
+    inputs = core.RouteInputs(args.r, args.n_max)
     per_route: dict[str, list[int]] = {}
     for route in args.routes:
         with _group(report, route):
-            try:
-                per_route[route] = _route_values(route, args.r, args.n_max, lhs)
-            except DivisibilityError as exc:
-                report.fail(f"{route} route produced a non-integer", str(exc))
+            values = _route(report, route, inputs)
+        if values is not None:
+            per_route[route] = values
     reference_route = args.routes[0]
     if not report.failures:
         reference = per_route[reference_route]
@@ -221,84 +217,55 @@ def run_t_table(args: argparse.Namespace) -> Report:
     return report
 
 
-def _checked_equal(report: Report, description: str, witness: str, fn, expected) -> None:
-    try:
-        report.check(fn() == expected, description, witness)
-    except DivisibilityError as exc:
-        report.check(False, f"{description} (non-integral)", f"{witness}: {exc}")
+def _ratio_witnesses(inputs: core.RouteInputs) -> Iterator[str | None]:
+    # per scaled ratio C(2j,j) t(n, j, r) / C(2n,n), row by row: None where
+    # it is an integer, otherwise its witness
+    for n, row in enumerate(inputs.t_rows):
+        for j in range(n + 1):
+            try:
+                core.integrality_ratio(n, j, inputs.r, row, inputs.held.central)
+                yield None
+            except DivisibilityError as exc:
+                yield f"(r={inputs.r}, n={n}, j={j}): {exc}"
 
 
-def _build(report: Report, what: str, r: int, build):
-    """build(), or None after one failed check if it raised DivisibilityError."""
-    try:
-        return build()
-    except DivisibilityError as exc:
-        report.check(False, f"{what} non-integral", f"(r={r}): {exc}")
-        return None
-
-
-def _verify_exponent(
-    report: Report, r: int, n_max: int, held: core._SweepRows, powers: list[list[int]]
-) -> None:
-    # Exponent r's solve, t-rows and closed rows are built once, in the first
-    # group, read by every group and dropped on return, so a sweep holds one
-    # exponent's rows, O(n_max^2) integers, besides the r-independent `held`
-    # rows and the columns C(k+j, 2j)^r in `powers`. The oracles never read
-    # the closed rows, and the closed rows read none of `held`, so a fault in
-    # either still shows as a disagreement. A build that failed is reported
-    # once, and the checks of its route are skipped.
-    central = held.central
+def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
+    # Exponent r's inputs are built once, on first use, read by every group
+    # and dropped on return, so a sweep holds one exponent's rows, O(n_max^2)
+    # integers, besides the r-independent `held` rows and the columns
+    # C(k+j, 2j)^r in `powers`. Every route is checked against definition.
+    r = inputs.r
     with _group(report, "route-agreement"):
-        rows = core.t_rows(r, n_max, inverse=held.inverse, powers=powers)
-        oracle = _build(
-            report, "defining solve", r,
-            lambda: core.c_by_definition(r, n_max, forward=held.forward),
-        )
-        closed = _build(report, "closed rows", r, lambda: list(core.t_closed_rows(r, n_max)))
-        for n, expected in enumerate(oracle or ()):
-            _checked_equal(
-                report, "inner-sum route disagrees", f"(r={r}, n={n})",
-                lambda: core.c_from_t(n, r, rows[n], central), expected,
-            )
-            if closed:
-                _checked_equal(
-                    report, "closed route disagrees", f"(r={r}, n={n})",
-                    lambda: (
-                        core.c2_closed(n) if r == 2 else core.c_from_t(n, r, closed[n], central)
-                    ),
-                    expected,
-                )
+        values = {name: _route(report, name, inputs) for name in core.ROUTES}
+        oracle = values["definition"]
+        for name, route_values in values.items():
+            if name == "definition" or not (oracle and route_values):
+                continue
+            for n, (value, expected) in enumerate(zip(route_values, oracle)):
+                report.check(value == expected, f"{name} route disagrees", "(r={}, n={})", r, n)
 
     with _group(report, "ratio-integrality"):
-        for n, row in enumerate(rows):
-            for j in range(n + 1):
-                try:
-                    core.integrality_ratio(n, j, r, row, central)
-                    report.check(True, "", "")
-                except DivisibilityError as exc:
-                    report.check(
-                        False, "scaled inner number non-integral",
-                        f"(r={r}, n={n}, j={j}): {exc}",
-                    )
+        for witness in _ratio_witnesses(inputs):
+            report.check(witness is None, "scaled inner number non-integral", witness)
 
     with _group(report, "n-independence"):
-        for n, forward in enumerate(held.forward if oracle else ()):
-            report.check(
-                legendre_forward(oracle, n, forward) == core.lhs_sum(n, r, forward),
-                "defining identity fails", f"(r={r}, n={n})",
-            )
+        for n, (forward, a_n) in enumerate(zip(inputs.held.forward, inputs.a) if oracle else ()):
+            report.check(legendre_forward(oracle, n, forward) == a_n, "defining identity fails",
+                         "(r={}, n={})", r, n)
 
     with _group(report, "t-closed-agreement"):
-        for n, closed_row in enumerate(closed or ()):
-            for j, value in enumerate(closed_row):
-                report.check(
-                    value == rows[n][j], "closed form disagrees", f"(r={r}, n={n}, j={j})"
-                )
+        # built by the closed route at r >= 3; at r = 2 that route sums
+        # Franel's cubes, and the rows are built here
+        closed = values["closed"] and _route(report, "closed", inputs, attrgetter("closed_rows"))
+        for n, (closed_row, row) in enumerate(zip(closed or (), inputs.t_rows)):
+            for j, (value, t) in enumerate(zip(closed_row, row)):
+                report.check(value == t, "closed form disagrees", "(r={}, n={}, j={})", r, n, j)
 
 
 def run_verify(args: argparse.Namespace) -> Report:
-    # registered up front, so a sweep with r_max < 2 still reports each group
-    groups = ("route-agreement", "ratio-integrality", "n-independence", "t-closed-agreement")
+    # registered up front, so every sweep reports the same groups, also one with r_max < 2
+    groups = ("route-agreement", "ratio-integrality", "n-independence", "t-closed-agreement",
+              "trivial-exponent")
     report = Report(groups={name: [0, 0.0] for name in groups})
     n_max = args.n_max
     if args.r_max < 1:
@@ -310,26 +277,19 @@ def run_verify(args: argparse.Namespace) -> Report:
     powers = held.bases
     for r in range(2, args.r_max + 1):
         powers = core._next_powers(powers, held.bases)
-        _verify_exponent(report, r, n_max, held, powers)
+        _verify_exponent(report, core.RouteInputs(r, n_max, held, powers))
 
+    one = core.RouteInputs(1, n_max, held, held.bases)
     with _group(report, "trivial-exponent"):
-        _checked_equal(
-            report, "exponent-1 family is not all ones", f"(n_max={n_max})",
-            lambda: core.c_by_definition(1, n_max, forward=held.forward), [1] * (n_max + 1),
-        )
+        ones = _route(report, "definition", one)
+        if ones is not None:
+            report.check(
+                ones == [1] * (n_max + 1), "exponent-1 family is not all ones", f"(n_max={n_max})"
+            )
     # informational only: the scaled ratios at r=1 are reported, never asserted
-    integral = total = 0
-    for n, row in enumerate(core.t_rows(1, n_max, inverse=held.inverse, powers=held.bases)):
-        for j in range(n + 1):
-            total += 1
-            try:
-                core.integrality_ratio(n, j, 1, row, held.central)
-                integral += 1
-            except DivisibilityError:
-                pass
-    report.notes.append(
-        f"note: r=1 scaled ratios integral for {integral}/{total} pairs (not asserted)"
-    )
+    ratios = list(_ratio_witnesses(one))
+    integral = f"{ratios.count(None)}/{len(ratios)}"
+    report.notes.append(f"note: r=1 scaled ratios integral for {integral} pairs (not asserted)")
     return report
 
 
@@ -451,9 +411,9 @@ def _routes(text: str) -> tuple[str, ...]:
     if not parts:
         raise argparse.ArgumentTypeError("need at least one route")
     for part in parts:
-        if part not in ROUTES:
+        if part not in core.ROUTES:
             raise argparse.ArgumentTypeError(
-                f"unknown route {part!r}; choose from {', '.join(ROUTES)}"
+                f"unknown route {part!r}; choose from {', '.join(core.ROUTES)}"
             )
         if parts.count(part) > 1:
             raise argparse.ArgumentTypeError(f"route {part!r} given more than once")
@@ -468,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--r", type=_positive_int, required=True, help="exponent, >= 1")
     compute.add_argument("--n-max", type=_non_negative_int, default=12)
     compute.add_argument(
-        "--routes", type=_routes, default=ROUTES,
-        help="comma-separated subset of definition,inverse,closed",
+        "--routes", type=_routes, default=DEFAULT_ROUTES,
+        help=f"comma-separated subset of {','.join(core.ROUTES)}",
     )
 
     t_table = sub.add_parser("t-table", help="print the inner numbers and scaled ratios")

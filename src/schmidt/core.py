@@ -18,7 +18,8 @@ c(n, r) is an integer, and so is every C(2j,j) t(n, j, r) / C(2n,n).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
+from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import NamedTuple
@@ -29,7 +30,7 @@ from .combinatorics import (
     _central_row,
     exact_divide,
 )
-from .legendre import _forward_row, _inverse_row, triangular_solve
+from .legendre import _forward_row, _inverse_row, legendre_inverse, triangular_solve
 
 
 def _require_order(n: int, j: int = 0) -> None:
@@ -54,18 +55,9 @@ def lhs_sum(n: int, r: int, row: list[int] | None = None) -> int:
     return sum(f**r for f in row)
 
 
-def c_by_definition(r: int, n_max: int, forward: Sequence[list[int]] | None = None) -> list[int]:
-    """c(0, r)..c(n_max, r) by solving the defining system directly.
-
-    `forward` holds the forward rows _forward_row(0..n_max) when the caller
-    already holds them; otherwise each is built for lhs_sum and again for
-    the solve, and neither is kept. Propagates DivisibilityError from the
-    solver; such an error would falsify the integrality statement, so it is
-    never swallowed.
-    """
-    _require_exponent(r)
-    a = [lhs_sum(n, r, None if forward is None else forward[n]) for n in range(n_max + 1)]
-    return triangular_solve(a, forward)
+def c_by_definition(r: int, n_max: int) -> list[int]:
+    """c(0, r)..c(n_max, r) by solving the defining system directly: the definition route."""
+    return ROUTES["definition"](RouteInputs(r, n_max))
 
 
 def _inner_row(signed: list[int], powers: list[list[int]]) -> list[int]:
@@ -270,42 +262,91 @@ def _closed_entries(n: int, odd: bool, nests: Iterable[tuple[int, int]]) -> list
     return [exact_divide(central[n] * narrow[j] * nest, central[j]) for j, nest in nests]
 
 
-def t_closed_rows(r: int, n_max: int) -> Iterator[list[int]]:
+def t_closed_rows(r: int, n_max: int) -> list[list[int]]:
     """t(n, 0..n, r) for n = 0..n_max by the nested multi-sum route, for every r >= 2.
 
     For r = 2s or r = 2s + 1 each entry is a prefactor, an integer for odd r
     and divided out exactly for even r, times the (s-1)-fold nest. The nest
-    columns, O(s n_max^3) work, are built up front and held; the rows are
-    yielded one at a time.
+    columns, O(s n_max^3) work, are built up front and dropped on return.
     """
     _require_order(n_max)
     _require_closed_exponent(r)
     s, odd = divmod(r, 2)
     columns = [_nest_column(j, s, odd, n_max) for j in range(n_max + 1)]
+    return [
+        _closed_entries(n, odd, ((j, columns[j][n - j]) for j in range(n + 1)))
+        for n in range(n_max + 1)
+    ]
 
-    def row(n: int) -> list[int]:
-        return _closed_entries(n, odd, ((j, columns[j][n - j]) for j in range(n + 1)))
 
-    return map(row, range(n_max + 1))
+class RouteInputs:
+    """What the routes read at exponent r to order n_max, each built at most once, on first use.
 
-
-def c_closed(r: int, n_max: int) -> list[int]:
-    """c(0, r)..c(n_max, r) by the closed multi-sum route, for every r >= 1.
-
-    For r >= 3 each value is c_from_t over its closed row from
-    t_closed_rows(r, n_max): sum_j C(2j,j)^r t(n, j, r) with one exact
-    division by C(2n,n). Each row is dropped once read.
+    `a` is a_0..a_N from lhs_sum, `t_rows` the rows t(n, 0..n, r) and
+    `closed_rows` the same rows by the nested sums. A sweep passes its
+    r-independent `held` rows and the columns C(k+j, 2j)^r as `powers`;
+    otherwise no forward or inverse row is kept.
     """
-    _require_exponent(r)
-    _require_order(n_max)
+
+    def __init__(self, r: int, n_max: int, held: _SweepRows | None = None, powers=None) -> None:
+        _require_exponent(r)
+        _require_order(n_max)
+        self.r, self.n_max, self.held, self.powers = r, n_max, held, powers
+
+    @cached_property
+    def a(self) -> list[int]:
+        forward = repeat(None) if self.held is None else self.held.forward
+        return list(map(lhs_sum, range(self.n_max + 1), repeat(self.r), forward))
+
+    @cached_property
+    def t_rows(self) -> list[list[int]]:
+        inverse = None if self.held is None else self.held.inverse
+        return t_rows(self.r, self.n_max, inverse=inverse, powers=self.powers)
+
+    @cached_property
+    def closed_rows(self) -> list[list[int]]:
+        return t_closed_rows(self.r, self.n_max)
+
+
+def _definition(inputs: RouteInputs) -> list[int]:
+    return triangular_solve(inputs.a, None if inputs.held is None else inputs.held.forward)
+
+
+def _inverse(inputs: RouteInputs) -> list[int]:
+    inverse = repeat(None) if inputs.held is None else inputs.held.inverse
+    quotients = map(legendre_inverse, repeat(inputs.a), range(inputs.n_max + 1), inverse)
+    return [exact_divide(c_n.numerator, c_n.denominator) for c_n in quotients]
+
+
+def _inner_sum(inputs: RouteInputs) -> list[int]:
+    central = _central_row(inputs.n_max) if inputs.held is None else inputs.held.central
+    return [c_from_t(n, inputs.r, row, central) for n, row in enumerate(inputs.t_rows)]
+
+
+def _closed(inputs: RouteInputs) -> list[int]:
+    r, n_max = inputs.r, inputs.n_max
     if r == 1:
         return [1] * (n_max + 1)
     if r == 2:
-        # The s = 1 nest form sum_j C(2j,j) C(n,j) C(j,n-j) gives Franel's
-        # numbers too, but its columns cost O(n_max^3) products against the
-        # O(n_max^2) cubes of one walked row per n.
+        # Franel's cubes, O(n_max^2), not the closed rows' O(n_max^3) s = 1 nest
         return [c2_closed(n) for n in range(n_max + 1)]
-    return [c_from_t(n, r, row) for n, row in enumerate(t_closed_rows(r, n_max))]
+    central = _central_row(n_max)
+    return [c_from_t(n, r, row, central) for n, row in enumerate(inputs.closed_rows)]
+
+
+# Every route to c(0..N, r), each its own formula: the defining solve, the
+# inverse transform of a_n, and the inner sum over t_rows or over the closed
+# rows. Independence rule: closed reads none of the held rows nor any other
+# route's input, central binomials included, so a fault in one still shows
+# as a disagreement with it.
+ROUTES = {
+    "definition": _definition, "inverse": _inverse, "inner-sum": _inner_sum, "closed": _closed
+}
+
+
+def c_closed(r: int, n_max: int) -> list[int]:
+    """c(0, r)..c(n_max, r) by the closed multi-sum route, for every r >= 1."""
+    return ROUTES["closed"](RouteInputs(r, n_max))
 
 
 def t_general(n: int, j: int, r: int) -> int:

@@ -419,16 +419,10 @@ def spec_pole_free(spec: WellPoisedSpec) -> bool:
     return not any(_vanishes(p, q, m) for p, q in candidates)
 
 
-# Every value sample_rational can return, at 6 (P + 6) + (Q - 1) for P/Q,
-# and the same values as reduced integer pairs
+# Every sampled parameter P/Q, numerator P in [-6, 6] and denominator Q in
+# [1, 6], at 6 (P + 6) + (Q - 1), and the same values as reduced integer pairs
 _SAMPLES = tuple(Fraction(p, q) for p in range(-6, 7) for q in range(1, 7))
 _SAMPLE_PAIRS = tuple(map(_pair, _SAMPLES))
-
-
-def sample_rational(rng: random.Random) -> Fraction:
-    """Numerator uniform in [-6, 6], denominator uniform in [1, 6]."""
-    p = rng.randint(-6, 6)
-    return _SAMPLES[6 * (p + 6) + rng.randint(1, 6) - 1]
 
 
 def _below(getrandbits, n: int) -> int:
@@ -443,7 +437,7 @@ def _below(getrandbits, n: int) -> int:
 
 
 def _sample_index(getrandbits) -> int:
-    # sample_rational's two draws, as the index of its value in _SAMPLES
+    # the index in _SAMPLES of P/Q, from randint(-6, 6) for P, then randint(1, 6) for Q
     return 6 * _below(getrandbits, 13) + _below(getrandbits, 6)
 
 
@@ -461,8 +455,9 @@ def sample_well_poised(rng: random.Random, s: int, m_max: int) -> WellPoisedSpec
 
     Deterministic for a given generator state: candidates with a = 0 or a
     vanishing denominator Pochhammer are discarded and the draw repeats.
-    The draws are those of sample_rational for a, then for b_1, c_1, ...,
-    b_s, c_s, then randint(0, m_max) for m, taken from rng.getrandbits.
+    Each of a, then b_1, c_1, ..., b_s, c_s, is P/Q from randint(-6, 6) for
+    P, then randint(1, 6) for Q; then randint(0, m_max) gives m. All draws
+    are taken from rng.getrandbits, as randint would take them.
     """
     if s < 1:
         raise ValueError(f"need at least one pair, got s={s}")

@@ -24,6 +24,7 @@ exponents does.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .combinatorics import _binomial_row, binomial, central_binomial, exact_divide
@@ -61,15 +62,18 @@ def legendre_forward(c: Sequence[int], n: int, row: list[int] | None = None) -> 
     return sum(f * c_k for f, c_k in zip(row, c))
 
 
-def legendre_inverse(a: Sequence[int], n: int) -> Fraction:
+def legendre_inverse(a: Sequence[int], n: int, row: list[int] | None = None) -> Fraction:
     """c_n = [sum_k (-1)^(n-k) D(n,k) a_k] / C(2n,n), as an exact rational.
 
     Defined for arbitrary integer input. Integrality of particular families
     is a statement to verify downstream, not a precondition, so no
-    divisibility is enforced here.
+    divisibility is enforced here. `row` is _inverse_row(n) when the caller
+    already holds it.
     """
     _check_prefix(a, n)
-    acc = sum(d * a_k for d, a_k in zip(_inverse_row(n), a))
+    if row is None:
+        row = _inverse_row(n)
+    acc = sum(map(mul, row, a))
     return Fraction(acc, central_binomial(n))
 
 

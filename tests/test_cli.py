@@ -92,6 +92,8 @@ def test_compute_rejects_r_zero():
 def test_compute_rejects_unknown_route():
     result = run_cli("compute", "--r", "2", "--routes", "definition,magic")
     assert result.returncode == 2
+    # the error lists the route table's keys
+    assert "choose from definition, inverse, inner-sum, closed" in result.stderr
 
 
 def test_compute_rejects_repeated_route():
@@ -198,6 +200,27 @@ def test_verify_r_max_one_still_passes():
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_verify_r_max_zero_reports_every_group(fmt, capsys):
+    # a sweep with no exponent still lists the five groups of every other sweep
+    assert cli.main(["verify", "--r-max", "0", "--n-max", "3", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    names = ["route-agreement", "ratio-integrality", "n-independence", "t-closed-agreement",
+             "trivial-exponent"]
+    if fmt == "json":
+        doc = {
+            "command": "verify",
+            "params": {"r_max": 0, "n_max": 3, "format": fmt},
+            "results": {"checks_run": 0, "groups": [{"name": n, "checks": 0} for n in names]},
+            "failures": [],
+        }
+        expected = json.dumps(doc, indent=2) + "\n"
+    else:
+        expected = "".join(f"{name}: 0 checks\n" for name in names) + "all 0 checks passed\n"
+    assert captured.out == expected
+    assert _stderr_times(captured.err) == names
+
+
 def test_identities_seeded_run_passes():
     result = run_cli("identities", "--trials", "20", "--m-max", "4", "--seed", "11")
     assert result.returncode == 0
@@ -247,7 +270,7 @@ _SWEEPS = {
     "verify": (
         ["verify", "--r-max", "3", "--n-max", "4"],
         {"r_max": 3, "n_max": 4},
-        [("route-agreement", 20), ("ratio-integrality", 30), ("n-independence", 10),
+        [("route-agreement", 30), ("ratio-integrality", 30), ("n-independence", 10),
          ("t-closed-agreement", 30), ("trivial-exponent", 1)],
     ),
 }
@@ -287,7 +310,7 @@ _FRANEL = [1, 2, 10, 56]
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 @pytest.mark.parametrize("closed", [_FRANEL, [0, 0, 0, 0]], ids=["agree", "disagree"])
 def test_compute_stdout_bytes(closed, fmt, monkeypatch, capsys):
-    monkeypatch.setattr(cli.core, "c_closed", lambda r, n_max: closed[: n_max + 1])
+    monkeypatch.setitem(cli.core.ROUTES, "closed", lambda inputs: closed[: inputs.n_max + 1])
     code = cli.main(["compute", "--r", "2", "--n-max", "3", "--format", fmt])
     captured = capsys.readouterr()
     per_route = {"definition": _FRANEL, "inverse": _FRANEL, "closed": closed}
@@ -326,8 +349,32 @@ def test_compute_stdout_bytes(closed, fmt, monkeypatch, capsys):
     assert _stderr_times(captured.err) == list(per_route)
 
 
+@pytest.mark.parametrize("route", list(cli.core.ROUTES))
+def test_every_route_is_a_compute_route(route, capsys):
+    for r in range(1, 6):
+        assert cli.main(["compute", "--r", str(r), "--n-max", "10", "--routes", route]) == 0
+        expected = " ".join(map(str, cli.core.c_by_definition(r, 10)))
+        assert capsys.readouterr().out == expected + "\n"
+
+
+def test_wrong_inverse_value_fails_verify(monkeypatch, capsys):
+    # verify checks the inverse route against definition at every exponent,
+    # so one wrong, still integral, c_3 fails it at each r and nowhere else
+    true_inverse = cli.core.legendre_inverse
+
+    def off_by_one(a, n, row=None):
+        return true_inverse(a, n, row) + (n == 3)
+
+    monkeypatch.setattr(cli.core, "legendre_inverse", off_by_one)
+    assert cli.main(["verify", "--r-max", "4", "--n-max", "6"]) == 1
+    captured = capsys.readouterr()
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL inverse route disagrees witness=(r={r}, n=3)" for r in (2, 3, 4)]
+    assert "FAILED" in captured.out
+
+
 def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli.core, "c_closed", lambda r, n_max: [0] * (n_max + 1))
+    monkeypatch.setitem(cli.core.ROUTES, "closed", lambda inputs: [0] * (inputs.n_max + 1))
     code = cli.main(["compute", "--r", "2", "--n-max", "3"])
     captured = capsys.readouterr()
     assert code == 1
@@ -339,17 +386,17 @@ def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 def test_compute_non_integral_inverse_exits_one(fmt, monkeypatch, capsys):
     # the route that raised is missing from every format's output
-    monkeypatch.setattr(cli, "legendre_inverse", lambda a, n: Fraction(1, 2))
+    monkeypatch.setattr(cli.core, "legendre_inverse", lambda a, n, row=None: Fraction(1, 2))
     code = cli.main(["compute", "--r", "2", "--n-max", "3", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert fails == ["FAIL inverse route produced a non-integer witness=2 does not divide 1"]
+    assert fails == ["FAIL inverse route non-integral witness=(r=2): 2 does not divide 1"]
     shown = ("definition", "closed")
     if fmt == "json":
         doc = {
             "command": "compute",
-            "params": {"r": 2, "n_max": 3, "routes": list(cli.ROUTES), "format": fmt},
+            "params": {"r": 2, "n_max": 3, "routes": list(cli.DEFAULT_ROUTES), "format": fmt},
             "results": {
                 "routes": [
                     {"route": route, "values": [{"n": n, "c": str(c)} for n, c in enumerate(_FRANEL)]}
@@ -358,8 +405,8 @@ def test_compute_non_integral_inverse_exits_one(fmt, monkeypatch, capsys):
                 "routes_agree": False,
             },
             "failures": [
-                {"description": "inverse route produced a non-integer",
-                 "witness": "2 does not divide 1"}
+                {"description": "inverse route non-integral",
+                 "witness": "(r=2): 2 does not divide 1"}
             ],
         }
         expected = json.dumps(doc, indent=2) + "\n"
@@ -378,8 +425,8 @@ def test_compute_shares_one_a_n_and_closed_still_disagrees(monkeypatch, capsys):
     # same a_n, both print 57; closed never reads a_n and still prints 56
     true_lhs = cli.core.lhs_sum
 
-    def shifted_lhs(n, r):
-        return true_lhs(n, r) + (_forward_row(n)[3] if n >= 3 else 0)
+    def shifted_lhs(n, r, row=None):
+        return true_lhs(n, r, row) + (_forward_row(n)[3] if n >= 3 else 0)
 
     monkeypatch.setattr(cli.core, "lhs_sum", shifted_lhs)
     code = cli.main(["compute", "--r", "2", "--n-max", "5"])
@@ -396,13 +443,20 @@ def test_compute_shares_one_a_n_and_closed_still_disagrees(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "routes, calls",
-    [("definition,inverse,closed", 6), ("inverse,closed,definition", 6), ("closed", 0)],
+    [
+        ("definition,inverse,closed", 6),
+        ("inverse,closed,definition", 6),
+        ("closed", 0),
+        ("inner-sum,closed", 0),
+        ("inner-sum,definition,inverse,closed", 6),
+    ],
 )
 def test_compute_builds_a_n_once(routes, calls, monkeypatch, capsys):
     true_lhs = cli.core.lhs_sum
     seen = []
 
-    def counted_lhs(n, r):
+    def counted_lhs(n, r, row=None):
+        assert row is None  # compute holds no forward rows
         seen.append((n, r))
         return true_lhs(n, r)
 
@@ -416,8 +470,8 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
     # legendre_inverse and core.t_rows read the same signed D row, which
     # verify builds once per sweep for every exponent; the closed forms and
     # the defining solve never read it, so one wrong entry must fail the
-    # inverse route of compute and the inner-sum and closed-form checks of
-    # verify at each exponent
+    # inverse route of compute and the inverse, inner-sum and closed-form
+    # checks of verify at each exponent
     true_row = legendre._inverse_row
 
     def faulty_row(n):
@@ -433,7 +487,7 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert fails == ["FAIL inverse route produced a non-integer witness=252 does not divide 567577"]
+    assert fails == ["FAIL inverse route non-integral witness=(r=2): 252 does not divide 567577"]
     assert captured.out == "definition: 1 2 10 56 346 2252 15184\nclosed: 1 2 10 56 346 2252 15184\n"
     assert "Traceback" not in captured.err
 
@@ -441,11 +495,11 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert [line for line in fails if "inner-sum" in line] == [
-        "FAIL inner-sum route disagrees (non-integral) witness=(r=2, n=5): "
-        "252 does not divide 567577",
-        "FAIL inner-sum route disagrees (non-integral) witness=(r=3, n=5): "
-        "252 does not divide 417792241",
+    assert [line for line in fails if " route " in line] == [
+        "FAIL inverse route non-integral witness=(r=2): 252 does not divide 567577",
+        "FAIL inner-sum route non-integral witness=(r=2): 252 does not divide 567577",
+        "FAIL inverse route non-integral witness=(r=3): 252 does not divide 417792241",
+        "FAIL inner-sum route non-integral witness=(r=3): 252 does not divide 417792241",
     ]
     assert [line for line in fails if "closed form" in line] == [
         f"FAIL closed form disagrees witness=(r={r}, n=5, j={j})" for r in (2, 3) for j in range(3)
@@ -648,8 +702,7 @@ def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     # each reader of the row flags it on its own: c_from_t, the ratio, the closed form
     assert fails == [
-        "FAIL inner-sum route disagrees (non-integral) witness=(r=4, n=5): "
-        "252 does not divide 257621972112",
+        "FAIL inner-sum route non-integral witness=(r=4): 252 does not divide 257621972112",
         "FAIL scaled inner number non-integral witness=(r=4, n=5, j=2): "
         "252 does not divide 6400806",
         "FAIL closed form disagrees witness=(r=4, n=5, j=2)",
@@ -658,7 +711,7 @@ def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
     assert "FAILED" in captured.out
 
 
-_FAILED_SWEEP = [("route-agreement", 56), ("ratio-integrality", 112), ("n-independence", 28),
+_FAILED_SWEEP = [("route-agreement", 78), ("ratio-integrality", 112), ("n-independence", 28),
                  ("t-closed-agreement", 112), ("trivial-exponent", 1)]
 
 
@@ -678,8 +731,8 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     failures = [
-        {"description": "inner-sum route disagrees (non-integral)",
-         "witness": "(r=4, n=5): 252 does not divide 257621972112"},
+        {"description": "inner-sum route non-integral",
+         "witness": "(r=4): 252 does not divide 257621972112"},
         {"description": "scaled inner number non-integral",
          "witness": "(r=4, n=5, j=2): 252 does not divide 6400806"},
         {"description": "closed form disagrees", "witness": "(r=4, n=5, j=2)"},
@@ -689,7 +742,7 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
             "command": "verify",
             "params": {"r_max": 5, "n_max": 6, "format": fmt},
             "results": {
-                "checks_run": 309,
+                "checks_run": 331,
                 "groups": [{"name": name, "checks": count} for name, count in _FAILED_SWEEP],
             },
             "failures": failures,
@@ -699,24 +752,30 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
         expected = "group,checks\n" + "".join(f"{name},{count}\n" for name, count in _FAILED_SWEEP)
     else:
         expected = "".join(f"{name}: {count} checks\n" for name, count in _FAILED_SWEEP)
-        expected += "3 of 309 checks FAILED\n"
+        expected += "3 of 331 checks FAILED\n"
     assert captured.out == expected
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == [f"FAIL {f['description']} witness={f['witness']}" for f in failures]
 
 
 def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
-    def failing_solve(r, n_max, forward=None):
+    # the oracle failed, so no route is compared at that exponent, and the
+    # other routes, which still run, are not at fault
+    def failing_solve(a, forward=None):
         raise DivisibilityError(7, 2)
 
-    monkeypatch.setattr(cli.core, "c_by_definition", failing_solve)
+    monkeypatch.setattr(cli.core, "triangular_solve", failing_solve)
     code = cli.main(["verify", "--r-max", "3", "--n-max", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "FAIL defining solve non-integral witness=(r=2): 2 does not divide 7" in captured.err
-    assert "FAIL defining solve non-integral witness=(r=3): 2 does not divide 7" in captured.err
-    assert "FAIL exponent-1 family is not all ones (non-integral) witness=" in captured.err
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        f"FAIL definition route non-integral witness=(r={r}): 2 does not divide 7"
+        for r in (2, 3, 1)
+    ]
+    assert "route-agreement: 2 checks" in captured.out
     assert "n-independence: 0 checks" in captured.out
+    assert "trivial-exponent: 1 checks" in captured.out
 
 
 def test_verify_drops_each_exponents_rows_before_the_next(monkeypatch, capsys):
@@ -752,14 +811,15 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     # the forward, inverse and central rows do not depend on r, so a sweep
     # builds each once for all exponents and for the r = 1 checks. The one
     # central row C(0,0)..C(2N,N) serves every order n <= N. The closed
-    # route's prefactor walks its own central rows, one per (r, n), and reads
-    # none of the held ones, so a fault in them cannot reach it.
+    # route reads none of the held rows: its prefactor walks its own central
+    # rows, one per (r, n), and its inner sum one C(0,0)..C(2N,N) per r >= 3,
+    # so a fault in a held row cannot reach it.
     built = {"_forward_row": Counter(), "_inverse_row": Counter(), "_central_row": Counter()}
 
     def counted(name, true_fn):
         def fn(n):
             caller = sys._getframe(1).f_code.co_name
-            built[name][n, "closed" if caller == "_closed_entries" else "sweep"] += 1
+            built[name][n, "closed" if caller in ("_closed_entries", "_closed") else "sweep"] += 1
             return true_fn(n)
 
         return fn
@@ -774,8 +834,56 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     assert built["_forward_row"] == once
     assert built["_inverse_row"] == once
     assert built["_central_row"] == Counter(
-        {(8, "sweep"): 1, **{(n, "closed"): 5 for n in range(9)}}
+        {(8, "sweep"): 1, **{(n, "closed"): 5 for n in range(8)}, (8, "closed"): 5 + 4}
     )
+
+
+def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
+    # every group and route of one exponent reads the same a_n, t-rows and
+    # closed rows, built once; r = 1 reads a_n and t-rows only
+    built = Counter()
+
+    def counted(name, true_fn):
+        def fn(*args, **kwargs):
+            key = (name, args[1]) if name == "lhs_sum" else (name, args[0])
+            built[key] += 1
+            return true_fn(*args, **kwargs)
+
+        return fn
+
+    for name in ("lhs_sum", "t_rows", "t_closed_rows"):
+        monkeypatch.setattr(cli.core, name, counted(name, getattr(cli.core, name)))
+    assert cli.main(["verify", "--r-max", "6", "--n-max", "8"]) == 0
+    capsys.readouterr()
+    assert built == Counter(
+        {
+            **{("lhs_sum", r): 9 for r in range(1, 7)},
+            **{("t_rows", r): 1 for r in range(1, 7)},
+            **{("t_closed_rows", r): 1 for r in range(2, 7)},
+        }
+    )
+
+
+def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys):
+    # the inner-sum route and the ratios read the sweep's held central row;
+    # the closed route walks its own, so with C(10,5) wrong in the held row
+    # the inner-sum checks fail at every exponent and closed still agrees
+    true_rows = cli.core._sweep_rows
+
+    def faulty_rows(n_max):
+        held = true_rows(n_max)
+        held.central[5] += 1
+        return held
+
+    monkeypatch.setattr(cli.core, "_sweep_rows", faulty_rows)
+    code = cli.main(["verify", "--r-max", "4", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    for r in (2, 3, 4):
+        assert any(line.startswith("FAIL inner-sum route") and f"(r={r}" in line for line in fails)
+    assert not any("closed" in line for line in fails), fails
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -821,17 +929,17 @@ def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
     assert code == 1
     assert "Traceback" not in captured.err
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert fails == ["FAIL closed rows non-integral witness=(r=4): 2 does not divide 7"]
+    assert fails == ["FAIL closed route non-integral witness=(r=4): 2 does not divide 7"]
     assert captured.out.splitlines() == [
-        # 4 x 7 inner-sum checks, 7 closed-route checks at each of r = 2, 3, 5
-        # and the failed build
-        "route-agreement: 50 checks",
+        # 4 x 7 inverse and 4 x 7 inner-sum checks, 7 closed-route checks at
+        # each of r = 2, 3, 5 and the failed route
+        "route-agreement: 78 checks",
         "ratio-integrality: 112 checks",
         "n-independence: 28 checks",
         # 28 at each of r = 2, 3, 5
         "t-closed-agreement: 84 checks",
         "trivial-exponent: 1 checks",
-        "1 of 275 checks FAILED",
+        "1 of 303 checks FAILED",
     ]
 
 

@@ -130,7 +130,9 @@ def test_readers_take_held_sweep_rows():
     central = _central_row(12)
     assert held.central == central
     for r in (1, 2, 5):
-        assert core.c_by_definition(r, 12, held.forward) == core.c_by_definition(r, 12)
+        oracle = core.c_by_definition(r, 12)
+        for name, route in core.ROUTES.items():
+            assert route(core.RouteInputs(r, 12, held)) == oracle, (name, r)
         for n in range(13):
             assert core.lhs_sum(n, r, held.forward[n]) == core.lhs_sum(n, r)
             row = core.t_row(n, r)
