@@ -28,6 +28,7 @@ from .hypergeometric import (
     WellPoisedSpec,
     andrews_rhs,
     check_andrews,
+    check_classical,
     check_dougall,
     check_reduction,
     check_whipple,

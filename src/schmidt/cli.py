@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import core
 from . import hypergeometric as hyp
@@ -309,23 +309,37 @@ _FIXED_SPECS = (
 )
 
 
-def _spec_witness(spec: hyp.WellPoisedSpec) -> str:
+def _spec_witness(spec: hyp.WellPoisedSpec, names: str) -> str:
+    # the spec as its pairs, or with names, as a then b_1, c_1, ... by those names
+    if names:
+        flat = (spec.a, *(x for pair in spec.pairs for x in pair), spec.m)
+        return "(" + ", ".join(f"{name}={x}" for name, x in zip(names + "m", flat)) + ")"
     pairs = ", ".join(f"({b}, {c})" for b, c in spec.pairs)
     return f"(a={spec.a}, pairs=[{pairs}], m={spec.m})"
 
 
-# What Andrews's nest reduces to at s = 1 and s = 2 (hyp.check_reduction)
-_REDUCTIONS = {1: "5F4 evaluation", 2: "7F6 transform"}
-
-
-def _identity_check(report: Report, description: str, witness: Callable[[], str], fn) -> None:
+def _identity_check(report: Report, description: str, check, spec, names: str) -> None:
     # the witness is formatted only for a check that fails: ~2,100 checks
     # pass per benchmark-size run
     try:
-        ok, pole = fn(), ""
+        ok, pole = check(spec), ""
     except hyp.PoleError as exc:
         ok, pole = False, f": pole: {exc}"
-    report.check(ok, description, "" if ok else witness() + pole)
+    report.check(ok, description, "" if ok else _spec_witness(spec, names) + pole)
+
+
+# The sampled groups in report order: name, random stream, the s of each spec
+# drawn per trial, the check's name in hyp (looked up when the group runs, so
+# that a replaced check is the one called), its failure description with
+# fields s and form, and the witness's parameter names (none: the spec's pairs)
+_SAMPLED_GROUPS = (
+    ("dougall", "dougall", (1,), "check_classical", "5F4 summation failed", "acd"),
+    ("whipple", "whipple", (2,), "check_classical", "7F6 transformation failed", "abcde"),
+    *((f"andrews-s{s}", f"andrews/{s}", (s,), "check_andrews",
+       "multiple transformation failed at s={s}", "") for s in (1, 2, 3)),
+    ("reduction-chain", "reduction", tuple(hyp.CLASSICAL_FORMS), "check_reduction",
+     "s={s} reduction disagrees with the {form}", ""),
+)
 
 
 def run_identities(args: argparse.Namespace) -> Report:
@@ -333,54 +347,22 @@ def run_identities(args: argparse.Namespace) -> Report:
 
     with _group(report, "structural-reductions"):
         for spec in _FIXED_SPECS:
-            if spec.s in _REDUCTIONS:
-                _identity_check(
-                    report, f"s={spec.s} nest does not reduce to the {_REDUCTIONS[spec.s]}",
-                    lambda: _spec_witness(spec), lambda: hyp.check_reduction(spec),
-                )
-            _identity_check(
-                report, f"s={spec.s} multiple transformation failed",
-                lambda: _spec_witness(spec), lambda: hyp.check_andrews(spec),
-            )
+            if spec.s in hyp.CLASSICAL_FORMS:
+                form = hyp.CLASSICAL_FORMS[spec.s]
+                _identity_check(report, f"s={spec.s} nest does not reduce to the {form}",
+                                hyp.check_reduction, spec, "")
+            _identity_check(report, f"s={spec.s} multiple transformation failed",
+                            hyp.check_andrews, spec, "")
 
-    with _group(report, "dougall"):
-        rng = random.Random(f"{args.seed}/dougall")
-        for _ in range(args.trials):
-            a, c, d, m = hyp.sample_dougall(rng, args.m_max)
-            _identity_check(
-                report, "5F4 summation failed", lambda: f"(a={a}, c={c}, d={d}, m={m})",
-                lambda: hyp.check_dougall(a, c, d, m),
-            )
-
-    with _group(report, "whipple"):
-        rng = random.Random(f"{args.seed}/whipple")
-        for _ in range(args.trials):
-            a, b, c, d, e, m = hyp.sample_whipple(rng, args.m_max)
-            _identity_check(
-                report, "7F6 transformation failed",
-                lambda: f"(a={a}, b={b}, c={c}, d={d}, e={e}, m={m})",
-                lambda: hyp.check_whipple(a, b, c, d, e, m),
-            )
-
-    for s in (1, 2, 3):
-        with _group(report, f"andrews-s{s}"):
-            rng = random.Random(f"{args.seed}/andrews/{s}")
+    for name, stream, depths, check, description, names in _SAMPLED_GROUPS:
+        check = getattr(hyp, check)
+        descriptions = [description.format(s=s, form=hyp.CLASSICAL_FORMS.get(s)) for s in depths]
+        with _group(report, name):
+            rng = random.Random(f"{args.seed}/{stream}")
             for _ in range(args.trials):
-                spec = hyp.sample_well_poised(rng, s, args.m_max)
-                _identity_check(
-                    report, f"multiple transformation failed at s={s}",
-                    lambda: _spec_witness(spec), lambda: hyp.check_andrews(spec),
-                )
-
-    with _group(report, "reduction-chain"):
-        rng = random.Random(f"{args.seed}/reduction")
-        for _ in range(args.trials):
-            for s, reduction in _REDUCTIONS.items():
-                spec = hyp.sample_well_poised(rng, s, args.m_max)
-                _identity_check(
-                    report, f"s={s} reduction disagrees with the {reduction}",
-                    lambda: _spec_witness(spec), lambda: hyp.check_reduction(spec),
-                )
+                for s, text in zip(depths, descriptions):
+                    spec = hyp.sample_well_poised(rng, s, args.m_max)
+                    _identity_check(report, text, check, spec, names)
 
     return report
 

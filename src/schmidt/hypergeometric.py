@@ -18,11 +18,12 @@ Arithmetic: every rational is carried as an unreduced integer pair
 (P, Q), parameters with Q > 0, from the sampled parameters to the final
 comparison, which cross-multiplies the two sides. No gcd is taken on the
 way; a Fraction is built only for a public return value (`eval_terminating`
-and the `*_rhs` functions wrap a pair evaluator) or a witness. The
-expanded series' pairs are written once (`_well_poised_top` and
-`_well_poised_bottom`), for a spec on its first use and for Dougall's and
-Whipple's checks without a spec. Andrews's nest tabulates its Pochhammer
-quotients as running products, one loop per level.
+and the `*_rhs` functions wrap a pair evaluator) or a witness. Every
+identity check reads a `WellPoisedSpec`, and Dougall's and Whipple's checks
+build one from their parameters. A spec's expanded pairs are written once
+(`_well_poised_top` and `_well_poised_bottom`), by the sampler that drew it
+or on first use. Andrews's nest tabulates its Pochhammer quotients as
+running products, one loop per level.
 
 Sampling: `sample_well_poised` draws from `rng.getrandbits` by the stdlib's
 own rejection loop, so it consumes exactly the stream that `randint` calls
@@ -34,7 +35,7 @@ an accepted draw, and it keeps the pairs the sampler computed.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,13 +58,6 @@ def _pair(x: Rational) -> Pair:
 def _equal(x: Pair, y: Pair) -> bool:
     # two unreduced pairs with nonzero denominators, compared by cross-multiplication
     return x[0] * y[1] == y[0] * x[1]
-
-
-def _require_well_poised(a_numerator: int, m: int) -> None:
-    if m < 0:
-        raise ValueError(f"termination index must be >= 0, got {m}")
-    if a_numerator == 0:
-        raise ValueError("a = 0 would put a zero parameter in the denominator")
 
 
 def _well_poised_top(a: Pair, flat: Sequence[Pair], m: int) -> tuple[Pair, ...]:
@@ -114,7 +108,10 @@ class WellPoisedSpec:
             object.__setattr__(self, "a", Fraction(self.a))
         if not self.pairs:
             raise ValueError("need at least one (b, c) pair")
-        _require_well_poised(self.a.numerator, self.m)
+        if self.m < 0:
+            raise ValueError(f"termination index must be >= 0, got {self.m}")
+        if not self.a:
+            raise ValueError("a = 0 would put a zero parameter in the denominator")
 
     @property
     def s(self) -> int:
@@ -233,18 +230,9 @@ def dougall_rhs(a: Rational, c: Rational, d: Rational, m: int) -> Fraction:
     return Fraction(*_prefactor_pair(_pair(a), _pair(c), _pair(d), m))
 
 
-def _well_poised_pair(a: Pair, flat: Sequence[Pair], m: int) -> Pair:
-    # _expanded_pair of the spec with base a and parameters flat, validated
-    # as WellPoisedSpec validates it but never built
-    _require_well_poised(a[0], m)
-    top = _well_poised_top(a, flat, m)
-    return _series_pair(top, _well_poised_bottom(top), m)
-
-
 def check_dougall(a: Rational, c: Rational, d: Rational, m: int) -> bool:
     """Does the very-well-poised 5F4 sum to Dougall's closed form?"""
-    a, c, d = _pair(a), _pair(c), _pair(d)
-    return _equal(_well_poised_pair(a, (c, d), m), _prefactor_pair(a, c, d, m))
+    return check_classical(WellPoisedSpec(a, ((c, d),), m))
 
 
 def _whipple_pair(a: Pair, b: Pair, c: Pair, d: Pair, e: Pair, m: int) -> Pair:
@@ -268,8 +256,7 @@ def check_whipple(
     a: Rational, b: Rational, c: Rational, d: Rational, e: Rational, m: int
 ) -> bool:
     """Does the very-well-poised 7F6 equal Whipple's prefactor times 4F3?"""
-    a, *flat = map(_pair, (a, b, c, d, e))
-    return _equal(_well_poised_pair(a, flat, m), _whipple_pair(a, *flat, m))
+    return check_classical(WellPoisedSpec(a, ((b, c), (d, e)), m))
 
 
 def _nest_pair(spec: WellPoisedSpec) -> Pair:
@@ -365,6 +352,27 @@ def check_andrews(spec: WellPoisedSpec) -> bool:
     return _equal(_expanded_pair(spec), _andrews_pair(spec))
 
 
+# The classical closed form of the series with s pairs, by s: Dougall's
+# evaluation of the 5F4 and Whipple's transform of the 7F6
+CLASSICAL_FORMS = {1: "5F4 evaluation", 2: "7F6 transform"}
+
+
+def _equals_classical(spec: WellPoisedSpec, value: Callable[[WellPoisedSpec], Pair]) -> bool:
+    # value(spec) against the closed form CLASSICAL_FORMS names: Dougall's
+    # prefactor at s = 1, Whipple's prefactor times 4F3 at s = 2. The s guard
+    # comes first and value(spec) next, so its first pole decides the message.
+    if spec.s not in CLASSICAL_FORMS:
+        raise ValueError(f"no classical reduction beyond s=2, got s={spec.s}")
+    a, _, *flat, _ = spec._numerator_pairs
+    closed = _prefactor_pair if spec.s == 1 else _whipple_pair
+    return _equal(value(spec), closed(a, *flat, spec.m))
+
+
+def check_classical(spec: WellPoisedSpec) -> bool:
+    """Does the expanded series equal its classical closed form, at s = 1 or 2?"""
+    return _equals_classical(spec, _expanded_pair)
+
+
 def check_reduction(spec: WellPoisedSpec) -> bool:
     """Does Andrews's value reduce to its classical closed form, at s = 1 or 2?
 
@@ -372,11 +380,7 @@ def check_reduction(spec: WellPoisedSpec) -> bool:
     times (1, 1), so the check only confirms that the nest is 1. At s = 2 it
     compares the prefactor times the nest with Whipple's 4F3 transform.
     """
-    if spec.s > 2:
-        raise ValueError(f"no classical reduction beyond s=2, got s={spec.s}")
-    a, _, *flat, _ = spec._numerator_pairs
-    closed = _prefactor_pair if spec.s == 1 else _whipple_pair
-    return _equal(_andrews_pair(spec), closed(a, *flat, spec.m))
+    return _equals_classical(spec, _andrews_pair)
 
 
 def t_as_hypergeometric(n: int, j: int, r: int) -> int:

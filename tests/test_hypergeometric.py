@@ -379,6 +379,22 @@ def test_check_reduction_rejects_s_past_two():
     )
     with pytest.raises(ValueError, match="beyond s=2, got s=3"):
         check_reduction(spec)
+    # the guard comes before Andrews's value, whose nest would meet a pole here
+    pole_bearing = WellPoisedSpec(
+        1, ((Fraction(1, 3), Fraction(1, 5)), (Fraction(1, 6), Fraction(2, 7)),
+            (2, Fraction(1, 2))), 2,
+    )
+    with pytest.raises(PoleError):
+        andrews_rhs(pole_bearing)
+    with pytest.raises(ValueError, match="beyond s=2, got s=3"):
+        check_reduction(pole_bearing)
+
+
+def test_dougall_and_whipple_checks_validate_as_the_spec_does():
+    with pytest.raises(ValueError, match=r"^a = 0 would put a zero parameter in the denominator$"):
+        check_dougall(0, Fraction(1, 2), Fraction(1, 3), 2)
+    with pytest.raises(ValueError, match=r"^termination index must be >= 0, got -1$"):
+        check_whipple(Fraction(1, 2), 1, Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), -1)
 
 
 @pytest.mark.parametrize(
@@ -465,7 +481,7 @@ def test_integer_pair_code_matches_fraction_reference_with_poles(s):
     # parameters passed as ints must give the same value or message. At
     # s = 1 and 2 the checks that compare integer pairs, Dougall's or
     # Whipple's and the CLI's reduction, must give the reference's bool or
-    # message too.
+    # message too, and at s = 1 Dougall's check must give Andrews's.
     rng = random.Random(f"reference/{s}")
     closed = {1: dougall_rhs, 2: whipple_rhs}.get(s)
     check, reference_check = {
@@ -497,6 +513,11 @@ def test_integer_pair_code_matches_fraction_reference_with_poles(s):
                 ("check", check, reference_check, (*flat, m)),
                 ("reduces", check_reduction, reference_reduces, (spec,)),
             ]
+        if s == 1:
+            # Dougall's check is Andrews's at s = 1
+            compared.append(
+                ("dougall-is-andrews", check_dougall, lambda *_: check_andrews(spec), (*flat, m))
+            )
         for name, new, reference, args in compared:
             outcome = _outcome(new, *args)
             assert outcome == _outcome(reference, *args), (name, spec)
