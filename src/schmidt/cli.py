@@ -28,7 +28,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, mod, mul
 from typing import Iterable, Iterator
 
 from . import core
@@ -66,6 +67,17 @@ class Report:
         self.checks_run += 1
         if not ok:
             self.fail(description, witness.format(*fields) if fields else witness)
+
+    def check_whole(self, ok: bool, count: int) -> bool:
+        """`count` checks at once, which all pass if `ok`, a verdict on a whole row.
+
+        Returns `ok`; on False nothing is counted, and the caller walks the
+        row entry by entry with `check`, so that every count and witness is
+        that of the walk.
+        """
+        if ok:
+            self.checks_run += count
+        return ok
 
 
 @contextmanager
@@ -217,36 +229,48 @@ def run_t_table(args: argparse.Namespace) -> Report:
     return report
 
 
-def _ratio_witnesses(inputs: core.RouteInputs) -> Iterator[str | None]:
-    # per scaled ratio C(2j,j) t(n, j, r) / C(2n,n), row by row: None where
-    # it is an integer, otherwise its witness
-    for n, row in enumerate(inputs.t_rows):
-        for j in range(n + 1):
-            try:
-                core.integrality_ratio(n, j, inputs.r, row, inputs.held.central)
-                yield None
-            except DivisibilityError as exc:
-                yield f"(r={inputs.r}, n={n}, j={j}): {exc}"
+def _ratio_witnesses(r: int, n: int, row: list[int], central: list[int]) -> Iterator[str | None]:
+    # per scaled ratio C(2j,j) t(n, j, r) / C(2n,n) of row n: None where it
+    # is an integer, otherwise its witness
+    for j in range(n + 1):
+        try:
+            core.integrality_ratio(n, j, r, row, central)
+            yield None
+        except DivisibilityError as exc:
+            yield f"(r={r}, n={n}, j={j}): {exc}"
+
+
+def _agree(report: Report, got: list, expected: list, description: str, witness: str,
+           *fields) -> None:
+    # one check per entry, got[i] == expected[i], with i the witness's last
+    # field: the lists are compared whole, and walked only on a mismatch
+    if not report.check_whole(got == expected, len(expected)):
+        for i, (x, y) in enumerate(zip(got, expected)):
+            report.check(x == y, description, witness, *fields, i)
 
 
 def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
     # Exponent r's inputs are built once, on first use, read by every group
     # and dropped on return, so a sweep holds one exponent's rows, O(n_max^2)
-    # integers, besides the r-independent `held` rows and the columns
-    # C(k+j, 2j)^r in `powers`. Every route is checked against definition.
+    # integers, besides the r-independent `held` rows, the columns
+    # C(k+j, 2j)^r in `powers` and the closed route's own sweep. Every route
+    # is checked against definition.
     r = inputs.r
     with _group(report, "route-agreement"):
         values = {name: _route(report, name, inputs) for name in core.ROUTES}
         oracle = values["definition"]
         for name, route_values in values.items():
-            if name == "definition" or not (oracle and route_values):
-                continue
-            for n, (value, expected) in enumerate(zip(route_values, oracle)):
-                report.check(value == expected, f"{name} route disagrees", "(r={}, n={})", r, n)
+            if name != "definition" and oracle and route_values:
+                _agree(report, route_values, oracle, f"{name} route disagrees", "(r={}, n={})", r)
 
     with _group(report, "ratio-integrality"):
-        for witness in _ratio_witnesses(inputs):
-            report.check(witness is None, "scaled inner number non-integral", witness)
+        central = inputs.held.central
+        for n, row in enumerate(inputs.t_rows):
+            # one pass for a remainder over the row; its entries are walked only if one has one
+            whole = not any(map(mod, map(mul, central, row), repeat(central[n])))
+            if not report.check_whole(whole, n + 1):
+                for witness in _ratio_witnesses(r, n, row, central):
+                    report.check(witness is None, "scaled inner number non-integral", witness)
 
     with _group(report, "n-independence"):
         for n, (forward, a_n) in enumerate(zip(inputs.held.forward, inputs.a) if oracle else ()):
@@ -258,8 +282,7 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
         # Franel's cubes, and the rows are built here
         closed = values["closed"] and _route(report, "closed", inputs, attrgetter("closed_rows"))
         for n, (closed_row, row) in enumerate(zip(closed or (), inputs.t_rows)):
-            for j, (value, t) in enumerate(zip(closed_row, row)):
-                report.check(value == t, "closed form disagrees", "(r={}, n={}, j={})", r, n, j)
+            _agree(report, closed_row, row, "closed form disagrees", "(r={}, n={}, j={})", r, n)
 
 
 def run_verify(args: argparse.Namespace) -> Report:
@@ -272,12 +295,15 @@ def run_verify(args: argparse.Namespace) -> Report:
         return report
     # every exponent reads the same forward, inverse and central rows, built
     # once here; its powers C(k+j, 2j)^r are the previous exponent's times
-    # the bases, with the bases themselves as the powers at r = 1
+    # the bases, with the bases themselves as the powers at r = 1. The closed
+    # route reads none of them: it chains its nest columns and walks its
+    # prefactor rows in its own sweep, also built once here
     held = core._sweep_rows(n_max)
+    closed = core._ClosedSweep(n_max)
     powers = held.bases
     for r in range(2, args.r_max + 1):
         powers = core._next_powers(powers, held.bases)
-        _verify_exponent(report, core.RouteInputs(r, n_max, held, powers))
+        _verify_exponent(report, core.RouteInputs(r, n_max, held, powers, closed))
 
     one = core.RouteInputs(1, n_max, held, held.bases)
     with _group(report, "trivial-exponent"):
@@ -287,8 +313,11 @@ def run_verify(args: argparse.Namespace) -> Report:
                 ones == [1] * (n_max + 1), "exponent-1 family is not all ones", f"(n_max={n_max})"
             )
     # informational only: the scaled ratios at r=1 are reported, never asserted
-    ratios = list(_ratio_witnesses(one))
-    integral = f"{ratios.count(None)}/{len(ratios)}"
+    central = held.central
+    remainders = [
+        x * t % central[n] for n, row in enumerate(one.t_rows) for x, t in zip(central, row)
+    ]
+    integral = f"{remainders.count(0)}/{len(remainders)}"
     report.notes.append(f"note: r=1 scaled ratios integral for {integral} pairs (not asserted)")
     return report
 

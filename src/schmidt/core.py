@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import repeat
-from operator import mul
+from operator import getitem, mul
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -214,33 +214,65 @@ def t5_closed(n: int, j: int) -> int:
     return t_general(n, j, 5)
 
 
+class _NestChain:
+    """The nest columns at one j to order n_max, chained across exponents.
+
+    nest(n, j) for r = 2s or 2s + 1 is the (s-1)-fold sum behind
+    t_closed_rows over chained indices n >= k_1 >= ... >= k_{s-1} >= j.
+    Each level contributes C(2j,k_{L-1}-k_L) C(k_L+j,k_L-j)^2 (the even-r
+    outer level C(j,n-k_1) C(k_1,j) C(k_1+j,k_1-j) instead) and
+    C(2j,k_{s-1}-j) closes the chain. With i = k - j each level is one
+    banded convolution (_nest_level) that never reads n, so one column,
+    indexed by n - j, serves every order. Read from the inside out, the
+    closing factor is one band level on the start [1, 0, ...], so the odd
+    chain for s, the column of r = 2s + 1, is s band levels on the start,
+    and the column of r = 2s is the outer level on the odd chain for s - 1.
+    The chain holds only the latest odd chain: a sweep over r = 2, 3, ...
+    runs one level per exponent, ~r_max levels per j where building each
+    column afresh runs ~r_max^2 / 4, and a request for a smaller s starts
+    over. A kernel C(m, .) ends at m, so a level costs
+    O(n_max min(n_max, 2j)) products.
+    """
+
+    def __init__(self, j: int, n_max: int) -> None:
+        self.j, self.length = j, n_max - j + 1
+        self.stretched = _binomial_column(n_max + j, 2 * j)  # C(k+j, k-j) for k = j..n_max
+        self.band = (_binomial_row(2 * j), [x * x for x in self.stretched])
+        self.s, self.chain = 0, None  # the odd chain for s; None is the start [1, 0, ...]
+
+    @cached_property
+    def outer(self) -> tuple[list[int], list[int]]:
+        over = _binomial_column(self.j + self.length - 1, self.j)  # C(k, j) for k = j..n_max
+        return _binomial_row(self.j), list(map(mul, over, self.stretched))
+
+    def column(self, s: int, odd: bool) -> list[int]:
+        """nest(n, j) for n = j..n_max at r = 2s + 1 (odd) or r = 2s; read it, never change it."""
+        target = s if odd else s - 1
+        if target < self.s:
+            self.s, self.chain = 0, None
+        while self.s < target:
+            self.chain = _nest_level(*self.band, self.chain)
+            self.s += 1
+        return self.chain if odd else _nest_level(*self.outer, self.chain)
+
+
+def _nest_level(kernel: list[int], weights: list[int], chain: list[int] | None) -> list[int]:
+    # chain'[i] = sum_d kernel[d] weights[i-d] chain[i-d], as long as the
+    # weights. Every level's weights[0] is 1 (C(2j,0)^2, or C(j,j) C(2j,0) at
+    # the outer level), so on the start [1, 0, ...] (None) the level is its
+    # own kernel.
+    length = len(weights)
+    if chain is None:
+        return (kernel + [0] * length)[:length]
+    weighted = list(map(mul, weights, chain))
+    # weighted[i::-1] runs i - d for d = 0, 1, ...; map stops at the kernel's end
+    return [sum(map(mul, kernel, weighted[i::-1])) for i in range(length)]
+
+
 def _nest_column(j: int, s: int, odd: bool, n_max: int) -> list[int]:
-    # nest(n, j) for n = j..n_max, indexed by n - j: the (s-1)-fold sum behind
-    # t_closed_rows over chained indices n >= k_1 >= ... >= k_{s-1} >= j. Each
-    # level contributes C(2j,k_{L-1}-k_L) C(k_L+j,k_L-j)^2 (the even-r outer
-    # level C(j,n-k_1) C(k_1,j) C(k_1+j,k_1-j) instead) and C(2j,k_{s-1}-j)
-    # closes the chain. With i = k - j each level is one banded convolution
-    # chain'[i] = sum_d kernel[d] weights[i-d] chain[i-d] that never reads n,
-    # so one column serves every order. Odd r starts from the closing factor.
-    # Even r would start from [1, 0, ...], but every level's weights[0] is 1
-    # (C(2j,0)^2, or C(j,j) C(2j,0) at the outer level), so its first level
-    # maps that start to its own kernel: the chain starts there and the level
-    # is dropped. A kernel C(m, .) ends at m, so a column costs
-    # O(s n_max min(n_max, 2j)) products.
-    length = n_max - j + 1
-    band = _binomial_row(2 * j)
-    stretched = _binomial_column(n_max + j, 2 * j)  # C(k+j, k-j) for k = j..n_max
-    levels = [(band, [x * x for x in stretched])] * (s - 1)
-    if not odd:
-        over = _binomial_column(n_max, j)  # C(k, j) for k = j..n_max
-        levels.append((_binomial_row(j), [x * y for x, y in zip(over, stretched)]))
-    start = band if odd else levels.pop(0)[0]
-    chain = (start + [0] * length)[:length]
-    for kernel, weights in levels:
-        weighted = [x * y for x, y in zip(weights, chain)]
-        # weighted[i::-1] runs i - d for d = 0, 1, ...; map stops at the kernel's end
-        chain = [sum(map(mul, kernel, weighted[i::-1])) for i in range(length)]
-    return chain
+    # nest(n, j) for n = j..n_max at one exponent, from a fresh chain run to
+    # its s: the same levels a sweep's chain runs, so there is one nest
+    return _NestChain(j, n_max).column(s, odd)
 
 
 def _require_closed_exponent(r: int) -> None:
@@ -248,33 +280,72 @@ def _require_closed_exponent(r: int) -> None:
         raise ValueError(f"no closed route below r=2, got r={r}")
 
 
-def _closed_entries(n: int, odd: bool, nests: Iterable[tuple[int, int]]) -> list[int]:
-    # t(n, j, r) for each (j, nest(n, j)) given: the prefactor times the nest.
-    # Odd r: (2n)! / ((2j)! (n-j)!^2) = C(2n,2j) C(2n-2j,n-j), an integer, so
-    # there is no division at all. Even r: (2n)! j! / (n! (n-j)! (2j)!) =
-    # C(2n,n) C(n,j) / C(2j,j), divided out exactly after the product with
-    # the nest.
-    central = _central_row(n)
+def _prefactor_row(n: int, odd: bool, central: list[int]) -> list[int]:
+    # The closed prefactor of t(n, j, r) for j = 0..n, from walked rows; central
+    # is C(0,0)..C(2m,m), m >= n. Odd r: (2n)! / ((2j)! (n-j)!^2) =
+    # C(2n,2j) C(2n-2j,n-j), an integer, so there is no division at all. Even
+    # r: (2n)! j! / (n! (n-j)! (2j)!) = C(2n,n) C(n,j) / C(2j,j); the row holds
+    # C(2n,n) C(n,j), and _closed_entries divides by C(2j,j) exactly after the
+    # product with the nest.
     if odd:
         wide = _binomial_row(2 * n)
-        return [wide[2 * j] * central[n - j] * nest for j, nest in nests]
-    narrow = _binomial_row(n)
-    return [exact_divide(central[n] * narrow[j] * nest, central[j]) for j, nest in nests]
+        return [wide[2 * j] * central[n - j] for j in range(n + 1)]
+    return [central[n] * c for c in _binomial_row(n)]
 
 
-def t_closed_rows(r: int, n_max: int) -> list[list[int]]:
+def _closed_entries(
+    odd: bool, prefactors: list[int], nests: Iterable[int], central: list[int]
+) -> list[int]:
+    # t(n, j, r) for j = 0, 1, ...: each prefactor times its nest, divided by
+    # C(2j,j) for even r
+    if odd:
+        return list(map(mul, prefactors, nests))
+    return [exact_divide(p * nest, c) for p, nest, c in zip(prefactors, nests, central)]
+
+
+class _ClosedSweep:
+    """What the closed route reads at any exponent to order n_max, built by that route alone.
+
+    chains[j] is the _NestChain at j, and prefactors(odd) the prefactor rows
+    for n = 0..n_max, walked on first use from the route's own central row
+    C(0,0)..C(2n_max,n_max). A sweep over exponents holds one for all of
+    them, so each row is walked and each nest level run once per sweep; a
+    single exponent builds its own and drops it. Nothing here reads a
+    _SweepRows field (see ROUTES).
+    """
+
+    def __init__(self, n_max: int) -> None:
+        self.n_max = n_max
+        self.central = _central_row(n_max)
+        self.chains = [_NestChain(j, n_max) for j in range(n_max + 1)]
+        self._prefactors: dict[bool, list[list[int]]] = {}
+
+    def prefactors(self, odd: bool) -> list[list[int]]:
+        if odd not in self._prefactors:
+            orders = range(self.n_max + 1)
+            self._prefactors[odd] = [_prefactor_row(n, odd, self.central) for n in orders]
+        return self._prefactors[odd]
+
+
+def t_closed_rows(r: int, n_max: int, sweep: _ClosedSweep | None = None) -> list[list[int]]:
     """t(n, 0..n, r) for n = 0..n_max by the nested multi-sum route, for every r >= 2.
 
     For r = 2s or r = 2s + 1 each entry is a prefactor, an integer for odd r
-    and divided out exactly for even r, times the (s-1)-fold nest. The nest
-    columns, O(s n_max^3) work, are built up front and dropped on return.
+    and divided out exactly for even r, times the (s-1)-fold nest. `sweep`
+    holds the nest chains and prefactor rows to order n_max when the caller
+    sweeps over exponents; otherwise they are built here, O(s n_max^3) work,
+    and dropped on return.
     """
     _require_order(n_max)
     _require_closed_exponent(r)
     s, odd = divmod(r, 2)
-    columns = [_nest_column(j, s, odd, n_max) for j in range(n_max + 1)]
+    if sweep is None:
+        sweep = _ClosedSweep(n_max)
+    columns = [chain.column(s, odd) for chain in sweep.chains]
+    prefactors = sweep.prefactors(odd)
+    # columns[j][n - j] for j = 0..n: map stops at the shorter of the two
     return [
-        _closed_entries(n, odd, ((j, columns[j][n - j]) for j in range(n + 1)))
+        _closed_entries(odd, prefactors[n], map(getitem, columns, range(n, -1, -1)), sweep.central)
         for n in range(n_max + 1)
     ]
 
@@ -285,13 +356,27 @@ class RouteInputs:
     `a` is a_0..a_N from lhs_sum, `t_rows` the rows t(n, 0..n, r) and
     `closed_rows` the same rows by the nested sums. A sweep passes its
     r-independent `held` rows and the columns C(k+j, 2j)^r as `powers`;
-    otherwise no forward or inverse row is kept.
+    otherwise no forward or inverse row is kept. It passes the closed
+    route's own _ClosedSweep as `closed` too; otherwise the closed route
+    builds one for this exponent.
     """
 
-    def __init__(self, r: int, n_max: int, held: _SweepRows | None = None, powers=None) -> None:
+    def __init__(
+        self,
+        r: int,
+        n_max: int,
+        held: _SweepRows | None = None,
+        powers=None,
+        closed: _ClosedSweep | None = None,
+    ) -> None:
         _require_exponent(r)
         _require_order(n_max)
         self.r, self.n_max, self.held, self.powers = r, n_max, held, powers
+        self._closed = closed
+
+    @cached_property
+    def closed(self) -> _ClosedSweep:
+        return _ClosedSweep(self.n_max) if self._closed is None else self._closed
 
     @cached_property
     def a(self) -> list[int]:
@@ -305,7 +390,7 @@ class RouteInputs:
 
     @cached_property
     def closed_rows(self) -> list[list[int]]:
-        return t_closed_rows(self.r, self.n_max)
+        return t_closed_rows(self.r, self.n_max, self.closed)
 
 
 def _definition(inputs: RouteInputs) -> list[int]:
@@ -330,15 +415,15 @@ def _closed(inputs: RouteInputs) -> list[int]:
     if r == 2:
         # Franel's cubes, O(n_max^2), not the closed rows' O(n_max^3) s = 1 nest
         return [c2_closed(n) for n in range(n_max + 1)]
-    central = _central_row(n_max)
+    central = inputs.closed.central
     return [c_from_t(n, r, row, central) for n, row in enumerate(inputs.closed_rows)]
 
 
 # Every route to c(0..N, r), each its own formula: the defining solve, the
 # inverse transform of a_n, and the inner sum over t_rows or over the closed
 # rows. Independence rule: closed reads none of the held rows nor any other
-# route's input, central binomials included, so a fault in one still shows
-# as a disagreement with it.
+# route's input, central binomials included, only its own _ClosedSweep, so
+# a fault in one still shows as a disagreement with it.
 ROUTES = {
     "definition": _definition, "inverse": _inverse, "inner-sum": _inner_sum, "closed": _closed
 }
@@ -358,7 +443,9 @@ def t_general(n: int, j: int, r: int) -> int:
     _require_order(n, j)
     _require_closed_exponent(r)
     s, odd = divmod(r, 2)
-    return _closed_entries(n, odd, [(j, _nest_column(j, s, odd, n)[n - j])])[0]
+    central = _central_row(n)
+    prefactor = _prefactor_row(n, odd, central)[j]
+    return _closed_entries(odd, [prefactor], [_nest_column(j, s, odd, n)[-1]], central[j:])[0]
 
 
 def c_general(n: int, r: int) -> int:

@@ -512,16 +512,17 @@ def test_nest_fault_is_caught_by_both_closed_checks(monkeypatch, capsys):
     # route-agreement and t-closed-agreement read the same closed rows; the
     # oracles (the defining solve and t_rows) never build a nest column, so one
     # wrong nest value, nest(5, 2) at r = 4, must fail both closed checks at
-    # exactly its (r, n, j) and nothing else
-    true_column = cli.core._nest_column
+    # exactly its (r, n, j) and nothing else. The fault sits in the chain that
+    # both verify's sweep and compute's single exponent read
+    true_column = cli.core._NestChain.column
 
-    def faulty_column(j, s, odd, n_max):
-        column = true_column(j, s, odd, n_max)
-        if (j, s, odd) == (2, 2, False) and n_max >= 5:
-            column[5 - j] += 1
+    def faulty_column(chain, s, odd):
+        column = true_column(chain, s, odd)
+        if (chain.j, s, odd) == (2, 2, False) and chain.length > 5 - chain.j:
+            column[5 - chain.j] += 1  # an even-r column is built fresh per call
         return column
 
-    monkeypatch.setattr(cli.core, "_nest_column", faulty_column)
+    monkeypatch.setattr(cli.core._NestChain, "column", faulty_column)
     code = cli.main(["verify", "--r-max", "4", "--n-max", "6"])
     captured = capsys.readouterr()
     assert code == 1
@@ -811,15 +812,16 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     # the forward, inverse and central rows do not depend on r, so a sweep
     # builds each once for all exponents and for the r = 1 checks. The one
     # central row C(0,0)..C(2N,N) serves every order n <= N. The closed
-    # route reads none of the held rows: its prefactor walks its own central
-    # rows, one per (r, n), and its inner sum one C(0,0)..C(2N,N) per r >= 3,
-    # so a fault in a held row cannot reach it.
+    # route reads none of the held rows: its own sweep walks its own
+    # C(0,0)..C(2N,N), also once, for its prefactors and its inner sum, so a
+    # fault in a held row cannot reach it.
     built = {"_forward_row": Counter(), "_inverse_row": Counter(), "_central_row": Counter()}
+    closed_type = cli.core._ClosedSweep
 
     def counted(name, true_fn):
         def fn(n):
-            caller = sys._getframe(1).f_code.co_name
-            built[name][n, "closed" if caller in ("_closed_entries", "_closed") else "sweep"] += 1
+            caller = sys._getframe(1).f_locals.get("self")
+            built[name][n, "closed" if isinstance(caller, closed_type) else "sweep"] += 1
             return true_fn(n)
 
         return fn
@@ -828,14 +830,40 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
         for module in (legendre, cli.core):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sweeps = _record_sweeps(monkeypatch)
     assert cli.main(["verify", "--r-max", "6", "--n-max", "8"]) == 0
     capsys.readouterr()
     once = Counter({(n, "sweep"): 1 for n in range(9)})
     assert built["_forward_row"] == once
     assert built["_inverse_row"] == once
-    assert built["_central_row"] == Counter(
-        {(8, "sweep"): 1, **{(n, "closed"): 5 for n in range(8)}, (8, "closed"): 5 + 4}
-    )
+    assert built["_central_row"] == Counter({(8, "sweep"): 1, (8, "closed"): 1})
+    # no list the closed sweep holds is one of the held rows
+    (held,), (closed,) = sweeps["held"], sweeps["closed"]
+    held_ids = {id(held.central), *map(id, held.forward), *map(id, held.inverse),
+                *map(id, held.bases)}
+    closed_lists = [closed.central, *closed.prefactors(True), *closed.prefactors(False)]
+    for chain in closed.chains:
+        closed_lists += [chain.stretched, chain.chain, *chain.band, *chain.outer]
+    assert not held_ids & set(map(id, closed_lists))
+
+
+def _record_sweeps(monkeypatch):
+    # every _SweepRows and _ClosedSweep that verify builds, as built
+    sweeps = {"held": [], "closed": []}
+    true_rows = cli.core._sweep_rows
+
+    def recorded_rows(n_max):
+        sweeps["held"].append(true_rows(n_max))
+        return sweeps["held"][-1]
+
+    class RecordedSweep(cli.core._ClosedSweep):
+        def __init__(self, n_max):
+            super().__init__(n_max)
+            sweeps["closed"].append(self)
+
+    monkeypatch.setattr(cli.core, "_sweep_rows", recorded_rows)
+    monkeypatch.setattr(cli.core, "_ClosedSweep", RecordedSweep)
+    return sweeps
 
 
 def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
@@ -886,6 +914,135 @@ def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys
     assert "Traceback" not in captured.err
 
 
+def test_closed_sweep_fault_leaves_every_other_check_clean(monkeypatch, capsys):
+    # the reverse of test_held_central_fault_leaves_the_closed_route_agreeing:
+    # C(10,5) negated in the closed route's own central row. Divisibility by
+    # it is unchanged, so every closed value stays an integer and can only
+    # disagree, and the checks that read the held rows must stay clean
+    true_sweep = cli.core._ClosedSweep
+
+    class FaultySweep(true_sweep):
+        def __init__(self, n_max):
+            super().__init__(n_max)
+            self.central[5] = -self.central[5]
+
+    monkeypatch.setattr(cli.core, "_ClosedSweep", FaultySweep)
+    code = cli.main(["verify", "--r-max", "4", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    kinds = {line.partition(" witness=")[0] for line in fails}
+    assert kinds == {"FAIL closed route disagrees", "FAIL closed form disagrees"}
+    assert "FAIL closed form disagrees witness=(r=2, n=5, j=3)" in fails
+    assert "FAIL closed route disagrees witness=(r=3, n=5)" in fails
+    assert "Traceback" not in captured.err
+
+
+def test_verify_chains_each_nest_and_walks_each_prefactor_row_once(monkeypatch, capsys):
+    # a sweep to r = 12 runs, per j, the odd chain's band levels for
+    # r = 3, 5, ..., 11 and one outer level for each of r = 2, 4, ..., 12,
+    # where building each column afresh runs s - 1 levels and the outer one
+    # per exponent; the closed prefactor rows are walked once per order n
+    # and parity for the whole sweep, not once per (r, n)
+    levels = Counter()
+    true_level = cli.core._nest_level
+
+    def counted_level(kernel, weights, chain):
+        owner = sys._getframe(1).f_locals["self"]
+        levels[owner.j, "band" if kernel is owner.band[0] else "outer"] += 1
+        return true_level(kernel, weights, chain)
+
+    walked = Counter()
+    true_row = cli.core._binomial_row
+
+    def counted_row(m):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_prefactor_row":
+            walked[caller.f_locals["n"], caller.f_locals["odd"]] += 1
+        return true_row(m)
+
+    monkeypatch.setattr(cli.core, "_nest_level", counted_level)
+    monkeypatch.setattr(cli.core, "_binomial_row", counted_row)
+    assert cli.main(["verify", "--r-max", "12", "--n-max", "10"]) == 0
+    capsys.readouterr()
+    assert levels == Counter({**{(j, "band"): 5 for j in range(11)},
+                              **{(j, "outer"): 6 for j in range(11)}})
+    assert walked == Counter({(n, odd): 1 for n in range(11) for odd in (True, False)})
+
+
+def _faulty_verify(monkeypatch, capsys, argv, whole):
+    # one verify run, with the whole-row shortcut (whole) or every row walked
+    # entry by entry; its stdout and FAIL lines
+    if not whole:
+        monkeypatch.setattr(cli.Report, "check_whole", lambda self, ok, count: False)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    monkeypatch.undo()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    return captured.out, [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+
+
+def _wrong_route_value(monkeypatch):
+    true_inverse = cli.core.ROUTES["inverse"]
+
+    def faulty_inverse(inputs):
+        values = true_inverse(inputs)
+        if inputs.r == 3:
+            values[4] += 1
+        return values
+
+    monkeypatch.setitem(cli.core.ROUTES, "inverse", faulty_inverse)
+
+
+def _wrong_t_entry(monkeypatch):
+    true_rows = cli.core.t_rows
+
+    def faulty_rows(r, n_max, **held):
+        rows = true_rows(r, n_max, **held)
+        if r == 4:
+            rows[5][2] += 1
+        return rows
+
+    monkeypatch.setattr(cli.core, "t_rows", faulty_rows)
+
+
+def _wrong_held_ratio(monkeypatch):
+    true_rows = cli.core._sweep_rows
+
+    def faulty_rows(n_max):
+        held = true_rows(n_max)
+        held.central[3] += 1
+        return held
+
+    monkeypatch.setattr(cli.core, "_sweep_rows", faulty_rows)
+
+
+@pytest.mark.parametrize(
+    "fault, witness",
+    [
+        (_wrong_route_value, "FAIL inverse route disagrees witness=(r=3, n=4)"),
+        (_wrong_t_entry, "FAIL closed form disagrees witness=(r=4, n=5, j=2)"),
+        (_wrong_held_ratio, "FAIL scaled inner number non-integral witness=(r=2, n=3, j=2): "
+                            "21 does not divide 120"),
+    ],
+    ids=["route-value", "t-entry", "held-ratio"],
+)
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_whole_row_checks_match_the_entry_walk(fault, witness, fmt, monkeypatch, capsys):
+    # route-agreement and t-closed-agreement compare whole lists and
+    # ratio-integrality tests whole rows for a remainder; each walks its
+    # entries only on a mismatch, so a fault must give the report, counts
+    # and witnesses in order, that walking every entry gives
+    argv = ["verify", "--r-max", "5", "--n-max", "6", "--format", fmt]
+    fault(monkeypatch)
+    whole = _faulty_verify(monkeypatch, capsys, argv, whole=True)
+    fault(monkeypatch)
+    walked = _faulty_verify(monkeypatch, capsys, argv, whole=False)
+    assert whole == walked
+    assert witness in whole[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["t-table", "--r", "3", "--n-max", "30"], ["verify", "--r-max", "3", "--n-max", "4"]],
@@ -918,10 +1075,10 @@ def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
     # skips its closed checks, and every other exponent is still checked
     true_rows = cli.core.t_closed_rows
 
-    def failing_at_four(r, n_max):
+    def failing_at_four(r, n_max, sweep=None):
         if r == 4:
             raise DivisibilityError(7, 2)
-        return true_rows(r, n_max)
+        return true_rows(r, n_max, sweep)
 
     monkeypatch.setattr(cli.core, "t_closed_rows", failing_at_four)
     code = cli.main(["verify", "--r-max", "5", "--n-max", "6"])

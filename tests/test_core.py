@@ -228,6 +228,23 @@ def test_nest_column_matches_brute_force_nest(r):
         assert core._nest_column(j, s, odd, 14) == [nest(n, j, r) for n in range(j, 15)], j
 
 
+def test_chained_nest_columns_match_fresh_columns():
+    # one chain per j, asked for every exponent of a sweep r = 2..14 in turn,
+    # gives each column that a fresh chain run to that r alone gives, and for
+    # s <= 4 the chained sum written out term by term; a request for a
+    # smaller s after s = 7 starts the chain over
+    n_max = 14
+    for j in range(n_max + 1):
+        chain = core._NestChain(j, n_max)
+        for r in [*range(2, 15), 5, 2, 9, 8]:
+            s, odd = divmod(r, 2)
+            column = chain.column(s, odd)
+            assert column == core._nest_column(j, s, odd, n_max), (j, r)
+            if s <= 4:
+                assert column == [nest(n, j, r) for n in range(j, n_max + 1)], (j, r)
+        assert chain.s == 3  # r = 8 reads the odd chain for s = 3, restarted from s = 4
+
+
 def test_t_general_deep_nest_example():
     assert core.t_general(3, 1, 7) == core.t_sum(3, 1, 7)
 
