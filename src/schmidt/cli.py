@@ -28,9 +28,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import attrgetter, mod, mul
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable
 
 from . import core
 from . import hypergeometric as hyp
@@ -229,17 +228,6 @@ def run_t_table(args: argparse.Namespace) -> Report:
     return report
 
 
-def _ratio_witnesses(r: int, n: int, row: list[int], central: list[int]) -> Iterator[str | None]:
-    # per scaled ratio C(2j,j) t(n, j, r) / C(2n,n) of row n: None where it
-    # is an integer, otherwise its witness
-    for j in range(n + 1):
-        try:
-            core.integrality_ratio(n, j, r, row, central)
-            yield None
-        except DivisibilityError as exc:
-            yield f"(r={r}, n={n}, j={j}): {exc}"
-
-
 def _agree(report: Report, got: list, expected: list, description: str, witness: str,
            *fields) -> None:
     # one check per entry, got[i] == expected[i], with i the witness's last
@@ -252,9 +240,8 @@ def _agree(report: Report, got: list, expected: list, description: str, witness:
 def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
     # Exponent r's inputs are built once, on first use, read by every group
     # and dropped on return, so a sweep holds one exponent's rows, O(n_max^2)
-    # integers, besides the r-independent `held` rows, the columns
-    # C(k+j, 2j)^r in `powers` and the closed route's own sweep. Every route
-    # is checked against definition.
+    # integers, besides its core.Sweep. Every route is checked against
+    # definition.
     r = inputs.r
     with _group(report, "route-agreement"):
         values = {name: _route(report, name, inputs) for name in core.ROUTES}
@@ -267,10 +254,12 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
         central = inputs.held.central
         for n, row in enumerate(inputs.t_rows):
             # one pass for a remainder over the row; its entries are walked only if one has one
-            whole = not any(map(mod, map(mul, central, row), repeat(central[n])))
-            if not report.check_whole(whole, n + 1):
-                for witness in _ratio_witnesses(r, n, row, central):
-                    report.check(witness is None, "scaled inner number non-integral", witness)
+            remainders = core.ratio_remainders(row, central)
+            if not report.check_whole(not any(remainders), n + 1):
+                for j, (left, c, t) in enumerate(zip(remainders, central, row)):
+                    report.check(not left, "scaled inner number non-integral",
+                                 "(r={}, n={}, j={}): {} does not divide {}", r, n, j,
+                                 central[n], c * t)
 
     with _group(report, "n-independence"):
         for n, (forward, a_n) in enumerate(zip(inputs.held.forward, inputs.a) if oracle else ()):
@@ -293,19 +282,13 @@ def run_verify(args: argparse.Namespace) -> Report:
     n_max = args.n_max
     if args.r_max < 1:
         return report
-    # every exponent reads the same forward, inverse and central rows, built
-    # once here; its powers C(k+j, 2j)^r are the previous exponent's times
-    # the bases, with the bases themselves as the powers at r = 1. The closed
-    # route reads none of them: it chains its nest columns and walks its
-    # prefactor rows in its own sweep, also built once here
-    held = core._sweep_rows(n_max)
-    closed = core._ClosedSweep(n_max)
-    powers = held.bases
+    # every exponent, and the r = 1 checks, read one sweep's r-independent
+    # rows, running column powers and closed-route chains, built once here
+    held = core.Sweep(n_max)
     for r in range(2, args.r_max + 1):
-        powers = core._next_powers(powers, held.bases)
-        _verify_exponent(report, core.RouteInputs(r, n_max, held, powers, closed))
+        _verify_exponent(report, core.RouteInputs(r, n_max, held))
 
-    one = core.RouteInputs(1, n_max, held, held.bases)
+    one = core.RouteInputs(1, n_max, held)
     with _group(report, "trivial-exponent"):
         ones = _route(report, "definition", one)
         if ones is not None:
@@ -313,10 +296,7 @@ def run_verify(args: argparse.Namespace) -> Report:
                 ones == [1] * (n_max + 1), "exponent-1 family is not all ones", f"(n_max={n_max})"
             )
     # informational only: the scaled ratios at r=1 are reported, never asserted
-    central = held.central
-    remainders = [
-        x * t % central[n] for n, row in enumerate(one.t_rows) for x, t in zip(central, row)
-    ]
+    remainders = [left for row in one.t_rows for left in core.ratio_remainders(row, held.central)]
     integral = f"{remainders.count(0)}/{len(remainders)}"
     report.notes.append(f"note: r=1 scaled ratios integral for {integral} pairs (not asserted)")
     return report

@@ -22,7 +22,6 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import repeat
 from operator import getitem, mul
-from typing import NamedTuple
 
 from .combinatorics import (
     _binomial_column,
@@ -76,38 +75,6 @@ def _column_bases(top: int) -> list[list[int]]:
 def _column_powers(top: int, r: int) -> list[list[int]]:
     # the columns of _column_bases(top), each entry raised to r once
     return [[c**r for c in column] for column in _column_bases(top)]
-
-
-def _next_powers(powers: list[list[int]], bases: list[list[int]]) -> list[list[int]]:
-    # the columns C(k+j, 2j)^(r+1) from the columns ^r and the bases
-    # C(k+j, 2j): one product per entry, where _column_powers raises a power
-    return [list(map(mul, column, base)) for column, base in zip(powers, bases)]
-
-
-class _SweepRows(NamedTuple):
-    """The rows a sweep over exponents reads that do not depend on r, to order n_max.
-
-    forward[n] is _forward_row(n) and inverse[n] is _inverse_row(n), for
-    n = 0..n_max; central is _central_row(n_max), whose prefix to C(2n,n)
-    serves every order n; bases are the columns C(k+j, 2j), k = j..n_max,
-    for j = 0..n_max, whose running products give each exponent's powers.
-    Together O(n_max^2) integers.
-    """
-
-    forward: list[list[int]]
-    inverse: list[list[int]]
-    central: list[int]
-    bases: list[list[int]]
-
-
-def _sweep_rows(n_max: int) -> _SweepRows:
-    orders = range(n_max + 1)
-    return _SweepRows(
-        [_forward_row(n) for n in orders],
-        [_inverse_row(n) for n in orders],
-        _central_row(n_max),
-        _column_bases(n_max),
-    )
 
 
 def t_row(n: int, r: int) -> list[int]:
@@ -186,8 +153,25 @@ def c_from_t(
         row = t_row(n, r)
     if central is None:
         central = _central_row(n)
-    # row first, so that map stops at j = n before raising any later C(2j,j)
-    return exact_divide(sum(map(mul, row, map(pow, central, repeat(r)))), central[n])
+    return _c_from_t_rows(r, [row], central)[0]
+
+
+def _c_from_t_rows(r: int, rows: list[list[int]], central: list[int]) -> list[int]:
+    # c(n, r) for each row t(n, 0..n, r) of rows, n read off as the row's
+    # length less one, the last row the longest; central is C(0,0)..C(2m,m),
+    # m >= every n. Each C(2j,j)^r is raised once for all the rows.
+    weights = [c**r for c in central[: len(rows[-1])]]
+    return [exact_divide(sum(map(mul, row, weights)), central[len(row) - 1]) for row in rows]
+
+
+def ratio_remainders(row: list[int], central: list[int]) -> list[int]:
+    """C(2j,j) t(n, j, r) mod C(2n,n) for j = 0..n, from row = t_row(n, r).
+
+    All are zero exactly when every scaled ratio of the row is an integer;
+    `central` is as for integrality_ratio.
+    """
+    divisor = central[len(row) - 1]
+    return [c * t % divisor for c, t in zip(central, row)]
 
 
 def t3_closed(n: int, j: int) -> int:
@@ -269,12 +253,6 @@ def _nest_level(kernel: list[int], weights: list[int], chain: list[int] | None) 
     return [sum(map(mul, kernel, weighted[i::-1])) for i in range(length)]
 
 
-def _nest_column(j: int, s: int, odd: bool, n_max: int) -> list[int]:
-    # nest(n, j) for n = j..n_max at one exponent, from a fresh chain run to
-    # its s: the same levels a sweep's chain runs, so there is one nest
-    return _NestChain(j, n_max).column(s, odd)
-
-
 def _require_closed_exponent(r: int) -> None:
     if r < 2:
         raise ValueError(f"no closed route below r=2, got r={r}")
@@ -310,8 +288,8 @@ class _ClosedSweep:
     for n = 0..n_max, walked on first use from the route's own central row
     C(0,0)..C(2n_max,n_max). A sweep over exponents holds one for all of
     them, so each row is walked and each nest level run once per sweep; a
-    single exponent builds its own and drops it. Nothing here reads a
-    _SweepRows field (see ROUTES).
+    single exponent builds its own and drops it. Nothing here reads another
+    field of a Sweep (see ROUTES).
     """
 
     def __init__(self, n_max: int) -> None:
@@ -350,33 +328,60 @@ def t_closed_rows(r: int, n_max: int, sweep: _ClosedSweep | None = None) -> list
     ]
 
 
+class Sweep:
+    """What a sweep over exponents reads at every r to order n_max, each built once.
+
+    forward[n] is _forward_row(n) and inverse[n] is _inverse_row(n), for
+    n = 0..n_max; central is _central_row(n_max), whose prefix to C(2n,n)
+    serves every order n; bases are the columns C(k+j, 2j), k = j..n_max,
+    for j = 0..n_max, whose running products are powers(r). Together
+    O(n_max^2) integers. `closed` is the closed route's own _ClosedSweep,
+    built apart from every other field (see ROUTES).
+    """
+
+    def __init__(self, n_max: int) -> None:
+        orders = range(n_max + 1)
+        self.forward = [_forward_row(n) for n in orders]
+        self.inverse = [_inverse_row(n) for n in orders]
+        self.central = _central_row(n_max)
+        self.bases = _column_bases(n_max)
+        self.closed = _ClosedSweep(n_max)
+        self._r, self._powers = 1, self.bases
+
+    def powers(self, r: int) -> list[list[int]]:
+        """The columns C(k+j, 2j)^r; read them, never change them.
+
+        Only the latest exponent's columns are held: each step to r + 1 is
+        one product per entry with the bases, where _column_powers raises a
+        power, and a request for a smaller r starts over from the bases.
+        """
+        if r < self._r:
+            self._r, self._powers = 1, self.bases
+        while self._r < r:
+            self._powers = [list(map(mul, c, base)) for c, base in zip(self._powers, self.bases)]
+            self._r += 1
+        return self._powers
+
+
 class RouteInputs:
     """What the routes read at exponent r to order n_max, each built at most once, on first use.
 
     `a` is a_0..a_N from lhs_sum, `t_rows` the rows t(n, 0..n, r) and
-    `closed_rows` the same rows by the nested sums. A sweep passes its
-    r-independent `held` rows and the columns C(k+j, 2j)^r as `powers`;
-    otherwise no forward or inverse row is kept. It passes the closed
-    route's own _ClosedSweep as `closed` too; otherwise the closed route
-    builds one for this exponent.
+    `closed_rows` the same rows by the nested sums. A sweep over exponents
+    passes its Sweep as `held`, whose rows and column powers the routes
+    read and whose _ClosedSweep the closed route reads; otherwise no forward
+    or inverse row is kept, and the closed route builds its own sweep for
+    this exponent.
     """
 
-    def __init__(
-        self,
-        r: int,
-        n_max: int,
-        held: _SweepRows | None = None,
-        powers=None,
-        closed: _ClosedSweep | None = None,
-    ) -> None:
+    def __init__(self, r: int, n_max: int, held: Sweep | None = None) -> None:
         _require_exponent(r)
         _require_order(n_max)
-        self.r, self.n_max, self.held, self.powers = r, n_max, held, powers
-        self._closed = closed
+        self.r, self.n_max, self.held = r, n_max, held
 
     @cached_property
     def closed(self) -> _ClosedSweep:
-        return _ClosedSweep(self.n_max) if self._closed is None else self._closed
+        return _ClosedSweep(self.n_max) if self.held is None else self.held.closed
 
     @cached_property
     def a(self) -> list[int]:
@@ -385,8 +390,10 @@ class RouteInputs:
 
     @cached_property
     def t_rows(self) -> list[list[int]]:
-        inverse = None if self.held is None else self.held.inverse
-        return t_rows(self.r, self.n_max, inverse=inverse, powers=self.powers)
+        held = self.held
+        if held is None:
+            return t_rows(self.r, self.n_max)
+        return t_rows(self.r, self.n_max, inverse=held.inverse, powers=held.powers(self.r))
 
     @cached_property
     def closed_rows(self) -> list[list[int]]:
@@ -405,7 +412,7 @@ def _inverse(inputs: RouteInputs) -> list[int]:
 
 def _inner_sum(inputs: RouteInputs) -> list[int]:
     central = _central_row(inputs.n_max) if inputs.held is None else inputs.held.central
-    return [c_from_t(n, inputs.r, row, central) for n, row in enumerate(inputs.t_rows)]
+    return _c_from_t_rows(inputs.r, inputs.t_rows, central)
 
 
 def _closed(inputs: RouteInputs) -> list[int]:
@@ -415,15 +422,16 @@ def _closed(inputs: RouteInputs) -> list[int]:
     if r == 2:
         # Franel's cubes, O(n_max^2), not the closed rows' O(n_max^3) s = 1 nest
         return [c2_closed(n) for n in range(n_max + 1)]
-    central = inputs.closed.central
-    return [c_from_t(n, r, row, central) for n, row in enumerate(inputs.closed_rows)]
+    return _c_from_t_rows(r, inputs.closed_rows, inputs.closed.central)
 
 
 # Every route to c(0..N, r), each its own formula: the defining solve, the
 # inverse transform of a_n, and the inner sum over t_rows or over the closed
-# rows. Independence rule: closed reads none of the held rows nor any other
-# route's input, central binomials included, only its own _ClosedSweep, so
-# a fault in one still shows as a disagreement with it.
+# rows. Independence rule: closed reads no field of a Sweep but its
+# `closed`, nor any other route's input, central binomials included, only
+# its own _ClosedSweep, so a fault in one still shows as a disagreement
+# with it. The inner sums share one reader, _c_from_t_rows, but each hands
+# it the central row of its own inputs.
 ROUTES = {
     "definition": _definition, "inverse": _inverse, "inner-sum": _inner_sum, "closed": _closed
 }
@@ -445,7 +453,7 @@ def t_general(n: int, j: int, r: int) -> int:
     s, odd = divmod(r, 2)
     central = _central_row(n)
     prefactor = _prefactor_row(n, odd, central)[j]
-    return _closed_entries(odd, [prefactor], [_nest_column(j, s, odd, n)[-1]], central[j:])[0]
+    return _closed_entries(odd, [prefactor], [_NestChain(j, n).column(s, odd)[-1]], central[j:])[0]
 
 
 def c_general(n: int, r: int) -> int:

@@ -414,8 +414,6 @@ def _vanishes(p: int, q: int, m: int) -> bool:
 def spec_pole_free(spec: WellPoisedSpec) -> bool:
     """No denominator Pochhammer of the series, the prefactor, or the nested
     sums can vanish at or before the termination index."""
-    # reads only m, _numerator_pairs and _denominator_pairs, which is all a
-    # sampler's _Candidate carries
     m = spec.m
     # the series' own denominators, then the nest's trailing b_s+c_s-a-m
     a, *_, b, c, _ = spec._numerator_pairs
@@ -445,15 +443,6 @@ def _sample_index(getrandbits) -> int:
     return 6 * _below(getrandbits, 13) + _below(getrandbits, 6)
 
 
-class _Candidate:
-    """The part of a drawn spec that spec_pole_free reads, before it is accepted."""
-
-    __slots__ = ("m", "_numerator_pairs", "_denominator_pairs")
-
-    def __init__(self, m: int, top: tuple[Pair, ...], bottom: tuple[Pair, ...]) -> None:
-        self.m, self._numerator_pairs, self._denominator_pairs = m, top, bottom
-
-
 def sample_well_poised(rng: random.Random, s: int, m_max: int) -> WellPoisedSpec:
     """Rejection-sample a pole-free spec with s pairs and m <= m_max.
 
@@ -474,13 +463,12 @@ def sample_well_poised(rng: random.Random, s: int, m_max: int) -> WellPoisedSpec
         m = _below(getrandbits, m_max + 1)
         if not _SAMPLE_PAIRS[a][0]:
             continue
+        values = [_SAMPLES[i] for i in drawn]
+        spec = WellPoisedSpec(_SAMPLES[a], tuple(zip(values[::2], values[1::2])), m)
         top = _well_poised_top(_SAMPLE_PAIRS[a], [_SAMPLE_PAIRS[i] for i in drawn], m)
-        bottom = _well_poised_bottom(top)
-        if spec_pole_free(_Candidate(m, top, bottom)):
-            values = [_SAMPLES[i] for i in drawn]
-            spec = WellPoisedSpec(_SAMPLES[a], tuple(zip(values[::2], values[1::2])), m)
-            # the cached properties read the instance dict first
-            vars(spec).update(_numerator_pairs=top, _denominator_pairs=bottom)
+        # the cached properties read the instance dict first
+        vars(spec).update(_numerator_pairs=top, _denominator_pairs=_well_poised_bottom(top))
+        if spec_pole_free(spec):
             return spec
 
 

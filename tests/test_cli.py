@@ -830,7 +830,8 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
         for module in (legendre, cli.core):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    sweeps = _record_sweeps(monkeypatch)
+    sweeps = []
+    _patch_sweep(monkeypatch, sweeps.append)
     assert cli.main(["verify", "--r-max", "6", "--n-max", "8"]) == 0
     capsys.readouterr()
     once = Counter({(n, "sweep"): 1 for n in range(9)})
@@ -838,7 +839,9 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     assert built["_inverse_row"] == once
     assert built["_central_row"] == Counter({(8, "sweep"): 1, (8, "closed"): 1})
     # no list the closed sweep holds is one of the held rows
-    (held,), (closed,) = sweeps["held"], sweeps["closed"]
+    (held,) = sweeps
+    closed = held.closed
+    assert isinstance(closed, closed_type)
     held_ids = {id(held.central), *map(id, held.forward), *map(id, held.inverse),
                 *map(id, held.bases)}
     closed_lists = [closed.central, *closed.prefactors(True), *closed.prefactors(False)]
@@ -847,23 +850,14 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     assert not held_ids & set(map(id, closed_lists))
 
 
-def _record_sweeps(monkeypatch):
-    # every _SweepRows and _ClosedSweep that verify builds, as built
-    sweeps = {"held": [], "closed": []}
-    true_rows = cli.core._sweep_rows
-
-    def recorded_rows(n_max):
-        sweeps["held"].append(true_rows(n_max))
-        return sweeps["held"][-1]
-
-    class RecordedSweep(cli.core._ClosedSweep):
+def _patch_sweep(monkeypatch, built):
+    # core.Sweep, with built(sweep) called on every sweep verify builds, as built
+    class PatchedSweep(cli.core.Sweep):
         def __init__(self, n_max):
             super().__init__(n_max)
-            sweeps["closed"].append(self)
+            built(self)
 
-    monkeypatch.setattr(cli.core, "_sweep_rows", recorded_rows)
-    monkeypatch.setattr(cli.core, "_ClosedSweep", RecordedSweep)
-    return sweeps
+    monkeypatch.setattr(cli.core, "Sweep", PatchedSweep)
 
 
 def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
@@ -896,14 +890,10 @@ def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys
     # the inner-sum route and the ratios read the sweep's held central row;
     # the closed route walks its own, so with C(10,5) wrong in the held row
     # the inner-sum checks fail at every exponent and closed still agrees
-    true_rows = cli.core._sweep_rows
-
-    def faulty_rows(n_max):
-        held = true_rows(n_max)
+    def fault(held):
         held.central[5] += 1
-        return held
 
-    monkeypatch.setattr(cli.core, "_sweep_rows", faulty_rows)
+    _patch_sweep(monkeypatch, fault)
     code = cli.main(["verify", "--r-max", "4", "--n-max", "6"])
     captured = capsys.readouterr()
     assert code == 1
@@ -1008,14 +998,10 @@ def _wrong_t_entry(monkeypatch):
 
 
 def _wrong_held_ratio(monkeypatch):
-    true_rows = cli.core._sweep_rows
-
-    def faulty_rows(n_max):
-        held = true_rows(n_max)
+    def fault(held):
         held.central[3] += 1
-        return held
 
-    monkeypatch.setattr(cli.core, "_sweep_rows", faulty_rows)
+    _patch_sweep(monkeypatch, fault)
 
 
 @pytest.mark.parametrize(

@@ -126,7 +126,7 @@ def test_row_readers_take_a_held_row():
 def test_readers_take_held_sweep_rows():
     # each reader gives the same value from rows its caller holds as from the
     # rows it builds itself; a central row serves every order up to its own
-    held = core._sweep_rows(12)
+    held = core.Sweep(12)
     central = _central_row(12)
     assert held.central == central
     for r in (1, 2, 5):
@@ -137,6 +137,10 @@ def test_readers_take_held_sweep_rows():
             assert core.lhs_sum(n, r, held.forward[n]) == core.lhs_sum(n, r)
             row = core.t_row(n, r)
             assert core.c_from_t(n, r, row, central) == core.c_from_t(n, r)
+            remainders = core.ratio_remainders(row, central)
+            assert remainders == [central[j] * t % central[n] for j, t in enumerate(row)]
+            if r > 1:
+                assert not any(remainders), (n, r)
             for j in range(n + 1):
                 assert core.integrality_ratio(n, j, r, row, central) * central[n] == (
                     central[j] * row[j]
@@ -145,18 +149,20 @@ def test_readers_take_held_sweep_rows():
 
 def test_running_power_t_rows_match_t_row_and_reference():
     # verify's t-rows: held inverse rows, and each exponent's columns
-    # C(k+j, 2j)^r as the previous exponent's times the bases
+    # C(k+j, 2j)^r as the previous exponent's times the bases; asked for a
+    # smaller r, the sweep starts over from the bases
     n_max = 20
-    held = core._sweep_rows(n_max)
-    powers = held.bases
+    held = core.Sweep(n_max)
     for r in range(1, 13):
-        if r > 1:
-            powers = core._next_powers(powers, held.bases)
+        powers = held.powers(r)
         assert powers == core._column_powers(n_max, r), r
         rows = core.t_rows(r, n_max, inverse=held.inverse, powers=powers)
         for n, row in enumerate(rows):
             assert row == core.t_row(n, r), (n, r)
             assert row == [inner_number(n, j, r) for j in range(n + 1)], (n, r)
+    for r in (5, 3, 1, 2):
+        assert held.powers(r) == core._column_powers(n_max, r), r
+    assert held.powers(1) is held.bases
 
 
 def test_t3_closed_values():
@@ -225,7 +231,8 @@ def test_nest_column_matches_brute_force_nest(r):
     # the chained sum written out term by term
     s, odd = divmod(r, 2)
     for j in range(9):
-        assert core._nest_column(j, s, odd, 14) == [nest(n, j, r) for n in range(j, 15)], j
+        column = core._NestChain(j, 14).column(s, odd)
+        assert column == [nest(n, j, r) for n in range(j, 15)], j
 
 
 def test_chained_nest_columns_match_fresh_columns():
@@ -239,7 +246,7 @@ def test_chained_nest_columns_match_fresh_columns():
         for r in [*range(2, 15), 5, 2, 9, 8]:
             s, odd = divmod(r, 2)
             column = chain.column(s, odd)
-            assert column == core._nest_column(j, s, odd, n_max), (j, r)
+            assert column == core._NestChain(j, n_max).column(s, odd), (j, r)
             if s <= 4:
                 assert column == [nest(n, j, r) for n in range(j, n_max + 1)], (j, r)
         assert chain.s == 3  # r = 8 reads the odd chain for s = 3, restarted from s = 4
