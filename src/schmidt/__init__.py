@@ -1,12 +1,10 @@
 """Exact computation of the Schmidt number family and the identities behind it."""
 
 from .combinatorics import (
-    CombinatoricsTable,
     DivisibilityError,
     binomial,
     central_binomial,
     exact_divide,
-    factorial,
 )
 from .core import (
     c2_closed,
@@ -23,7 +21,6 @@ from .core import (
     t_table,
 )
 from .hypergeometric import (
-    HypSeries,
     PoleError,
     WellPoisedSpec,
     andrews_rhs,
@@ -33,7 +30,6 @@ from .hypergeometric import (
     check_reduction,
     check_whipple,
     dougall_rhs,
-    eval_terminating,
     t_as_hypergeometric,
     whipple_rhs,
 )

@@ -4,32 +4,26 @@ Everything computes with unbounded Python ints, so no rounding ever
 occurs. Binomials come from two places: a scalar C(n, k) or C(2n, n) is
 `math.comb` behind `binomial` and `central_binomial`, and a whole row,
 column or run of central binomials is walked by recurrence
-(`_binomial_row`, `_binomial_column`, `_central_row`). Factorials come from
-a memoized table behind `factorial`, which grows only to the largest n
-asked for. Nothing in the package reads the table any more; it stays
-because the benchmark's tracer (`perfbench/tracing.py`) patches
-`CombinatoricsTable.factorial`. The Legendre forward row C(n,k) C(n+k,k)
-(`legendre._forward_row`) deliberately still reads the scalar `binomial`:
-walking it too speeds `compute` up enough that the benchmark gets more
-repetitions, and its peak-RSS figure, which includes the harness's own
-high-water mark, then reads higher. The zero convention C(n, k) = 0 for k
-outside [0, n] is what truncates all the implicitly bounded sums in the
-rest of the package; a negative upper index is a domain error, never a
-value.
+(`_binomial_row`, `_binomial_column`, `_central_row`). The package
+computes no factorial: every prefactor is a product of walked binomials. The
+Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`)
+deliberately still reads the scalar `binomial`: walking it too speeds
+`compute` up enough that the benchmark gets more repetitions, and its
+peak-RSS figure, which includes the harness's own high-water mark, then
+reads higher. The zero convention C(n, k) = 0 for k outside [0, n] is what
+truncates all the implicitly bounded sums in the rest of the package; a
+negative upper index is a domain error, never a value.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 __all__ = [
-    "CombinatoricsTable",
     "DivisibilityError",
     "binomial",
     "central_binomial",
     "exact_divide",
-    "factorial",
 ]
 
 
@@ -46,41 +40,14 @@ class DivisibilityError(ArithmeticError):
 
 
 class CombinatoricsTable:
-    """Memoized factorials.
+    """Nothing in the package reads this; it is kept only as a hook target.
 
-    The table only ever appends (under a lock), so values already handed
-    out never change and concurrent readers are safe.
+    The benchmark's tracer (`perfbench/tracing.py`) assigns a counting
+    wrapper to `CombinatoricsTable.factorial` without checking that the
+    class exists, so the name stays until that hook is guarded.
     """
 
-    def __init__(self, cap: int = 128) -> None:
-        self._lock = threading.Lock()
-        self._factorials: list[int] = [1]
-        self._grow(cap)
-
-    @property
-    def cap(self) -> int:
-        """Largest n whose factorial is currently tabulated."""
-        return len(self._factorials) - 1
-
-    def _grow(self, n: int) -> None:
-        with self._lock:
-            while len(self._factorials) <= n:
-                self._factorials.append(len(self._factorials) * self._factorials[-1])
-
-    def factorial(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"factorial of negative argument {n}")
-        if n >= len(self._factorials):
-            self._grow(n)
-        return self._factorials[n]
-
-
-_SHARED = CombinatoricsTable()
-
-
-def factorial(n: int) -> int:
-    """n! from the shared table."""
-    return _SHARED.factorial(n)
+    factorial = staticmethod(math.factorial)
 
 
 def binomial(n: int, k: int) -> int:

@@ -140,20 +140,9 @@ def integrality_ratio(
     return exact_divide(central[j] * row[j], central[n])
 
 
-def c_from_t(
-    n: int, r: int, row: list[int] | None = None, central: list[int] | None = None
-) -> int:
-    """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly.
-
-    `row` is t(n, ., r) from t_row, t_rows or t_closed_rows when the caller
-    already holds it, and `central` as for integrality_ratio.
-    """
-    _require_exponent(r)
-    if row is None:
-        row = t_row(n, r)
-    if central is None:
-        central = _central_row(n)
-    return _c_from_t_rows(r, [row], central)[0]
+def c_from_t(n: int, r: int) -> int:
+    """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly."""
+    return _c_from_t_rows(r, [t_row(n, r)], _central_row(n))[0]
 
 
 def _c_from_t_rows(r: int, rows: list[list[int]], central: list[int]) -> list[int]:
@@ -185,6 +174,7 @@ def c2_closed(n: int) -> int:
     The equivalent form sum_j C(n,j)^2 C(2j,n) is checked against this one
     by the acceptance suite, not on every call.
     """
+    _require_order(n)
     return sum(x**3 for x in _binomial_row(n))
 
 

@@ -17,12 +17,12 @@ Andrews's terminating multiple-series generalization of the latter.
 Arithmetic: every rational is carried as an unreduced integer pair
 (P, Q), parameters with Q > 0, from the sampled parameters to the final
 comparison, which cross-multiplies the two sides. No gcd is taken on the
-way; a Fraction is built only for a public return value (`eval_terminating`
-and the `*_rhs` functions wrap a pair evaluator) or a witness. Every
-identity check reads a `WellPoisedSpec`, and Dougall's and Whipple's checks
-build one from their parameters. A spec's expanded pairs are written once
-(`_well_poised_top` and `_well_poised_bottom`), by the sampler that drew it
-or on first use. Andrews's nest tabulates its Pochhammer quotients as
+way; a Fraction is built only for a public return value (the `*_rhs`
+functions wrap a pair evaluator) or a witness, and `t_as_hypergeometric`
+divides its pair out exactly to an int. Every identity check reads a
+`WellPoisedSpec`, and Dougall's and Whipple's checks build one from their
+parameters. A spec's expanded pairs are written once (`_well_poised_top`
+and `_well_poised_bottom`), by the sampler that drew it or on first use. Andrews's nest tabulates its Pochhammer quotients as
 running products, one loop per level.
 
 Sampling: `sample_well_poised` draws from `rng.getrandbits` by the stdlib's
@@ -75,28 +75,13 @@ def _well_poised_bottom(top: Sequence[Pair]) -> tuple[Pair, ...]:
 
 
 @dataclass(frozen=True)
-class HypSeries:
-    """Numerator/denominator parameters (int or Fraction) and termination index m."""
-
-    numerator: tuple[Rational, ...]
-    denominator: tuple[Rational, ...]
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"termination index must be >= 0, got {self.m}")
-        if -self.m not in self.numerator:
-            raise ValueError(f"no numerator parameter equals -m = {-self.m}")
-
-
-@dataclass(frozen=True)
 class WellPoisedSpec:
     """Very-well-poised parameter set: base a, the (b_i, c_i) pairs, and m.
 
-    Expansion inserts the (1 + a/2, a/2) special pair and the terminating
-    column itself; callers never supply them. a = 0 would put a zero
-    parameter in the denominator and is rejected outright. Pairs are int or
-    Fraction; a is stored as a Fraction so that a / 2 stays exact.
+    The expanded series adds the (1 + a/2, a/2) special pair and the
+    terminating column itself; callers never supply them. a = 0 would put a
+    zero parameter in the denominator and is rejected outright. Pairs are
+    int or Fraction; a is stored as a Fraction so that a / 2 stays exact.
     """
 
     a: Fraction
@@ -131,14 +116,6 @@ class WellPoisedSpec:
     def _denominator_pairs(self) -> tuple[Pair, ...]:
         return _well_poised_bottom(self._numerator_pairs)
 
-    def expand(self) -> HypSeries:
-        """The full series: every numerator/denominator pair sums to 1 + a."""
-        return HypSeries(
-            tuple(Fraction(p, q) for p, q in self._numerator_pairs),
-            tuple(Fraction(p, q) for p, q in self._denominator_pairs),
-            self.m,
-        )
-
 
 def _series_pair(top: Sequence[Pair], bottom: Sequence[Pair], m: int) -> Pair:
     # The series with numerator parameters `top` and denominators `bottom`,
@@ -171,21 +148,8 @@ def _series_pair(top: Sequence[Pair], bottom: Sequence[Pair], m: int) -> Pair:
     return total_num, total_den
 
 
-def eval_terminating(series: HypSeries) -> Fraction:
-    """Sum the series exactly from its consecutive-term ratios.
-
-    The l-th ratio is prod(p_i + l) / ((l + 1) prod(q_j + l)). A zero
-    numerator factor zeroes every later term and truncates the sum; a zero
-    denominator factor met while the numerator side is still nonzero is a
-    pole. The arithmetic runs on integer pairs and builds one Fraction at
-    the end.
-    """
-    top, bottom = (list(map(_pair, side)) for side in (series.numerator, series.denominator))
-    return Fraction(*_series_pair(top, bottom, series.m))
-
-
 def _expanded_pair(spec: WellPoisedSpec) -> Pair:
-    # spec.expand() summed without building its Fractions
+    # the spec's expanded series, summed on its pairs
     return _series_pair(spec._numerator_pairs, spec._denominator_pairs, spec.m)
 
 
@@ -390,19 +354,17 @@ def t_as_hypergeometric(n: int, j: int, r: int) -> int:
     denominators are (-(2n+1)/2) plus r copies of -(n+j). Termination at
     m = n - j strictly precedes the first possible denominator zero at
     index n + j + 1, so the evaluation can never pole; the halved
-    parameters are never integers at integer offsets. The result is
-    asserted integral before being returned.
+    parameters are never integers at integer offsets. The series is summed
+    on integer pairs and the result is asserted integral by an exact
+    division.
     """
     _require_order(n, j)
     _require_exponent(r)
-    a = Fraction(-(2 * n + 1))
-    series = HypSeries(
-        (a, 1 + a / 2) + (-(n - j),) * r,
-        (a / 2,) + (-(n + j),) * r,
-        n - j,
-    )
-    value = binomial(n + j, n - j) ** r * eval_terminating(series)
-    return exact_divide(value.numerator, value.denominator)
+    a = -(2 * n + 1)
+    top = ((a, 1), (a + 2, 2), *[(j - n, 1)] * r)
+    bottom = ((a, 2), *[(-(n + j), 1)] * r)
+    num, den = _series_pair(top, bottom, n - j)
+    return exact_divide(binomial(n + j, n - j) ** r * num, den)
 
 
 def _vanishes(p: int, q: int, m: int) -> bool:

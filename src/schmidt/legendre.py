@@ -31,6 +31,8 @@ from .combinatorics import _binomial_row, binomial, central_binomial, exact_divi
 
 
 def _check_prefix(seq: Sequence[int], n: int) -> None:
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got n={n}")
     if n >= len(seq):
         raise IndexError(f"sequence prefix ends at index {len(seq) - 1}, needed {n}")
 

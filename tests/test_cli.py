@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from schmidt import cli, combinatorics, legendre
+from schmidt import cli, legendre
 from schmidt import hypergeometric as hyp
 from schmidt.combinatorics import DivisibilityError
 from schmidt.legendre import _forward_row
@@ -1091,28 +1091,6 @@ def test_main_returns_zero_in_process():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["compute", "--r", "2", "--n-max", "80"],
-        ["compute", "--r", "3", "--n-max", "70"],
-        ["t-table", "--r", "3", "--n-max", "100"],
-        ["verify", "--r-max", "3", "--n-max", "65"],
-    ],
-    ids=["compute-r2", "compute-r3", "t-table", "verify"],
-)
-def test_compute_and_t_table_leave_the_factorial_table_alone(argv, monkeypatch, capsys):
-    # binomials come from math.comb and walked rows, so none of these commands
-    # reads a factorial; a fresh table must keep its size through the whole
-    # run. At n_max = 65 a factorial prefactor would need (2n)! = 130! > 128!
-    table = combinatorics.CombinatoricsTable()
-    monkeypatch.setattr(combinatorics, "_SHARED", table)
-    before = table.cap
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    assert table.cap == before
-
-
-@pytest.mark.parametrize(
     "argv, layer",
     [
         (["compute", "--r", "2", "--n-max", "5"], "core.lhs_sum"),
@@ -1136,5 +1114,4 @@ def test_traced_benchmark_worker_runs(argv, layer, tmp_path):
     assert doc["code"] == 0
     assert doc["raised"] is None
     assert doc["layers"][layer]["calls"] > 0
-    assert doc["table_cap"] > 0
     assert (tmp_path / "t.json").exists()

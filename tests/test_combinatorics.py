@@ -1,7 +1,6 @@
-"""Factorial table, binomial conventions, Pochhammer products, exact division."""
+"""Binomial conventions, Pochhammer products, exact division."""
 
 import math
-import threading
 
 import pytest
 from hypothesis import example, given
@@ -9,64 +8,15 @@ from hypothesis import strategies as st
 
 from reference import pochhammer
 from schmidt.combinatorics import (
-    CombinatoricsTable,
     DivisibilityError,
     binomial,
     central_binomial,
     exact_divide,
-    factorial,
     _binomial_column,
     _binomial_row,
     _central_row,
 )
 from schmidt.hypergeometric import _vanishes
-
-
-def test_factorial_small_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
-
-
-def test_factorial_matches_stdlib():
-    for n in range(0, 200, 7):
-        assert factorial(n) == math.factorial(n)
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-def test_table_values_are_stable_across_growth():
-    table = CombinatoricsTable(cap=4)
-    before = table.factorial(3)
-    table.factorial(300)
-    assert table.factorial(3) == before == 6
-    assert table.cap >= 300
-
-
-def test_table_grows_only_to_the_largest_n_asked_for():
-    table = CombinatoricsTable(cap=128)
-    table.factorial(129)
-    assert table.cap == 129
-    table.factorial(100)
-    assert table.cap == 129
-
-
-def test_table_concurrent_extension():
-    table = CombinatoricsTable(cap=2)
-    results = []
-
-    def worker():
-        results.append(table.factorial(400))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results == [math.factorial(400)] * 8
 
 
 def test_binomial_examples():
@@ -156,15 +106,15 @@ def test_binomial_column_matches_math_comb(top_k):
 
 @pytest.mark.parametrize("q", range(12))
 def test_pochhammer_at_negative_integers(q):
-    # (-q)_m = (-1)^m q! / (q-m)! for m <= q and 0 afterwards: the factorial
-    # table against the rising-product reference the hypergeometric tests
-    # read, and the hypergeometric layer's vanishing predicate on the same values
+    # (-q)_m = (-1)^m q! / (q-m)! for m <= q and 0 afterwards: math.factorial
+    # against the rising-product reference the hypergeometric tests read, and
+    # the hypergeometric layer's vanishing predicate on the same values
     for m in range(q + 5):
         value = pochhammer(-q, m)
         if m > q:
             assert value == 0
         else:
-            assert value == (-1) ** m * factorial(q) // factorial(q - m)
+            assert value == (-1) ** m * math.factorial(q) // math.factorial(q - m)
         assert _vanishes(-q, 1, m) == (m > q), m
 
 

@@ -7,7 +7,7 @@ import pytest
 from reference import inner_number, nest
 from schmidt import core
 from schmidt.combinatorics import DivisibilityError, _central_row, binomial, central_binomial
-from schmidt.legendre import _forward_row, legendre_forward
+from schmidt.legendre import _forward_row, legendre_forward, legendre_inverse
 
 
 def test_lhs_sum_values():
@@ -83,6 +83,21 @@ def test_t_row_rejects_bad_input():
         core.t_closed_rows(2, -1)
 
 
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda: core.c2_closed(-1),
+        lambda: legendre_forward([1], -1),
+        lambda: legendre_inverse([1], -1),
+    ],
+    ids=["c2_closed", "legendre_forward", "legendre_inverse"],
+)
+def test_public_readers_reject_a_negative_order(reader):
+    # a negative order is a domain error, never a value or an index from the end
+    with pytest.raises(ValueError, match="-1"):
+        reader()
+
+
 def test_t_sum_rejects_bad_indices():
     with pytest.raises(ValueError):
         core.t_sum(2, 3, 2)
@@ -116,7 +131,7 @@ def test_row_readers_take_a_held_row():
     for r in (1, 2, 5):
         for n in range(7):
             row = core.t_row(n, r)
-            assert core.c_from_t(n, r, row) == core.c_from_t(n, r)
+            assert core._c_from_t_rows(r, [row], _central_row(n))[0] == core.c_from_t(n, r)
             for j in range(n + 1):
                 assert core.t_sum(n, j, r) == row[j]
                 if r > 1:
@@ -136,7 +151,7 @@ def test_readers_take_held_sweep_rows():
         for n in range(13):
             assert core.lhs_sum(n, r, held.forward[n]) == core.lhs_sum(n, r)
             row = core.t_row(n, r)
-            assert core.c_from_t(n, r, row, central) == core.c_from_t(n, r)
+            assert core._c_from_t_rows(r, [row], central)[0] == core.c_from_t(n, r)
             remainders = core.ratio_remainders(row, central)
             assert remainders == [central[j] * t % central[n] for j, t in enumerate(row)]
             if r > 1:
