@@ -238,11 +238,11 @@ def _agree(report: Report, got: list, expected: list, description: str, witness:
 
 
 def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
-    # Exponent r's inputs are built once, on first use, read by every group
-    # and dropped on return, so a sweep holds one exponent's rows, O(n_max^2)
-    # integers, besides its core.Sweep. Every route is checked against
-    # definition.
-    r = inputs.r
+    # Exponent r's inputs, and its t rows, are built once, read by every
+    # group that needs them and dropped on return, so a sweep holds one
+    # exponent's rows, O(n_max^2) integers, besides its core.Sweep. Every
+    # route is checked against definition.
+    r, held = inputs.r, inputs.held
     with _group(report, "route-agreement"):
         values = {name: _route(report, name, inputs) for name in core.ROUTES}
         oracle = values["definition"]
@@ -251,8 +251,9 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
                 _agree(report, route_values, oracle, f"{name} route disagrees", "(r={}, n={})", r)
 
     with _group(report, "ratio-integrality"):
-        central = inputs.held.central
-        for n, row in enumerate(inputs.t_rows):
+        rows = core.t_rows(r, inputs.n_max, inverse=held.inverse, powers=held.powers(r))
+        central = held.central
+        for n, row in enumerate(rows):
             # one pass for a remainder over the row; its entries are walked only if one has one
             remainders = core.ratio_remainders(row, central)
             if not report.check_whole(not any(remainders), n + 1):
@@ -262,7 +263,7 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
                                  central[n], c * t)
 
     with _group(report, "n-independence"):
-        for n, (forward, a_n) in enumerate(zip(inputs.held.forward, inputs.a) if oracle else ()):
+        for n, (forward, a_n) in enumerate(zip(held.forward, inputs.a) if oracle else ()):
             report.check(legendre_forward(oracle, n, forward) == a_n, "defining identity fails",
                          "(r={}, n={})", r, n)
 
@@ -270,7 +271,7 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
         # built by the closed route at r >= 3; at r = 2 that route sums
         # Franel's cubes, and the rows are built here
         closed = values["closed"] and _route(report, "closed", inputs, attrgetter("closed_rows"))
-        for n, (closed_row, row) in enumerate(zip(closed or (), inputs.t_rows)):
+        for n, (closed_row, row) in enumerate(zip(closed or (), rows)):
             _agree(report, closed_row, row, "closed form disagrees", "(r={}, n={}, j={})", r, n)
 
 
@@ -288,15 +289,15 @@ def run_verify(args: argparse.Namespace) -> Report:
     for r in range(2, args.r_max + 1):
         _verify_exponent(report, core.RouteInputs(r, n_max, held))
 
-    one = core.RouteInputs(1, n_max, held)
     with _group(report, "trivial-exponent"):
-        ones = _route(report, "definition", one)
+        ones = _route(report, "definition", core.RouteInputs(1, n_max, held))
         if ones is not None:
             report.check(
                 ones == [1] * (n_max + 1), "exponent-1 family is not all ones", f"(n_max={n_max})"
             )
     # informational only: the scaled ratios at r=1 are reported, never asserted
-    remainders = [left for row in one.t_rows for left in core.ratio_remainders(row, held.central)]
+    rows = core.t_rows(1, n_max, inverse=held.inverse, powers=held.powers(1))
+    remainders = [left for row in rows for left in core.ratio_remainders(row, held.central)]
     integral = f"{remainders.count(0)}/{len(remainders)}"
     report.notes.append(f"note: r=1 scaled ratios integral for {integral} pairs (not asserted)")
     return report

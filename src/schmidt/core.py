@@ -356,12 +356,13 @@ class Sweep:
 class RouteInputs:
     """What the routes read at exponent r to order n_max, each built at most once, on first use.
 
-    `a` is a_0..a_N from lhs_sum, `t_rows` the rows t(n, 0..n, r) and
-    `closed_rows` the same rows by the nested sums. A sweep over exponents
-    passes its Sweep as `held`, whose rows and column powers the routes
-    read and whose _ClosedSweep the closed route reads; otherwise no forward
-    or inverse row is kept, and the closed route builds its own sweep for
-    this exponent.
+    `a` is a_0..a_N from lhs_sum, which definition and inverse read, and
+    `closed_rows` the rows t(n, 0..n, r) by the nested sums, which closed
+    reads at r >= 3. A sweep over exponents passes its Sweep as `held`,
+    whose forward and inverse rows the routes read and whose _ClosedSweep
+    the closed route reads; otherwise no forward or inverse row is kept,
+    and the closed route builds its own sweep for this exponent. No route
+    reads the defining t rows (see ROUTES), so they are not held here.
     """
 
     def __init__(self, r: int, n_max: int, held: Sweep | None = None) -> None:
@@ -379,13 +380,6 @@ class RouteInputs:
         return list(map(lhs_sum, range(self.n_max + 1), repeat(self.r), forward))
 
     @cached_property
-    def t_rows(self) -> list[list[int]]:
-        held = self.held
-        if held is None:
-            return t_rows(self.r, self.n_max)
-        return t_rows(self.r, self.n_max, inverse=held.inverse, powers=held.powers(self.r))
-
-    @cached_property
     def closed_rows(self) -> list[list[int]]:
         return t_closed_rows(self.r, self.n_max, self.closed)
 
@@ -400,11 +394,6 @@ def _inverse(inputs: RouteInputs) -> list[int]:
     return [exact_divide(c_n.numerator, c_n.denominator) for c_n in quotients]
 
 
-def _inner_sum(inputs: RouteInputs) -> list[int]:
-    central = _central_row(inputs.n_max) if inputs.held is None else inputs.held.central
-    return _c_from_t_rows(inputs.r, inputs.t_rows, central)
-
-
 def _closed(inputs: RouteInputs) -> list[int]:
     r, n_max = inputs.r, inputs.n_max
     if r == 1:
@@ -416,15 +405,14 @@ def _closed(inputs: RouteInputs) -> list[int]:
 
 
 # Every route to c(0..N, r), each its own formula: the defining solve, the
-# inverse transform of a_n, and the inner sum over t_rows or over the closed
-# rows. Independence rule: closed reads no field of a Sweep but its
-# `closed`, nor any other route's input, central binomials included, only
-# its own _ClosedSweep, so a fault in one still shows as a disagreement
-# with it. The inner sums share one reader, _c_from_t_rows, but each hands
-# it the central row of its own inputs.
-ROUTES = {
-    "definition": _definition, "inverse": _inverse, "inner-sum": _inner_sum, "closed": _closed
-}
+# inverse transform of a_n, and the closed multi-sum rows. The inner sum
+# sum_j C(2j,j)^r t(n, j, r) over t_rows is not a route: since
+# C(2j,j) C(k+j,2j) = C(k,j) C(k+j,j), it is the inverse route's numerator
+# sum_k (-1)^(n-k) D(n,k) a_k with its double sum swapped. Independence
+# rule: closed reads no field of a Sweep but its `closed`, nor any other
+# route's input, central binomials included, only its own _ClosedSweep, so
+# a fault in one still shows as a disagreement with it.
+ROUTES = {"definition": _definition, "inverse": _inverse, "closed": _closed}
 
 
 def c_closed(r: int, n_max: int) -> list[int]:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from schmidt import cli, legendre
+from schmidt import cli, combinatorics, legendre
 from schmidt import hypergeometric as hyp
 from schmidt.combinatorics import DivisibilityError
 from schmidt.legendre import _forward_row
@@ -90,10 +90,15 @@ def test_compute_rejects_r_zero():
 
 
 def test_compute_rejects_unknown_route():
-    result = run_cli("compute", "--r", "2", "--routes", "definition,magic")
-    assert result.returncode == 2
-    # the error lists the route table's keys
-    assert "choose from definition, inverse, inner-sum, closed" in result.stderr
+    # the error lists the route table's keys; inner-sum is not one of them,
+    # since its sum is the inverse route's numerator summed the other way round
+    for routes, unknown in (("definition,magic", "magic"), ("inner-sum", "inner-sum")):
+        result = run_cli("compute", "--r", "2", "--routes", routes)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"unknown route '{unknown}'; choose from definition, inverse, closed" in (
+            result.stderr
+        )
 
 
 def test_compute_rejects_repeated_route():
@@ -270,7 +275,7 @@ _SWEEPS = {
     "verify": (
         ["verify", "--r-max", "3", "--n-max", "4"],
         {"r_max": 3, "n_max": 4},
-        [("route-agreement", 30), ("ratio-integrality", 30), ("n-independence", 10),
+        [("route-agreement", 20), ("ratio-integrality", 30), ("n-independence", 10),
          ("t-closed-agreement", 30), ("trivial-exponent", 1)],
     ),
 }
@@ -447,8 +452,7 @@ def test_compute_shares_one_a_n_and_closed_still_disagrees(monkeypatch, capsys):
         ("definition,inverse,closed", 6),
         ("inverse,closed,definition", 6),
         ("closed", 0),
-        ("inner-sum,closed", 0),
-        ("inner-sum,definition,inverse,closed", 6),
+        ("closed,definition,inverse", 6),
     ],
 )
 def test_compute_builds_a_n_once(routes, calls, monkeypatch, capsys):
@@ -470,8 +474,8 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
     # legendre_inverse and core.t_rows read the same signed D row, which
     # verify builds once per sweep for every exponent; the closed forms and
     # the defining solve never read it, so one wrong entry must fail the
-    # inverse route of compute and the inverse, inner-sum and closed-form
-    # checks of verify at each exponent
+    # inverse route of compute and the inverse-route and closed-form checks
+    # of verify at each exponent
     true_row = legendre._inverse_row
 
     def faulty_row(n):
@@ -497,9 +501,7 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert [line for line in fails if " route " in line] == [
         "FAIL inverse route non-integral witness=(r=2): 252 does not divide 567577",
-        "FAIL inner-sum route non-integral witness=(r=2): 252 does not divide 567577",
         "FAIL inverse route non-integral witness=(r=3): 252 does not divide 417792241",
-        "FAIL inner-sum route non-integral witness=(r=3): 252 does not divide 417792241",
     ]
     assert [line for line in fails if "closed form" in line] == [
         f"FAIL closed form disagrees witness=(r={r}, n=5, j={j})" for r in (2, 3) for j in range(3)
@@ -701,9 +703,8 @@ def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    # each reader of the row flags it on its own: c_from_t, the ratio, the closed form
+    # each reader of the row flags it on its own: the ratio, the closed form
     assert fails == [
-        "FAIL inner-sum route non-integral witness=(r=4): 252 does not divide 257621972112",
         "FAIL scaled inner number non-integral witness=(r=4, n=5, j=2): "
         "252 does not divide 6400806",
         "FAIL closed form disagrees witness=(r=4, n=5, j=2)",
@@ -712,7 +713,8 @@ def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
     assert "FAILED" in captured.out
 
 
-_FAILED_SWEEP = [("route-agreement", 78), ("ratio-integrality", 112), ("n-independence", 28),
+# route-agreement: inverse and closed, 7 checks each, at each of r = 2..5
+_FAILED_SWEEP = [("route-agreement", 56), ("ratio-integrality", 112), ("n-independence", 28),
                  ("t-closed-agreement", 112), ("trivial-exponent", 1)]
 
 
@@ -732,8 +734,6 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     failures = [
-        {"description": "inner-sum route non-integral",
-         "witness": "(r=4): 252 does not divide 257621972112"},
         {"description": "scaled inner number non-integral",
          "witness": "(r=4, n=5, j=2): 252 does not divide 6400806"},
         {"description": "closed form disagrees", "witness": "(r=4, n=5, j=2)"},
@@ -743,7 +743,7 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
             "command": "verify",
             "params": {"r_max": 5, "n_max": 6, "format": fmt},
             "results": {
-                "checks_run": 331,
+                "checks_run": 309,
                 "groups": [{"name": name, "checks": count} for name, count in _FAILED_SWEEP],
             },
             "failures": failures,
@@ -753,7 +753,7 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
         expected = "group,checks\n" + "".join(f"{name},{count}\n" for name, count in _FAILED_SWEEP)
     else:
         expected = "".join(f"{name}: {count} checks\n" for name, count in _FAILED_SWEEP)
-        expected += "3 of 331 checks FAILED\n"
+        expected += "2 of 309 checks FAILED\n"
     assert captured.out == expected
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == [f"FAIL {f['description']} witness={f['witness']}" for f in failures]
@@ -887,9 +887,9 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 
 
 def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys):
-    # the inner-sum route and the ratios read the sweep's held central row;
-    # the closed route walks its own, so with C(10,5) wrong in the held row
-    # the inner-sum checks fail at every exponent and closed still agrees
+    # the ratios read the sweep's held central row; the closed route walks
+    # its own, so with C(10,5) wrong in the held row the ratio-integrality
+    # checks fail at every exponent and closed still agrees
     def fault(held):
         held.central[5] += 1
 
@@ -899,8 +899,9 @@ def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     for r in (2, 3, 4):
-        assert any(line.startswith("FAIL inner-sum route") and f"(r={r}" in line for line in fails)
-    assert not any("closed" in line for line in fails), fails
+        assert any(f"(r={r}, n=5, j=" in line for line in fails), (r, fails)
+    kinds = {line.partition(" witness=")[0] for line in fails}
+    assert kinds == {"FAIL scaled inner number non-integral"}
     assert "Traceback" not in captured.err
 
 
@@ -1074,17 +1075,87 @@ def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == ["FAIL closed route non-integral witness=(r=4): 2 does not divide 7"]
     assert captured.out.splitlines() == [
-        # 4 x 7 inverse and 4 x 7 inner-sum checks, 7 closed-route checks at
-        # each of r = 2, 3, 5 and the failed route
-        "route-agreement: 78 checks",
+        # 4 x 7 inverse checks, 7 closed-route checks at each of r = 2, 3, 5
+        # and the failed route
+        "route-agreement: 50 checks",
         "ratio-integrality: 112 checks",
         "n-independence: 28 checks",
         # 28 at each of r = 2, 3, 5
         "t-closed-agreement: 84 checks",
         "trivial-exponent: 1 checks",
-        "1 of 303 checks FAILED",
+        "1 of 275 checks FAILED",
     ]
 
+
+
+# The fault matrix: every primitive that more than one reader shares, in the
+# module that defines it, with the arguments of the one call it gets wrong
+# and the checks of `verify --r-max 6 --n-max 12` whose FAIL lines must then
+# show. The README's route-by-primitive table reads off the same matrix; a
+# new shared primitive joins it here.
+_SHARED_PRIMITIVES = {
+    "_binomial_row(9)": (
+        combinatorics, "_binomial_row", lambda m: m == 9,
+        {"closed route disagrees", "closed form disagrees"},
+    ),
+    "_binomial_column(top=14)": (
+        combinatorics, "_binomial_column", lambda top, k: top == 14,
+        {"closed form disagrees", "scaled inner number non-integral"},
+    ),
+    "_central_row(12)": (
+        combinatorics, "_central_row", lambda n: n == 12,
+        {"closed route non-integral", "scaled inner number non-integral"},
+    ),
+    "_forward_row(7)": (
+        legendre, "_forward_row", lambda n: n == 7,
+        {"definition route non-integral", "inverse route non-integral"},
+    ),
+    "_inverse_row(7)": (
+        legendre, "_inverse_row", lambda n: n == 7,
+        {"inverse route non-integral", "scaled inner number non-integral",
+         "closed form disagrees"},
+    ),
+    "binomial(9,4)": (
+        combinatorics, "binomial", lambda n, k: (n, k) == (9, 4),
+        {"definition route non-integral", "inverse route non-integral"},
+    ),
+    "exact_divide(>10**6)": (
+        combinatorics, "exact_divide", lambda a, b: abs(a) > 10**6,
+        {"definition route non-integral", "closed route non-integral", "closed form disagrees",
+         "exponent-1 family is not all ones"},
+    ),
+}
+
+
+@pytest.mark.parametrize("primitive", list(_SHARED_PRIMITIVES))
+def test_shared_primitive_fault_fails_verify(primitive, monkeypatch, capsys):
+    # the last entry of every call with the given arguments is one too large,
+    # in every module of the package that bound the name, so that each
+    # reader sees the same wrong value; verify must still exit 1 with a
+    # witness, since no shared primitive may make every route agree
+    home, name, hit, kinds = _SHARED_PRIMITIVES[primitive]
+    true_fn = getattr(home, name)
+
+    def faulty(*args):
+        value = true_fn(*args)
+        if not hit(*args):
+            return value
+        if isinstance(value, list):
+            return [*value[:-1], value[-1] + 1]
+        return value + 1
+
+    bound = [module for key, module in sys.modules.items()
+             if key.split(".")[0] == "schmidt" and getattr(module, name, None) is true_fn]
+    assert len(bound) > 1  # shared: defined in one module, read from another
+    for module in bound:
+        monkeypatch.setattr(module, name, faulty)
+    code = cli.main(["verify", "--r-max", "6", "--n-max", "12"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL ")]
+    assert fails
+    assert {line[len("FAIL "):].partition(" witness=")[0] for line in fails} == kinds
 
 def test_main_returns_zero_in_process():
     assert cli.main(["compute", "--r", "2", "--n-max", "3"]) == 0

@@ -1,13 +1,14 @@
 """Schmidt numbers by each route, inner numbers, closed forms, integrality."""
 
 from math import comb
+from operator import mul
 
 import pytest
 
 from reference import inner_number, nest
 from schmidt import core
 from schmidt.combinatorics import DivisibilityError, _central_row, binomial, central_binomial
-from schmidt.legendre import _forward_row, legendre_forward, legendre_inverse
+from schmidt.legendre import _forward_row, _inverse_row, legendre_forward, legendre_inverse
 
 
 def test_lhs_sum_values():
@@ -126,6 +127,19 @@ def test_c_from_t_values():
     assert core.c_from_t(2, 3) == 68
     assert core.c_from_t(0, 7) == 1
 
+
+
+@pytest.mark.parametrize("r, n_max", [(2, 40), (3, 60), (5, 30)])
+def test_inner_sum_is_the_inverse_numerator(r, n_max):
+    # C(2j,j) C(k+j,2j) = C(k,j) C(k+j,j), so sum_j C(2j,j)^r t(n, j, r) is
+    # the inverse route's numerator sum_k (-1)^(n-k) D(n,k) a_k, term for
+    # term with the double sum swapped; that is why the inner sum is no
+    # route of its own. c_from_t divides that same sum by C(2n,n)
+    a = [core.lhs_sum(n, r) for n in range(n_max + 1)]
+    for n, row in enumerate(core.t_rows(r, n_max)):
+        numerator = sum(map(mul, _inverse_row(n), a))
+        assert sum(central_binomial(j) ** r * t for j, t in enumerate(row)) == numerator, n
+        assert core.c_from_t(n, r) * central_binomial(n) == numerator, n
 
 def test_row_readers_take_a_held_row():
     for r in (1, 2, 5):
