@@ -34,7 +34,6 @@ from typing import Iterable
 from . import core
 from . import hypergeometric as hyp
 from .combinatorics import DivisibilityError
-from .legendre import legendre_forward
 
 # what `compute` runs without --routes; every key of core.ROUTES is accepted
 DEFAULT_ROUTES = ("definition", "inverse", "closed")
@@ -47,14 +46,13 @@ class Report:
 
     `rows` holds one tuple per CSV line under the column names in `header`.
     A check sweep leaves both empty and is rendered from `groups`, each
-    (name, checks, elapsed seconds); the times go to stderr only, as do the
-    informational `notes`. A witness given with `fields` is a format string,
-    filled in only for a check that fails.
+    (name, checks, elapsed seconds); the times go to stderr only. A witness
+    given with `fields` is a format string, filled in only for a check that
+    fails.
     """
 
     header: tuple[str, ...] = ()
     rows: list[tuple] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
     checks_run: int = 0
     groups: dict[str, list] = field(default_factory=dict)
     failures: list[dict[str, str]] = field(default_factory=list)
@@ -149,8 +147,7 @@ def _render(command: str, params: dict, report: Report) -> Iterable[str]:
 
 def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
     out = _render(command, params, report)
-    err = [*report.notes]
-    err += [f"FAIL {fail['description']} witness={fail['witness']}" for fail in report.failures]
+    err = [f"FAIL {fail['description']} witness={fail['witness']}" for fail in report.failures]
     err += [f"time {name}: {int(sec * 1000)} ms" for name, (_, sec) in report.groups.items()]
     err.append(f"elapsed {elapsed_ms} ms")
     code = 1 if report.failures else 0
@@ -193,17 +190,7 @@ def run_compute(args: argparse.Namespace) -> Report:
             values = _route(report, route, inputs)
         if values is not None:
             per_route[route] = values
-    reference_route = args.routes[0]
-    if not report.failures:
-        reference = per_route[reference_route]
-        for route in args.routes[1:]:
-            for n, (x, y) in enumerate(zip(reference, per_route[route])):
-                if x != y:
-                    report.fail(
-                        f"routes {reference_route} and {route} disagree",
-                        f"(r={args.r}, n={n}): {x} != {y}",
-                    )
-                    break
+    _compare_routes(report, args.r, per_route)
 
     # each value is stringified once: the agreed sequence once for all routes
     if report.failures:
@@ -213,7 +200,7 @@ def run_compute(args: argparse.Namespace) -> Report:
         ]
     else:
         report.header = ("n", "c")
-        report.rows = [(n, str(c)) for n, c in enumerate(per_route[reference_route])]
+        report.rows = [(n, str(c)) for n, c in enumerate(per_route[args.routes[0]])]
     return report
 
 
@@ -237,18 +224,26 @@ def _agree(report: Report, got: list, expected: list, description: str, witness:
             report.check(x == y, description, witness, *fields, i)
 
 
+def _compare_routes(report: Report, r: int, values: dict[str, list | None]) -> None:
+    # every route that finished (not None) against the first route that
+    # finished, entry by entry, so a route that raised leaves the others
+    # still compared with each other
+    finished = [(name, got) for name, got in values.items() if got is not None]
+    for name, got in finished[1:]:
+        reference, expected = finished[0]
+        _agree(report, got, expected, f"{name} route disagrees with {reference}", "(r={}, n={})", r)
+
+
 def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
     # Exponent r's inputs, and its t rows, are built once, read by every
     # group that needs them and dropped on return, so a sweep holds one
     # exponent's rows, O(n_max^2) integers, besides its core.Sweep. Every
-    # route is checked against definition.
+    # route that finished is checked against definition, or against the
+    # first route that finished when definition raised.
     r, held = inputs.r, inputs.held
     with _group(report, "route-agreement"):
         values = {name: _route(report, name, inputs) for name in core.ROUTES}
-        oracle = values["definition"]
-        for name, route_values in values.items():
-            if name != "definition" and oracle and route_values:
-                _agree(report, route_values, oracle, f"{name} route disagrees", "(r={}, n={})", r)
+        _compare_routes(report, r, values)
 
     with _group(report, "ratio-integrality"):
         rows = core.t_rows(r, inputs.n_max, inverse=held.inverse, powers=held.powers(r))
@@ -262,11 +257,6 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
                                  "(r={}, n={}, j={}): {} does not divide {}", r, n, j,
                                  central[n], c * t)
 
-    with _group(report, "n-independence"):
-        for n, (forward, a_n) in enumerate(zip(held.forward, inputs.a) if oracle else ()):
-            report.check(legendre_forward(oracle, n, forward) == a_n, "defining identity fails",
-                         "(r={}, n={})", r, n)
-
     with _group(report, "t-closed-agreement"):
         # built by the closed route at r >= 3; at r = 2 that route sums
         # Franel's cubes, and the rows are built here
@@ -277,13 +267,12 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
 
 def run_verify(args: argparse.Namespace) -> Report:
     # registered up front, so every sweep reports the same groups, also one with r_max < 2
-    groups = ("route-agreement", "ratio-integrality", "n-independence", "t-closed-agreement",
-              "trivial-exponent")
+    groups = ("route-agreement", "ratio-integrality", "t-closed-agreement", "trivial-exponent")
     report = Report(groups={name: [0, 0.0] for name in groups})
     n_max = args.n_max
     if args.r_max < 1:
         return report
-    # every exponent, and the r = 1 checks, read one sweep's r-independent
+    # every exponent, and the r = 1 check, read one sweep's r-independent
     # rows, running column powers and closed-route chains, built once here
     held = core.Sweep(n_max)
     for r in range(2, args.r_max + 1):
@@ -295,11 +284,6 @@ def run_verify(args: argparse.Namespace) -> Report:
             report.check(
                 ones == [1] * (n_max + 1), "exponent-1 family is not all ones", f"(n_max={n_max})"
             )
-    # informational only: the scaled ratios at r=1 are reported, never asserted
-    rows = core.t_rows(1, n_max, inverse=held.inverse, powers=held.powers(1))
-    remainders = [left for row in rows for left in core.ratio_remainders(row, held.central)]
-    integral = f"{remainders.count(0)}/{len(remainders)}"
-    report.notes.append(f"note: r=1 scaled ratios integral for {integral} pairs (not asserted)")
     return report
 
 

@@ -53,15 +53,10 @@ def _inverse_row(n: int) -> list[int]:
     ]
 
 
-def legendre_forward(c: Sequence[int], n: int, row: list[int] | None = None) -> int:
-    """a_n = sum_k C(n,k) C(n+k,k) c_k.
-
-    `row` is _forward_row(n) when the caller already holds it.
-    """
+def legendre_forward(c: Sequence[int], n: int) -> int:
+    """a_n = sum_k C(n,k) C(n+k,k) c_k."""
     _check_prefix(c, n)
-    if row is None:
-        row = _forward_row(n)
-    return sum(f * c_k for f, c_k in zip(row, c))
+    return sum(f * c_k for f, c_k in zip(_forward_row(n), c))
 
 
 def legendre_inverse(a: Sequence[int], n: int, row: list[int] | None = None) -> Fraction:

@@ -195,9 +195,11 @@ def test_verify_small_sweep():
     assert result.returncode == 0
     assert "FAILED" not in result.stdout
     assert result.stdout.rstrip().endswith("checks passed")
-    assert result.stderr.splitlines()[0] == (
-        "note: r=1 scaled ratios integral for 28/28 pairs (not asserted)"
-    )
+    # stderr holds the group times and the elapsed line, nothing else
+    names = _stderr_times(result.stderr)
+    assert names == ["route-agreement", "ratio-integrality", "t-closed-agreement",
+                     "trivial-exponent"]
+    assert len(result.stderr.splitlines()) == len(names) + 1
 
 
 def test_verify_r_max_one_still_passes():
@@ -207,11 +209,10 @@ def test_verify_r_max_one_still_passes():
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_verify_r_max_zero_reports_every_group(fmt, capsys):
-    # a sweep with no exponent still lists the five groups of every other sweep
+    # a sweep with no exponent still lists the four groups of every other sweep
     assert cli.main(["verify", "--r-max", "0", "--n-max", "3", "--format", fmt]) == 0
     captured = capsys.readouterr()
-    names = ["route-agreement", "ratio-integrality", "n-independence", "t-closed-agreement",
-             "trivial-exponent"]
+    names = ["route-agreement", "ratio-integrality", "t-closed-agreement", "trivial-exponent"]
     if fmt == "json":
         doc = {
             "command": "verify",
@@ -275,8 +276,8 @@ _SWEEPS = {
     "verify": (
         ["verify", "--r-max", "3", "--n-max", "4"],
         {"r_max": 3, "n_max": 4},
-        [("route-agreement", 20), ("ratio-integrality", 30), ("n-independence", 10),
-         ("t-closed-agreement", 30), ("trivial-exponent", 1)],
+        [("route-agreement", 20), ("ratio-integrality", 30), ("t-closed-agreement", 30),
+         ("trivial-exponent", 1)],
     ),
 }
 
@@ -320,8 +321,10 @@ def test_compute_stdout_bytes(closed, fmt, monkeypatch, capsys):
     captured = capsys.readouterr()
     per_route = {"definition": _FRANEL, "inverse": _FRANEL, "closed": closed}
     agree = closed == _FRANEL
+    # every entry of closed differs from definition's, and each is one witness
     failures = [] if agree else [
-        {"description": "routes definition and closed disagree", "witness": "(r=2, n=0): 1 != 0"}
+        {"description": "closed route disagrees with definition", "witness": f"(r=2, n={n})"}
+        for n in range(4)
     ]
     if fmt == "json":
         doc = {
@@ -374,7 +377,9 @@ def test_wrong_inverse_value_fails_verify(monkeypatch, capsys):
     assert cli.main(["verify", "--r-max", "4", "--n-max", "6"]) == 1
     captured = capsys.readouterr()
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert fails == [f"FAIL inverse route disagrees witness=(r={r}, n=3)" for r in (2, 3, 4)]
+    assert fails == [
+        f"FAIL inverse route disagrees with definition witness=(r={r}, n=3)" for r in (2, 3, 4)
+    ]
     assert "FAILED" in captured.out
 
 
@@ -383,7 +388,7 @@ def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
     code = cli.main(["compute", "--r", "2", "--n-max", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "FAIL routes definition and closed disagree witness=(r=2, n=0): 1 != 0" in (
+    assert "FAIL closed route disagrees with definition witness=(r=2, n=0)" in (
         captured.err.splitlines()
     )
 
@@ -438,12 +443,49 @@ def test_compute_shares_one_a_n_and_closed_still_disagrees(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert fails == ["FAIL routes definition and closed disagree witness=(r=2, n=3): 57 != 56"]
+    assert fails == ["FAIL closed route disagrees with definition witness=(r=2, n=3)"]
     assert captured.out == (
         "definition: 1 2 10 57 346 2252\n"
         "inverse: 1 2 10 57 346 2252\n"
         "closed: 1 2 10 56 346 2252\n"
     )
+
+
+def test_routes_that_finish_are_compared_when_the_reference_raises(monkeypatch, capsys):
+    # definition raises at every exponent and closed is one too large at
+    # n = 3: both commands still compare closed with inverse, the first route
+    # that finished, so the wrong closed value is a witness of its own
+    def raising_definition(inputs):
+        raise DivisibilityError(7, 2)
+
+    true_closed = cli.core.ROUTES["closed"]
+
+    def off_by_one_closed(inputs):
+        return [c + (n == 3) for n, c in enumerate(true_closed(inputs))]
+
+    monkeypatch.setitem(cli.core.ROUTES, "definition", raising_definition)
+    monkeypatch.setitem(cli.core.ROUTES, "closed", off_by_one_closed)
+
+    assert cli.main(["verify", "--r-max", "3", "--n-max", "5"]) == 1
+    captured = capsys.readouterr()
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        *(line for r in (2, 3) for line in (
+            f"FAIL definition route non-integral witness=(r={r}): 2 does not divide 7",
+            f"FAIL closed route disagrees with inverse witness=(r={r}, n=3)",
+        )),
+        "FAIL definition route non-integral witness=(r=1): 2 does not divide 7",
+    ]
+    assert "Traceback" not in captured.err
+
+    assert cli.main(["compute", "--r", "3", "--n-max", "5"]) == 1
+    captured = capsys.readouterr()
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL definition route non-integral witness=(r=3): 2 does not divide 7",
+        "FAIL closed route disagrees with inverse witness=(r=3, n=3)",
+    ]
+    assert captured.out == "inverse: 1 4 68 1732 51076 1657904\nclosed: 1 4 68 1733 51076 1657904\n"
 
 
 @pytest.mark.parametrize(
@@ -530,7 +572,7 @@ def test_nest_fault_is_caught_by_both_closed_checks(monkeypatch, capsys):
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == [
-        "FAIL closed route disagrees witness=(r=4, n=5)",
+        "FAIL closed route disagrees with definition witness=(r=4, n=5)",
         "FAIL closed form disagrees witness=(r=4, n=5, j=2)",
     ]
     assert "Traceback" not in captured.err
@@ -540,8 +582,7 @@ def test_nest_fault_is_caught_by_both_closed_checks(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert len(fails) == 1
-    assert fails[0].startswith("FAIL routes definition and closed disagree witness=(r=4, n=5): ")
+    assert fails == ["FAIL closed route disagrees with definition witness=(r=4, n=5)"]
     assert "Traceback" not in captured.err
 
 
@@ -714,8 +755,8 @@ def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
 
 
 # route-agreement: inverse and closed, 7 checks each, at each of r = 2..5
-_FAILED_SWEEP = [("route-agreement", 56), ("ratio-integrality", 112), ("n-independence", 28),
-                 ("t-closed-agreement", 112), ("trivial-exponent", 1)]
+_FAILED_SWEEP = [("route-agreement", 56), ("ratio-integrality", 112), ("t-closed-agreement", 112),
+                 ("trivial-exponent", 1)]
 
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
@@ -743,7 +784,7 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
             "command": "verify",
             "params": {"r_max": 5, "n_max": 6, "format": fmt},
             "results": {
-                "checks_run": 309,
+                "checks_run": 281,
                 "groups": [{"name": name, "checks": count} for name, count in _FAILED_SWEEP],
             },
             "failures": failures,
@@ -753,15 +794,15 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
         expected = "group,checks\n" + "".join(f"{name},{count}\n" for name, count in _FAILED_SWEEP)
     else:
         expected = "".join(f"{name}: {count} checks\n" for name, count in _FAILED_SWEEP)
-        expected += "2 of 309 checks FAILED\n"
+        expected += "2 of 281 checks FAILED\n"
     assert captured.out == expected
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == [f"FAIL {f['description']} witness={f['witness']}" for f in failures]
 
 
 def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
-    # the oracle failed, so no route is compared at that exponent, and the
-    # other routes, which still run, are not at fault
+    # the oracle failed, so at that exponent the other routes, which still
+    # run and are not at fault, are compared with each other and agree
     def failing_solve(a, forward=None):
         raise DivisibilityError(7, 2)
 
@@ -774,8 +815,8 @@ def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
         f"FAIL definition route non-integral witness=(r={r}): 2 does not divide 7"
         for r in (2, 3, 1)
     ]
-    assert "route-agreement: 2 checks" in captured.out
-    assert "n-independence: 0 checks" in captured.out
+    # the two failed routes, and inverse against closed at n = 0..3 at r = 2, 3
+    assert "route-agreement: 10 checks" in captured.out
     assert "trivial-exponent: 1 checks" in captured.out
 
 
@@ -803,7 +844,7 @@ def test_verify_drops_each_exponents_rows_before_the_next(monkeypatch, capsys):
     monkeypatch.setattr(cli.core, "t_rows", tracked_rows)
     assert cli.main(["verify", "--r-max", "4", "--n-max", "5"]) == 0
     capsys.readouterr()
-    assert {r for r, _ in built} == {1, 2, 3, 4}
+    assert {r for r, _ in built} == {2, 3, 4}
     assert stale == []
     assert len(inverse_held) == 1
 
@@ -862,7 +903,7 @@ def _patch_sweep(monkeypatch, built):
 
 def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
     # every group and route of one exponent reads the same a_n, t-rows and
-    # closed rows, built once; r = 1 reads a_n and t-rows only
+    # closed rows, built once; r = 1 reads a_n only
     built = Counter()
 
     def counted(name, true_fn):
@@ -880,7 +921,7 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
     assert built == Counter(
         {
             **{("lhs_sum", r): 9 for r in range(1, 7)},
-            **{("t_rows", r): 1 for r in range(1, 7)},
+            **{("t_rows", r): 1 for r in range(2, 7)},
             **{("t_closed_rows", r): 1 for r in range(2, 7)},
         }
     )
@@ -923,9 +964,9 @@ def test_closed_sweep_fault_leaves_every_other_check_clean(monkeypatch, capsys):
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     kinds = {line.partition(" witness=")[0] for line in fails}
-    assert kinds == {"FAIL closed route disagrees", "FAIL closed form disagrees"}
+    assert kinds == {"FAIL closed route disagrees with definition", "FAIL closed form disagrees"}
     assert "FAIL closed form disagrees witness=(r=2, n=5, j=3)" in fails
-    assert "FAIL closed route disagrees witness=(r=3, n=5)" in fails
+    assert "FAIL closed route disagrees with definition witness=(r=3, n=5)" in fails
     assert "Traceback" not in captured.err
 
 
@@ -1008,7 +1049,7 @@ def _wrong_held_ratio(monkeypatch):
 @pytest.mark.parametrize(
     "fault, witness",
     [
-        (_wrong_route_value, "FAIL inverse route disagrees witness=(r=3, n=4)"),
+        (_wrong_route_value, "FAIL inverse route disagrees with definition witness=(r=3, n=4)"),
         (_wrong_t_entry, "FAIL closed form disagrees witness=(r=4, n=5, j=2)"),
         (_wrong_held_ratio, "FAIL scaled inner number non-integral witness=(r=2, n=3, j=2): "
                             "21 does not divide 120"),
@@ -1079,11 +1120,10 @@ def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
         # and the failed route
         "route-agreement: 50 checks",
         "ratio-integrality: 112 checks",
-        "n-independence: 28 checks",
         # 28 at each of r = 2, 3, 5
         "t-closed-agreement: 84 checks",
         "trivial-exponent: 1 checks",
-        "1 of 275 checks FAILED",
+        "1 of 247 checks FAILED",
     ]
 
 
@@ -1096,7 +1136,7 @@ def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
 _SHARED_PRIMITIVES = {
     "_binomial_row(9)": (
         combinatorics, "_binomial_row", lambda m: m == 9,
-        {"closed route disagrees", "closed form disagrees"},
+        {"closed route disagrees with definition", "closed form disagrees"},
     ),
     "_binomial_column(top=14)": (
         combinatorics, "_binomial_column", lambda top, k: top == 14,
@@ -1121,7 +1161,8 @@ _SHARED_PRIMITIVES = {
     ),
     "exact_divide(>10**6)": (
         combinatorics, "exact_divide", lambda a, b: abs(a) > 10**6,
-        {"definition route non-integral", "closed route non-integral", "closed form disagrees",
+        {"definition route non-integral", "closed route non-integral",
+         "closed route disagrees with inverse", "closed form disagrees",
          "exponent-1 family is not all ones"},
     ),
 }

@@ -141,6 +141,14 @@ def test_inner_sum_is_the_inverse_numerator(r, n_max):
         assert sum(central_binomial(j) ** r * t for j, t in enumerate(row)) == numerator, n
         assert core.c_from_t(n, r) * central_binomial(n) == numerator, n
 
+
+def test_t_rows_at_r1_are_the_identity():
+    # t(n, j, 1) = [j = n]: the inverse transform of a unit column gives that
+    # column back, so every scaled ratio at r = 1 is integral
+    n_max = 60
+    assert core.t_rows(1, n_max) == [[int(j == n) for j in range(n + 1)] for n in range(n_max + 1)]
+
+
 def test_row_readers_take_a_held_row():
     for r in (1, 2, 5):
         for n in range(7):
