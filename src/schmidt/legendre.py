@@ -18,7 +18,10 @@ written once, as a whole row: `_forward_row(n)` holds C(n,k) C(n+k,k) and
 either kernel in the package, `core.lhs_sum` and `core.t_row` included,
 goes through these two rows. Neither row depends on anything but n, so a
 reader also takes rows its caller already holds, as a sweep over many
-exponents does.
+exponents does. The solve step of `triangular_solve` is written once too,
+as `_solve_step`, so that a caller which builds forward row n for a reader
+of its own, as the definition route builds a_n, takes c_n from that row
+without building it again.
 """
 
 from __future__ import annotations
@@ -87,8 +90,12 @@ def triangular_solve(a: Sequence[int], forward: Sequence[list[int]] | None = Non
     """
     c: list[int] = []
     for n, a_n in enumerate(a):
-        row = _forward_row(n) if forward is None else forward[n]
-        # c holds c_0..c_{n-1}, so zip stops short of the diagonal
-        partial = sum(f * c_k for f, c_k in zip(row, c))
-        c.append(exact_divide(a_n - partial, row[-1]))
+        c.append(_solve_step(a_n, _forward_row(n) if forward is None else forward[n], c))
     return c
+
+
+def _solve_step(a_n: int, row: list[int], c: list[int]) -> int:
+    """c_n from a_n, its forward row and c = c_0..c_{n-1}: one step of triangular_solve."""
+    # c holds c_0..c_{n-1}, so zip stops short of the diagonal
+    partial = sum(f * c_k for f, c_k in zip(row, c))
+    return exact_divide(a_n - partial, row[-1])

@@ -498,18 +498,60 @@ def test_routes_that_finish_are_compared_when_the_reference_raises(monkeypatch, 
     ],
 )
 def test_compute_builds_a_n_once(routes, calls, monkeypatch, capsys):
-    true_lhs = cli.core.lhs_sum
+    # definition builds each forward row once, for a_n and for the solve step
+    # that takes c_n from it, and leaves a_n for the inverse route; after the
+    # inverse route built a_n by lhs_sum, definition solves from rows of its own
+    rows_per_n = {"closed": 0, "inverse,closed,definition": 2}.get(routes, 1)
+    true_lhs, true_row = cli.core.lhs_sum, legendre._forward_row
     seen = []
+    rows = Counter()
 
     def counted_lhs(n, r, row=None):
-        assert row is None  # compute holds no forward rows
         seen.append((n, r))
-        return true_lhs(n, r)
+        return true_lhs(n, r, row)
+
+    def counted_row(n):
+        rows[n] += 1
+        return true_row(n)
 
     monkeypatch.setattr(cli.core, "lhs_sum", counted_lhs)
+    for module in (legendre, cli.core):
+        monkeypatch.setattr(module, "_forward_row", counted_row)
     assert cli.main(["compute", "--r", "2", "--n-max", "5", "--routes", routes]) == 0
     assert capsys.readouterr().out == "1 2 10 56 346 2252\n"
     assert len(seen) == calls
+    assert rows == Counter({n: rows_per_n for n in range(6)})
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_compute_prints_the_same_under_every_route_order(r, capsys):
+    # whichever of definition and inverse runs first builds a_n, and the
+    # other reads it
+    outputs = set()
+    for order in itertools.permutations(cli.DEFAULT_ROUTES):
+        assert cli.main(["compute", "--r", str(r), "--n-max", "40", "--routes", ",".join(order)]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+    (out,) = outputs
+    assert out == " ".join(map(str, cli.core.c_by_definition(r, 40))) + "\n"
+
+
+def test_compute_definition_failure_leaves_the_inverse_route_whole(monkeypatch, capsys):
+    # a solve step that raises at n = 3 stops the definition route's pass
+    # before a_4, so the inverse route builds all of a_0..a_N itself
+    true_step = cli.core._solve_step
+
+    def failing_step(a_n, row, c):
+        if len(c) == 3:
+            raise DivisibilityError(7, 2)
+        return true_step(a_n, row, c)
+
+    monkeypatch.setattr(cli.core, "_solve_step", failing_step)
+    assert cli.main(["compute", "--r", "2", "--n-max", "5"]) == 1
+    captured = capsys.readouterr()
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL definition route non-integral witness=(r=2): 2 does not divide 7"]
+    assert captured.out == "inverse: 1 2 10 56 346 2252\nclosed: 1 2 10 56 346 2252\n"
 
 
 def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys):
@@ -903,12 +945,15 @@ def _patch_sweep(monkeypatch, built):
 
 def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
     # every group and route of one exponent reads the same a_n, t-rows and
-    # closed rows, built once; r = 1 reads a_n only
+    # closed rows, built once; a_0..a_N are the sums of the sweep's forward
+    # powers, raised once per exponent, and never come from lhs_sum; r = 1
+    # reads a_n only
     built = Counter()
 
     def counted(name, true_fn):
         def fn(*args, **kwargs):
-            key = (name, args[1]) if name == "lhs_sum" else (name, args[0])
+            # r is lhs_sum's and forward_powers' second argument, after n or self
+            key = (name, args[1]) if name in ("lhs_sum", "forward_powers") else (name, args[0])
             built[key] += 1
             return true_fn(*args, **kwargs)
 
@@ -916,11 +961,13 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 
     for name in ("lhs_sum", "t_rows", "t_closed_rows"):
         monkeypatch.setattr(cli.core, name, counted(name, getattr(cli.core, name)))
+    sweep = cli.core.Sweep
+    monkeypatch.setattr(sweep, "forward_powers", counted("forward_powers", sweep.forward_powers))
     assert cli.main(["verify", "--r-max", "6", "--n-max", "8"]) == 0
     capsys.readouterr()
     assert built == Counter(
         {
-            **{("lhs_sum", r): 9 for r in range(1, 7)},
+            **{("forward_powers", r): 1 for r in range(1, 7)},
             **{("t_rows", r): 1 for r in range(2, 7)},
             **{("t_closed_rows", r): 1 for r in range(2, 7)},
         }

@@ -202,6 +202,19 @@ def test_running_power_t_rows_match_t_row_and_reference():
     assert held.powers(1) is held.bases
 
 
+def test_running_forward_powers_match_fresh_powers():
+    # verify's a_n: each exponent's forward powers as the previous exponent's
+    # times the forward rows, summed row by row; asked for a smaller r, the
+    # sweep starts over from the rows themselves
+    n_max = 20
+    held = core.Sweep(n_max)
+    for r in [*range(1, 13), 5, 3, 1, 2]:
+        powers = held.forward_powers(r)
+        assert powers == [[f**r for f in _forward_row(n)] for n in range(n_max + 1)], r
+        assert list(map(sum, powers)) == [core.lhs_sum(n, r) for n in range(n_max + 1)], r
+    assert held.forward_powers(1) is held.forward
+
+
 def test_t3_closed_values():
     assert core.t3_closed(2, 1) == 24
     assert core.t3_closed(2, 0) == 0
