@@ -258,11 +258,15 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
                                  central[n], c * t)
 
     with _group(report, "t-closed-agreement"):
-        # built by the closed route at r >= 3; at r = 2 that route sums
-        # Franel's cubes, and the rows are built here
+        # the ratio rows, built by the closed route at r >= 3; at r = 2 that
+        # route sums Franel's cubes, and the rows are built here. Each entry
+        # is checked as C(2n,n) ratio == C(2j,j) t, with both central
+        # binomials from the closed route's own walk, not the held one
         closed = values["closed"] and _route(report, "closed", inputs, attrgetter("closed_rows"))
-        for n, (closed_row, row) in enumerate(zip(closed or (), rows)):
-            _agree(report, closed_row, row, "closed form disagrees", "(r={}, n={}, j={})", r, n)
+        central = inputs.closed.central
+        for n, (ratios, row) in enumerate(zip(closed or (), rows)):
+            _agree(report, [central[n] * x for x in ratios], [c * t for c, t in zip(central, row)],
+                   "closed form disagrees", "(r={}, n={}, j={})", r, n)
 
 
 def run_verify(args: argparse.Namespace) -> Report:

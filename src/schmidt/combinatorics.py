@@ -5,7 +5,7 @@ occurs. Binomials come from two places: a scalar C(n, k) or C(2n, n) is
 `math.comb` behind `binomial` and `central_binomial`, and a whole row,
 column or run of central binomials is walked by recurrence
 (`_binomial_row`, `_binomial_column`, `_central_row`). The package
-computes no factorial: every prefactor is a product of walked binomials. The
+computes no factorial: every closed term is a product of walked binomials. The
 Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`) is built
 once per n, for a_n and for the solve step alike, and deliberately still
 reads the scalar `binomial` until the benchmark's peak-RSS figure is

@@ -10,15 +10,21 @@ The inner numbers
 
     t(n, j, r) = sum_{k=j..n} (-1)^(n-k) D(n,k) C(k+j,k-j)^r
 
-regroup the inversion so that C(2n,n) c(n, r) = sum_j C(2j,j)^r t(n, j, r),
-and they admit closed binomial multi-sums for every r. Two integrality
-statements are exposed for verification rather than assumed: every
-c(n, r) is an integer, and so is every C(2j,j) t(n, j, r) / C(2n,n).
+regroup the inversion so that C(2n,n) c(n, r) = sum_j C(2j,j)^r t(n, j, r).
+The strong integrality statement, that every C(2j,j) t(n, j, r) / C(2n,n)
+is an integer, is manifest in the closed route: for r = 2s or 2s + 1 that
+ratio is C(n,j)^(1+[r odd]) times an (s-1)-fold nest of binomials, so
+
+    c(n, r) = sum_j C(2j,j)^(r-1) C(n,j)^(1+[r odd]) nest_r(n, j)
+
+is a sum of products of binomials with no division anywhere. The defining
+t rows stay as the oracle, and the ratio's integrality is still checked
+from them, not assumed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import repeat
 from operator import getitem, mul
@@ -148,15 +154,8 @@ def integrality_ratio(
 
 def c_from_t(n: int, r: int) -> int:
     """c(n, r) = [sum_j C(2j,j)^r t(n, j, r)] / C(2n,n), divided out exactly."""
-    return _c_from_t_rows(r, [t_row(n, r)], _central_row(n))[0]
-
-
-def _c_from_t_rows(r: int, rows: list[list[int]], central: list[int]) -> list[int]:
-    # c(n, r) for each row t(n, 0..n, r) of rows, n read off as the row's
-    # length less one, the last row the longest; central is C(0,0)..C(2m,m),
-    # m >= every n. Each C(2j,j)^r is raised once for all the rows.
-    weights = [c**r for c in central[: len(rows[-1])]]
-    return [exact_divide(sum(map(mul, row, weights)), central[len(row) - 1]) for row in rows]
+    central = _central_row(n)
+    return exact_divide(sum(c**r * t for c, t in zip(central, t_row(n, r))), central[n])
 
 
 def ratio_remainders(row: list[int], central: list[int]) -> list[int]:
@@ -198,7 +197,7 @@ class _NestChain:
     """The nest columns at one j to order n_max, chained across exponents.
 
     nest(n, j) for r = 2s or 2s + 1 is the (s-1)-fold sum behind
-    t_closed_rows over chained indices n >= k_1 >= ... >= k_{s-1} >= j.
+    closed_ratio_rows over chained indices n >= k_1 >= ... >= k_{s-1} >= j.
     Each level contributes C(2j,k_{L-1}-k_L) C(k_L+j,k_L-j)^2 (the even-r
     outer level C(j,n-k_1) C(k_1,j) C(k_1+j,k_1-j) instead) and
     C(2j,k_{s-1}-j) closes the chain. With i = k - j each level is one
@@ -254,61 +253,30 @@ def _require_closed_exponent(r: int) -> None:
         raise ValueError(f"no closed route below r=2, got r={r}")
 
 
-def _prefactor_row(n: int, odd: bool, central: list[int]) -> list[int]:
-    # The closed prefactor of t(n, j, r) for j = 0..n, from walked rows; central
-    # is C(0,0)..C(2m,m), m >= n. Odd r: (2n)! / ((2j)! (n-j)!^2) =
-    # C(2n,2j) C(2n-2j,n-j), an integer, so there is no division at all. Even
-    # r: (2n)! j! / (n! (n-j)! (2j)!) = C(2n,n) C(n,j) / C(2j,j); the row holds
-    # C(2n,n) C(n,j), and _closed_entries divides by C(2j,j) exactly after the
-    # product with the nest.
-    if odd:
-        wide = _binomial_row(2 * n)
-        return [wide[2 * j] * central[n - j] for j in range(n + 1)]
-    return [central[n] * c for c in _binomial_row(n)]
-
-
-def _closed_entries(
-    odd: bool, prefactors: list[int], nests: Iterable[int], central: list[int]
-) -> list[int]:
-    # t(n, j, r) for j = 0, 1, ...: each prefactor times its nest, divided by
-    # C(2j,j) for even r
-    if odd:
-        return list(map(mul, prefactors, nests))
-    return [exact_divide(p * nest, c) for p, nest, c in zip(prefactors, nests, central)]
-
-
 class _ClosedSweep:
     """What the closed route reads at any exponent to order n_max, built by that route alone.
 
-    chains[j] is the _NestChain at j, and prefactors(odd) the prefactor rows
-    for n = 0..n_max, walked on first use from the route's own central row
-    C(0,0)..C(2n_max,n_max). A sweep over exponents holds one for all of
-    them, so each row is walked and each nest level run once per sweep; a
-    single exponent builds its own and drops it. Nothing here reads another
-    field of a Sweep (see ROUTES).
+    chains[j] is the _NestChain at j, and central the route's own walked
+    central binomials C(0,0)..C(2n_max,n_max). A sweep over exponents holds
+    one for all of them, so each nest level is run once per sweep; a single
+    exponent builds its own and drops it. Nothing here reads another field
+    of a Sweep (see ROUTES).
     """
 
     def __init__(self, n_max: int) -> None:
-        self.n_max = n_max
         self.central = _central_row(n_max)
         self.chains = [_NestChain(j, n_max) for j in range(n_max + 1)]
-        self._prefactors: dict[bool, list[list[int]]] = {}
-
-    def prefactors(self, odd: bool) -> list[list[int]]:
-        if odd not in self._prefactors:
-            orders = range(self.n_max + 1)
-            self._prefactors[odd] = [_prefactor_row(n, odd, self.central) for n in orders]
-        return self._prefactors[odd]
 
 
-def t_closed_rows(r: int, n_max: int, sweep: _ClosedSweep | None = None) -> list[list[int]]:
-    """t(n, 0..n, r) for n = 0..n_max by the nested multi-sum route, for every r >= 2.
+def closed_ratio_rows(r: int, n_max: int, sweep: _ClosedSweep | None = None) -> list[list[int]]:
+    """C(2j,j) t(n, j, r) / C(2n,n) for j = 0..n, n = 0..n_max, by the nested multi-sum route.
 
-    For r = 2s or r = 2s + 1 each entry is a prefactor, an integer for odd r
-    and divided out exactly for even r, times the (s-1)-fold nest. `sweep`
-    holds the nest chains and prefactor rows to order n_max when the caller
-    sweeps over exponents; otherwise they are built here, O(s n_max^3) work,
-    and dropped on return.
+    For r = 2s or r = 2s + 1 (every r >= 2) the ratio is C(n,j)^(1+[r odd])
+    times the (s-1)-fold nest, a product of walked binomials with no
+    division: at r = 3 it is Strehl's C(n,j)^2 C(2j, n-j), and at r = 2
+    C(n,j) C(j, n-j). `sweep` holds the nest chains to order n_max when the
+    caller sweeps over exponents; otherwise they are built here, O(s n_max^3)
+    work, and dropped on return.
     """
     _require_order(n_max)
     _require_closed_exponent(r)
@@ -316,12 +284,11 @@ def t_closed_rows(r: int, n_max: int, sweep: _ClosedSweep | None = None) -> list
     if sweep is None:
         sweep = _ClosedSweep(n_max)
     columns = [chain.column(s, odd) for chain in sweep.chains]
-    prefactors = sweep.prefactors(odd)
-    # columns[j][n - j] for j = 0..n: map stops at the shorter of the two
-    return [
-        _closed_entries(odd, prefactors[n], map(getitem, columns, range(n, -1, -1)), sweep.central)
-        for n in range(n_max + 1)
-    ]
+    rows = []
+    for n in range(n_max + 1):
+        nests = map(getitem, columns, range(n, -1, -1))  # columns[j][n - j] for j = 0..n
+        rows.append([c ** (1 + odd) * nest for c, nest in zip(_binomial_row(n), nests)])
+    return rows
 
 
 def _step_powers(
@@ -379,15 +346,15 @@ class RouteInputs:
     """What the routes read at exponent r to order n_max, each built at most once, on first use.
 
     `a` is a_0..a_N, which definition and inverse read, and `closed_rows`
-    the rows t(n, 0..n, r) by the nested sums, which closed reads at r >= 3.
-    A sweep over exponents passes its Sweep as `held`, whose forward and
-    inverse rows the routes read, whose forward powers sum to `a`, and
-    whose _ClosedSweep the closed route reads. Otherwise no forward or
-    inverse row is kept: the definition route builds `a` in its own pass,
-    one forward row at a time, unless the inverse route already built it
-    by lhs_sum, and the closed route builds its own sweep for this exponent.
-    No route reads the defining t rows (see ROUTES), so they are not held
-    here.
+    the ratio rows C(2j,j) t(n, 0..n, r) / C(2n,n) by the nested sums,
+    which closed reads at r >= 3. A sweep over exponents passes its Sweep
+    as `held`, whose forward and inverse rows the routes read, whose
+    forward powers sum to `a`, and whose _ClosedSweep the closed route
+    reads. Otherwise no forward or inverse row is kept: the definition
+    route builds `a` in its own pass, one forward row at a time, unless the
+    inverse route already built it by lhs_sum, and the closed route builds
+    its own sweep for this exponent. No route reads the defining t rows
+    (see ROUTES), so they are not held here.
     """
 
     def __init__(self, r: int, n_max: int, held: Sweep | None = None) -> None:
@@ -407,7 +374,7 @@ class RouteInputs:
 
     @cached_property
     def closed_rows(self) -> list[list[int]]:
-        return t_closed_rows(self.r, self.n_max, self.closed)
+        return closed_ratio_rows(self.r, self.n_max, self.closed)
 
 
 def _definition(inputs: RouteInputs) -> list[int]:
@@ -439,11 +406,13 @@ def _closed(inputs: RouteInputs) -> list[int]:
     if r == 2:
         # Franel's cubes, O(n_max^2), not the closed rows' O(n_max^3) s = 1 nest
         return [c2_closed(n) for n in range(n_max + 1)]
-    return _c_from_t_rows(r, inputs.closed_rows, inputs.closed.central)
+    # c(n, r) = sum_j C(2j,j)^(r-1) ratio(n, j): no division
+    weights = [c ** (r - 1) for c in inputs.closed.central]
+    return [sum(map(mul, row, weights)) for row in inputs.closed_rows]
 
 
 # Every route to c(0..N, r), each its own formula: the defining solve, the
-# inverse transform of a_n, and the closed multi-sum rows. The inner sum
+# inverse transform of a_n, and the closed multi-sum ratio rows. The inner sum
 # sum_j C(2j,j)^r t(n, j, r) over t_rows is not a route: since
 # C(2j,j) C(k+j,2j) = C(k,j) C(k+j,j), it is the inverse route's numerator
 # sum_k (-1)^(n-k) D(n,k) a_k with its double sum swapped. Independence
@@ -462,14 +431,15 @@ def t_general(n: int, j: int, r: int) -> int:
     """t(n, j, r) by the nested multi-sum route, from the one nest column at j.
 
     The column runs over orders j..n, O(s n min(n, 2j)) products, and only
-    its last entry is read; the prefactor is the one t_closed_rows applies.
+    its last entry is read; t is C(2n,n) times the ratio closed_ratio_rows
+    forms, divided by C(2j,j), the one exact division.
     """
     _require_order(n, j)
     _require_closed_exponent(r)
     s, odd = divmod(r, 2)
     central = _central_row(n)
-    prefactor = _prefactor_row(n, odd, central)[j]
-    return _closed_entries(odd, [prefactor], [_NestChain(j, n).column(s, odd)[-1]], central[j:])[0]
+    ratio = _binomial_row(n)[j] ** (1 + odd) * _NestChain(j, n).column(s, odd)[-1]
+    return exact_divide(central[n] * ratio, central[j])
 
 
 def c_general(n: int, r: int) -> int:

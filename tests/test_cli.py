@@ -536,6 +536,27 @@ def test_compute_prints_the_same_under_every_route_order(r, capsys):
     assert out == " ".join(map(str, cli.core.c_by_definition(r, 40))) + "\n"
 
 
+@pytest.mark.parametrize("r", [3, 4, 9, 16])
+def test_closed_route_divides_by_nothing(r, monkeypatch, capsys):
+    # c(n, r) = sum_j C(2j,j)^(r-1) C(n,j)^(1+[r odd]) nest_r(n, j) is a sum
+    # of products: with every exact division raising, the closed route still
+    # prints what it prints without the fault
+    argv = ["compute", "--r", str(r), "--n-max", "20", "--routes", "closed"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(a, b):
+        raise AssertionError(f"exact_divide({a}, {b}) on the closed route")
+
+    true_fn = combinatorics.exact_divide
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "schmidt" and getattr(module, "exact_divide", None) is true_fn:
+            monkeypatch.setattr(module, "exact_divide", refuse)
+    assert cli.core.exact_divide is refuse
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_compute_definition_failure_leaves_the_inverse_route_whole(monkeypatch, capsys):
     # a solve step that raises at n = 3 stops the definition route's pass
     # before a_4, so the inverse route builds all of a_0..a_N itself
@@ -896,8 +917,8 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     # builds each once for all exponents and for the r = 1 checks. The one
     # central row C(0,0)..C(2N,N) serves every order n <= N. The closed
     # route reads none of the held rows: its own sweep walks its own
-    # C(0,0)..C(2N,N), also once, for its prefactors and its inner sum, so a
-    # fault in a held row cannot reach it.
+    # C(0,0)..C(2N,N), also once, for its weights C(2j,j)^(r-1) and the
+    # scaling of its ratio rows, so a fault in a held row cannot reach it.
     built = {"_forward_row": Counter(), "_inverse_row": Counter(), "_central_row": Counter()}
     closed_type = cli.core._ClosedSweep
 
@@ -927,7 +948,7 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     assert isinstance(closed, closed_type)
     held_ids = {id(held.central), *map(id, held.forward), *map(id, held.inverse),
                 *map(id, held.bases)}
-    closed_lists = [closed.central, *closed.prefactors(True), *closed.prefactors(False)]
+    closed_lists = [closed.central]
     for chain in closed.chains:
         closed_lists += [chain.stretched, chain.chain, *chain.band, *chain.outer]
     assert not held_ids & set(map(id, closed_lists))
@@ -959,7 +980,7 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 
         return fn
 
-    for name in ("lhs_sum", "t_rows", "t_closed_rows"):
+    for name in ("lhs_sum", "t_rows", "closed_ratio_rows"):
         monkeypatch.setattr(cli.core, name, counted(name, getattr(cli.core, name)))
     sweep = cli.core.Sweep
     monkeypatch.setattr(sweep, "forward_powers", counted("forward_powers", sweep.forward_powers))
@@ -969,7 +990,7 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
         {
             **{("forward_powers", r): 1 for r in range(1, 7)},
             **{("t_rows", r): 1 for r in range(2, 7)},
-            **{("t_closed_rows", r): 1 for r in range(2, 7)},
+            **{("closed_ratio_rows", r): 1 for r in range(2, 7)},
         }
     )
 
@@ -995,9 +1016,11 @@ def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys
 
 def test_closed_sweep_fault_leaves_every_other_check_clean(monkeypatch, capsys):
     # the reverse of test_held_central_fault_leaves_the_closed_route_agreeing:
-    # C(10,5) negated in the closed route's own central row. Divisibility by
-    # it is unchanged, so every closed value stays an integer and can only
-    # disagree, and the checks that read the held rows must stay clean
+    # C(10,5) negated in the closed route's own central row. The closed route
+    # divides by nothing, so its values can only disagree, and the checks
+    # that read the held rows must stay clean. Its weight C(10,5)^(r-1) keeps
+    # the sign at even r only, so the route first disagrees at r = 4; at
+    # r = 2 and 3 the fault shows in t-closed-agreement's C(2n,n) ratio
     true_sweep = cli.core._ClosedSweep
 
     class FaultySweep(true_sweep):
@@ -1013,16 +1036,16 @@ def test_closed_sweep_fault_leaves_every_other_check_clean(monkeypatch, capsys):
     kinds = {line.partition(" witness=")[0] for line in fails}
     assert kinds == {"FAIL closed route disagrees with definition", "FAIL closed form disagrees"}
     assert "FAIL closed form disagrees witness=(r=2, n=5, j=3)" in fails
-    assert "FAIL closed route disagrees with definition witness=(r=3, n=5)" in fails
+    assert "FAIL closed form disagrees witness=(r=3, n=5, j=3)" in fails
+    assert "FAIL closed route disagrees with definition witness=(r=4, n=5)" in fails
     assert "Traceback" not in captured.err
 
 
-def test_verify_chains_each_nest_and_walks_each_prefactor_row_once(monkeypatch, capsys):
+def test_verify_chains_each_nest_once(monkeypatch, capsys):
     # a sweep to r = 12 runs, per j, the odd chain's band levels for
     # r = 3, 5, ..., 11 and one outer level for each of r = 2, 4, ..., 12,
     # where building each column afresh runs s - 1 levels and the outer one
-    # per exponent; the closed prefactor rows are walked once per order n
-    # and parity for the whole sweep, not once per (r, n)
+    # per exponent
     levels = Counter()
     true_level = cli.core._nest_level
 
@@ -1031,22 +1054,11 @@ def test_verify_chains_each_nest_and_walks_each_prefactor_row_once(monkeypatch, 
         levels[owner.j, "band" if kernel is owner.band[0] else "outer"] += 1
         return true_level(kernel, weights, chain)
 
-    walked = Counter()
-    true_row = cli.core._binomial_row
-
-    def counted_row(m):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "_prefactor_row":
-            walked[caller.f_locals["n"], caller.f_locals["odd"]] += 1
-        return true_row(m)
-
     monkeypatch.setattr(cli.core, "_nest_level", counted_level)
-    monkeypatch.setattr(cli.core, "_binomial_row", counted_row)
     assert cli.main(["verify", "--r-max", "12", "--n-max", "10"]) == 0
     capsys.readouterr()
     assert levels == Counter({**{(j, "band"): 5 for j in range(11)},
                               **{(j, "outer"): 6 for j in range(11)}})
-    assert walked == Counter({(n, odd): 1 for n in range(11) for odd in (True, False)})
 
 
 def _faulty_verify(monkeypatch, capsys, argv, whole):
@@ -1148,14 +1160,14 @@ def test_json_document_is_written_in_chunks(argv, monkeypatch):
 def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
     # a closed build that fails at one exponent is one witness; that exponent
     # skips its closed checks, and every other exponent is still checked
-    true_rows = cli.core.t_closed_rows
+    true_rows = cli.core.closed_ratio_rows
 
     def failing_at_four(r, n_max, sweep=None):
         if r == 4:
             raise DivisibilityError(7, 2)
         return true_rows(r, n_max, sweep)
 
-    monkeypatch.setattr(cli.core, "t_closed_rows", failing_at_four)
+    monkeypatch.setattr(cli.core, "closed_ratio_rows", failing_at_four)
     code = cli.main(["verify", "--r-max", "5", "--n-max", "6"])
     captured = capsys.readouterr()
     assert code == 1
@@ -1191,7 +1203,8 @@ _SHARED_PRIMITIVES = {
     ),
     "_central_row(12)": (
         combinatorics, "_central_row", lambda n: n == 12,
-        {"closed route non-integral", "scaled inner number non-integral"},
+        {"closed route disagrees with definition", "closed form disagrees",
+         "scaled inner number non-integral"},
     ),
     "_forward_row(7)": (
         legendre, "_forward_row", lambda n: n == 7,
@@ -1208,8 +1221,7 @@ _SHARED_PRIMITIVES = {
     ),
     "exact_divide(>10**6)": (
         combinatorics, "exact_divide", lambda a, b: abs(a) > 10**6,
-        {"definition route non-integral", "closed route non-integral",
-         "closed route disagrees with inverse", "closed form disagrees",
+        {"definition route non-integral", "closed route disagrees with inverse",
          "exponent-1 family is not all ones"},
     ),
 }
