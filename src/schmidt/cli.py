@@ -28,7 +28,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, getitem, mul
 from typing import Iterable
 
 from . import core
@@ -235,9 +235,10 @@ def _compare_routes(report: Report, r: int, values: dict[str, list | None]) -> N
 
 
 def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
-    # Exponent r's inputs, and its t rows, are built once, read by every
-    # group that needs them and dropped on return, so a sweep holds one
-    # exponent's rows, O(n_max^2) integers, besides its core.Sweep. Every
+    # Exponent r's inputs, and the products C(2j,j) t of its t rows, are
+    # built once, read by every group that needs them and dropped on return,
+    # so a sweep holds one exponent's rows, O(n_max^2) integers, besides its
+    # core.Sweep. Every
     # route that finished is checked against definition, or against the
     # first route that finished when definition raised.
     r, held = inputs.r, inputs.held
@@ -246,26 +247,29 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
         _compare_routes(report, r, values)
 
     with _group(report, "ratio-integrality"):
-        rows = core.t_rows(r, inputs.n_max, inverse=held.inverse, powers=held.powers(r))
-        central = held.central
-        for n, row in enumerate(rows):
-            # one pass for a remainder over the row; its entries are walked only if one has one
-            remainders = core.ratio_remainders(row, central)
-            if not report.check_whole(not any(remainders), n + 1):
-                for j, (left, c, t) in enumerate(zip(remainders, central, row)):
-                    report.check(not left, "scaled inner number non-integral",
-                                 "(r={}, n={}, j={}): {} does not divide {}", r, n, j,
-                                 central[n], c * t)
+        # each product C(2j,j) t(n, j, r) is formed once, for the remainder
+        # test here and the comparison below, and only the products are kept;
+        # a row's entries are walked only if one of them leaves a remainder
+        central, powers = held.central, held.powers(r)
+        products = [list(map(mul, central, row))
+                    for row in core.t_rows(r, inputs.n_max, inverse=held.inverse, powers=powers)]
+        for n, scaled in enumerate(products):
+            divisor = central[n]
+            if not report.check_whole(not any(p % divisor for p in scaled), n + 1):
+                for j, p in enumerate(scaled):
+                    report.check(not p % divisor, "scaled inner number non-integral",
+                                 "(r={}, n={}, j={}): {} does not divide {}", r, n, j, divisor, p)
 
     with _group(report, "t-closed-agreement"):
-        # the ratio rows, built by the closed route at r >= 3; at r = 2 that
-        # route sums Franel's cubes, and the rows are built here. Each entry
-        # is checked as C(2n,n) ratio == C(2j,j) t, with both central
-        # binomials from the closed route's own walk, not the held one
-        closed = values["closed"] and _route(report, "closed", inputs, attrgetter("closed_rows"))
-        central = inputs.closed.central
-        for n, (ratios, row) in enumerate(zip(closed or (), rows)):
-            _agree(report, [central[n] * x for x in ratios], [c * t for c, t in zip(central, row)],
+        # the ratio columns, built by the closed route at r >= 3; at r = 2 that
+        # route sums Franel's cubes, and the columns are built here. Each entry
+        # is checked as C(2n,n) ratio == C(2j,j) t, both scaled by the held
+        # central binomials
+        columns = values["closed"] and _route(report, "closed", inputs,
+                                              attrgetter("closed_columns"))
+        for n, scaled in enumerate(products if columns else ()):
+            ratios = map(getitem, columns, range(n, -1, -1))  # columns[j][n - j], j = 0..n
+            _agree(report, [central[n] * x for x in ratios], scaled,
                    "closed form disagrees", "(r={}, n={}, j={})", r, n)
 
 

@@ -916,16 +916,16 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     # the forward, inverse and central rows do not depend on r, so a sweep
     # builds each once for all exponents and for the r = 1 checks. The one
     # central row C(0,0)..C(2N,N) serves every order n <= N. The closed
-    # route reads none of the held rows: its own sweep walks its own
-    # C(0,0)..C(2N,N), also once, for its weights C(2j,j)^(r-1) and the
-    # scaling of its ratio rows, so a fault in a held row cannot reach it.
+    # route reads none of the held rows: it walks its own C(0,0)..C(2N,N)
+    # for its weights C(2j,j)^(r-1) at each r >= 3 (r = 2 sums Franel's
+    # cubes), and its nest chains share no list with the held rows, so a
+    # fault in a held row cannot reach it.
     built = {"_forward_row": Counter(), "_inverse_row": Counter(), "_central_row": Counter()}
-    closed_type = cli.core._ClosedSweep
 
     def counted(name, true_fn):
         def fn(n):
-            caller = sys._getframe(1).f_locals.get("self")
-            built[name][n, "closed" if isinstance(caller, closed_type) else "sweep"] += 1
+            caller = sys._getframe(1).f_code.co_name
+            built[name][n, "closed" if caller == "_closed" else "sweep"] += 1
             return true_fn(n)
 
         return fn
@@ -941,16 +941,15 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     once = Counter({(n, "sweep"): 1 for n in range(9)})
     assert built["_forward_row"] == once
     assert built["_inverse_row"] == once
-    assert built["_central_row"] == Counter({(8, "sweep"): 1, (8, "closed"): 1})
-    # no list the closed sweep holds is one of the held rows
+    assert built["_central_row"] == Counter({(8, "sweep"): 1, (8, "closed"): 4})
+    # no list the closed route's chains hold is one of the held rows
     (held,) = sweeps
-    closed = held.closed
-    assert isinstance(closed, closed_type)
+    assert [chain.j for chain in held.chains] == list(range(9))
     held_ids = {id(held.central), *map(id, held.forward), *map(id, held.inverse),
                 *map(id, held.bases)}
-    closed_lists = [closed.central]
-    for chain in closed.chains:
-        closed_lists += [chain.stretched, chain.chain, *chain.band, *chain.outer]
+    closed_lists = []
+    for chain in held.chains:
+        closed_lists += [chain.stretched, chain.chain, chain.over, *chain.band, *chain.outer]
     assert not held_ids & set(map(id, closed_lists))
 
 
@@ -980,7 +979,7 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 
         return fn
 
-    for name in ("lhs_sum", "t_rows", "closed_ratio_rows"):
+    for name in ("lhs_sum", "t_rows", "closed_ratio_columns"):
         monkeypatch.setattr(cli.core, name, counted(name, getattr(cli.core, name)))
     sweep = cli.core.Sweep
     monkeypatch.setattr(sweep, "forward_powers", counted("forward_powers", sweep.forward_powers))
@@ -990,7 +989,7 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
         {
             **{("forward_powers", r): 1 for r in range(1, 7)},
             **{("t_rows", r): 1 for r in range(2, 7)},
-            **{("closed_ratio_rows", r): 1 for r in range(2, 7)},
+            **{("closed_ratio_columns", r): 1 for r in range(2, 7)},
         }
     )
 
@@ -998,7 +997,8 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys):
     # the ratios read the sweep's held central row; the closed route walks
     # its own, so with C(10,5) wrong in the held row the ratio-integrality
-    # checks fail at every exponent and closed still agrees
+    # checks fail at every exponent and closed still agrees. t-closed-agreement
+    # scales both of its sides by the held row, so it fails too
     def fault(held):
         held.central[5] += 1
 
@@ -1010,35 +1010,60 @@ def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys
     for r in (2, 3, 4):
         assert any(f"(r={r}, n=5, j=" in line for line in fails), (r, fails)
     kinds = {line.partition(" witness=")[0] for line in fails}
-    assert kinds == {"FAIL scaled inner number non-integral"}
+    assert kinds == {"FAIL scaled inner number non-integral", "FAIL closed form disagrees"}
+    assert not [line for line in fails if "closed route disagrees" in line]
     assert "Traceback" not in captured.err
 
 
-def test_closed_sweep_fault_leaves_every_other_check_clean(monkeypatch, capsys):
+def test_closed_central_fault_leaves_every_other_check_clean(monkeypatch, capsys):
     # the reverse of test_held_central_fault_leaves_the_closed_route_agreeing:
-    # C(10,5) negated in the closed route's own central row. The closed route
-    # divides by nothing, so its values can only disagree, and the checks
-    # that read the held rows must stay clean. Its weight C(10,5)^(r-1) keeps
-    # the sign at even r only, so the route first disagrees at r = 4; at
-    # r = 2 and 3 the fault shows in t-closed-agreement's C(2n,n) ratio
-    true_sweep = cli.core._ClosedSweep
+    # C(10,5) negated in the central row that the closed route walks for its
+    # weights, and in no other. The closed route divides by nothing, so its
+    # values can only disagree, and every check that reads the held rows,
+    # t-closed-agreement included, must stay clean. The weight
+    # C(10,5)^(r-1) keeps the sign at even r only, and r = 2 sums Franel's
+    # cubes, so the route disagrees at r = 4 alone
+    true_closed, true_central = cli.core.ROUTES["closed"], cli.core._central_row
 
-    class FaultySweep(true_sweep):
-        def __init__(self, n_max):
-            super().__init__(n_max)
-            self.central[5] = -self.central[5]
+    def negated_central(n):
+        row = true_central(n)
+        row[5] = -row[5]
+        return row
 
-    monkeypatch.setattr(cli.core, "_ClosedSweep", FaultySweep)
+    def faulty_closed(inputs):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.core, "_central_row", negated_central)
+            return true_closed(inputs)
+
+    monkeypatch.setitem(cli.core.ROUTES, "closed", faulty_closed)
     code = cli.main(["verify", "--r-max", "4", "--n-max", "6"])
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    kinds = {line.partition(" witness=")[0] for line in fails}
-    assert kinds == {"FAIL closed route disagrees with definition", "FAIL closed form disagrees"}
-    assert "FAIL closed form disagrees witness=(r=2, n=5, j=3)" in fails
-    assert "FAIL closed form disagrees witness=(r=3, n=5, j=3)" in fails
-    assert "FAIL closed route disagrees with definition witness=(r=4, n=5)" in fails
+    assert fails == [
+        "FAIL closed route disagrees with definition witness=(r=4, n=5)",
+        "FAIL closed route disagrees with definition witness=(r=4, n=6)",
+    ]
     assert "Traceback" not in captured.err
+
+
+def test_compute_holds_one_nest_chain_at_a_time(monkeypatch, capsys):
+    # a single exponent's closed route builds the chain at j, reads its ratio
+    # column and drops the chain before the one at j + 1 is built, so however
+    # large n_max is, one chain, O(n_max) integers, is alive at a time
+    live, alive_at_build = weakref.WeakSet(), []
+    true_init = cli.core._NestChain.__init__
+
+    def tracked_init(chain, j, n_max):
+        true_init(chain, j, n_max)
+        live.add(chain)
+        alive_at_build.append(len(live))
+
+    monkeypatch.setattr(cli.core._NestChain, "__init__", tracked_init)
+    for r in (3, 4, 7):
+        assert cli.main(["compute", "--r", str(r), "--n-max", "20", "--routes", "closed"]) == 0
+        assert capsys.readouterr().out == " ".join(map(str, cli.core.c_by_definition(r, 20))) + "\n"
+    assert alive_at_build == [1] * 63
 
 
 def test_verify_chains_each_nest_once(monkeypatch, capsys):
@@ -1157,17 +1182,17 @@ def test_json_document_is_written_in_chunks(argv, monkeypatch):
     assert max(out.sizes) < len(text) / 10
 
 
-def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
+def test_verify_closed_columns_failure_is_one_witness(monkeypatch, capsys):
     # a closed build that fails at one exponent is one witness; that exponent
     # skips its closed checks, and every other exponent is still checked
-    true_rows = cli.core.closed_ratio_rows
+    true_columns = cli.core.closed_ratio_columns
 
-    def failing_at_four(r, n_max, sweep=None):
+    def failing_at_four(r, n_max, chains=None):
         if r == 4:
             raise DivisibilityError(7, 2)
-        return true_rows(r, n_max, sweep)
+        return true_columns(r, n_max, chains)
 
-    monkeypatch.setattr(cli.core, "closed_ratio_rows", failing_at_four)
+    monkeypatch.setattr(cli.core, "closed_ratio_columns", failing_at_four)
     code = cli.main(["verify", "--r-max", "5", "--n-max", "6"])
     captured = capsys.readouterr()
     assert code == 1
@@ -1195,7 +1220,7 @@ def test_verify_closed_rows_failure_is_one_witness(monkeypatch, capsys):
 _SHARED_PRIMITIVES = {
     "_binomial_row(9)": (
         combinatorics, "_binomial_row", lambda m: m == 9,
-        {"closed route disagrees with definition", "closed form disagrees"},
+        {"closed route disagrees with definition"},
     ),
     "_binomial_column(top=14)": (
         combinatorics, "_binomial_column", lambda top, k: top == 14,

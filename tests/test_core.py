@@ -79,9 +79,9 @@ def test_t_row_rejects_bad_input():
     with pytest.raises(ValueError):
         core.t_rows(2, -1)
     with pytest.raises(ValueError):
-        core.closed_ratio_rows(1, 3)
+        core.closed_ratio_columns(1, 3)
     with pytest.raises(ValueError):
-        core.closed_ratio_rows(2, -1)
+        core.closed_ratio_columns(2, -1)
 
 
 @pytest.mark.parametrize(
@@ -173,10 +173,6 @@ def test_readers_take_held_sweep_rows():
             assert core.lhs_sum(n, r, held.forward[n]) == core.lhs_sum(n, r)
             row = core.t_row(n, r)
             assert core.c_from_t(n, r) == oracle[n], (n, r)
-            remainders = core.ratio_remainders(row, central)
-            assert remainders == [central[j] * t % central[n] for j, t in enumerate(row)]
-            if r > 1:
-                assert not any(remainders), (n, r)
             for j in range(n + 1):
                 assert core.integrality_ratio(n, j, r, row, central) * central[n] == (
                     central[j] * row[j]
@@ -267,33 +263,44 @@ def test_t_general_delegations():
 
 
 def test_t_general_matches_defining_sum():
-    # the closed ratio rows scaled back, C(2n,n) ratio(n, j) = C(2j,j) t(n, j, r),
+    # the closed ratio columns scaled back, C(2n,n) ratio(n, j) = C(2j,j) t(n, j, r),
     # entry by entry against the defining rows, and t_general, which divides
-    # C(2j,j) out of the left side, against the same rows
+    # C(2j,j) out of the left side, against the same rows. The columns read
+    # from a sweep's held chains are those built one chain at a time
     central = _central_row(30)
+    held = core.Sweep(30)
     for r in range(2, 13):
         defining = core.t_rows(r, 30)
-        for n, (ratios, row) in enumerate(zip(core.closed_ratio_rows(r, 30), defining)):
+        columns = core.closed_ratio_columns(r, 30)
+        assert list(map(len, columns)) == [31 - j for j in range(31)], r
+        assert core.closed_ratio_columns(r, 30, held.chains) == columns, r
+        for n, row in enumerate(defining):
+            ratios = [columns[j][n - j] for j in range(n + 1)]
             assert [central[n] * x for x in ratios] == list(map(mul, central, row)), (r, n)
             if n <= 16:
                 for j in range(n + 1):
                     assert core.t_general(n, j, r) == row[j], (r, n, j)
 
 
-def test_closed_ratio_rows_are_strehl_and_franel_forms():
+@pytest.mark.parametrize(
+    "r, form",
+    [
+        (3, lambda n, j: comb(n, j) ** 2 * comb(2 * j, n - j)),
+        (2, lambda n, j: comb(n, j) * comb(j, n - j)),
+    ],
+    ids=["strehl-r3", "franel-r2"],
+)
+def test_closed_ratio_columns_are_strehl_and_franel_forms(r, form):
     # at r = 3 the ratio C(2j,j) t(n, j, 3) / C(2n,n) is C(n,j)^2 C(2j, n-j),
     # so c(n, 3) = sum_j C(n,j)^2 C(2j,j)^2 C(2j, n-j), Strehl's single sum;
     # at r = 2 it is C(n,j) C(j, n-j), so c(n, 2) = sum_j C(n,j) C(2j,j)
-    # C(j, n-j), a third form of the Franel numbers. Both from math.comb only
-    forms = {
-        3: lambda n, j: comb(n, j) ** 2 * comb(2 * j, n - j),
-        2: lambda n, j: comb(n, j) * comb(j, n - j),
-    }
-    for r, form in forms.items():
-        oracle = core.c_by_definition(r, 60)
-        for n, row in enumerate(core.closed_ratio_rows(r, 60)):
-            assert row == [form(n, j) for j in range(n + 1)], (r, n)
-            assert sum(comb(2 * j, j) ** (r - 1) * x for j, x in enumerate(row)) == oracle[n]
+    # C(j, n-j), a third form of the Franel numbers. Both from math.comb only,
+    # column by column, and summed over each order n
+    columns = core.closed_ratio_columns(r, 60)
+    for j, column in enumerate(columns):
+        assert column == [form(n, j) for n in range(j, 61)], j
+    for n, c in enumerate(core.c_by_definition(r, 60)):
+        assert sum(comb(2 * j, j) ** (r - 1) * columns[j][n - j] for j in range(n + 1)) == c, n
 
 
 @pytest.mark.parametrize("r", range(2, 10))
