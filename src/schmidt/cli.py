@@ -28,7 +28,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter, getitem, mul
+from operator import getitem, mul
 from typing import Iterable
 
 from . import core
@@ -168,11 +168,11 @@ def _emit(command: str, params: dict, report: Report, elapsed_ms: int) -> int:
     return code
 
 
-def _route(report: Report, name: str, inputs: core.RouteInputs, read=None) -> list | None:
-    # read(inputs), route `name` by default; a DivisibilityError falsifies integrality
-    # at r, so it is one failed check, and the caller skips the route's checks at r
+def _route(report: Report, name: str, inputs: core.RouteInputs) -> list | None:
+    # route `name` on inputs; a DivisibilityError falsifies integrality at r,
+    # so it is one failed check, and the caller skips the route's checks at r
     try:
-        return (read or core.ROUTES[name])(inputs)
+        return core.ROUTES[name](inputs)
     except DivisibilityError as exc:
         report.check(False, f"{name} route non-integral", f"(r={inputs.r}): {exc}")
         return None
@@ -217,10 +217,11 @@ def run_t_table(args: argparse.Namespace) -> Report:
 
 def _agree(report: Report, got: list, expected: list, description: str, witness: str,
            *fields) -> None:
-    # one check per entry, got[i] == expected[i], with i the witness's last
-    # field: the lists are compared whole, and walked only on a mismatch
+    # one check per entry of the longer list, got[i] == expected[i], with i
+    # the witness's last field; an entry one list lacks is None, and fails.
+    # The lists are compared whole, and walked only on a mismatch
     if not report.check_whole(got == expected, len(expected)):
-        for i, (x, y) in enumerate(zip(got, expected)):
+        for i, (x, y) in enumerate(itertools.zip_longest(got, expected)):
             report.check(x == y, description, witness, *fields, i)
 
 
@@ -238,10 +239,9 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
     # Exponent r's inputs, and the products C(2j,j) t of its t rows, are
     # built once, read by every group that needs them and dropped on return,
     # so a sweep holds one exponent's rows, O(n_max^2) integers, besides its
-    # core.Sweep. Every
-    # route that finished is checked against definition, or against the
-    # first route that finished when definition raised.
-    r, held = inputs.r, inputs.held
+    # core.Sweep. Every route that finished is checked against definition,
+    # or against the first route that finished when definition raised.
+    r, n_max, held = inputs.r, inputs.n_max, inputs.held
     with _group(report, "route-agreement"):
         values = {name: _route(report, name, inputs) for name in core.ROUTES}
         _compare_routes(report, r, values)
@@ -252,7 +252,7 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
         # a row's entries are walked only if one of them leaves a remainder
         central, powers = held.central, held.powers(r)
         products = [list(map(mul, central, row))
-                    for row in core.t_rows(r, inputs.n_max, inverse=held.inverse, powers=powers)]
+                    for row in core.t_rows(r, n_max, inverse=held.inverse, powers=powers)]
         for n, scaled in enumerate(products):
             divisor = central[n]
             if not report.check_whole(not any(p % divisor for p in scaled), n + 1):
@@ -261,12 +261,12 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
                                  "(r={}, n={}, j={}): {} does not divide {}", r, n, j, divisor, p)
 
     with _group(report, "t-closed-agreement"):
-        # the ratio columns, built by the closed route at r >= 3; at r = 2 that
-        # route sums Franel's cubes, and the columns are built here. Each entry
+        # the ratio columns that the closed route left in the held chains at
+        # r >= 3; at r = 2 that route sums Franel's cubes, and the chains build
+        # them here. Skipped at an r where the closed route failed. Each entry
         # is checked as C(2n,n) ratio == C(2j,j) t, both scaled by the held
         # central binomials
-        columns = values["closed"] and _route(report, "closed", inputs,
-                                              attrgetter("closed_columns"))
+        columns = values["closed"] and list(core.closed_ratio_columns(r, n_max, held.chains))
         for n, scaled in enumerate(products if columns else ()):
             ratios = map(getitem, columns, range(n, -1, -1))  # columns[j][n - j], j = 0..n
             _agree(report, [central[n] * x for x in ratios], scaled,

@@ -24,10 +24,10 @@ from them, not assumed.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import repeat
-from operator import getitem, mul
+from operator import add, mul
 
 from .combinatorics import (
     _binomial_column,
@@ -202,7 +202,8 @@ class _NestChain:
     over. A kernel C(m, .) ends at m, so a level costs
     O(n_max min(n_max, 2j)) products. `over`, the column C(n, j) for
     n = j..n_max, weights the outer level and scales the nest into the
-    closed ratio (ratios).
+    closed ratio (ratios). The last ratio column, keyed by (s, odd), is
+    kept, so two reads at one exponent build it once; never change it.
     """
 
     def __init__(self, j: int, n_max: int) -> None:
@@ -210,6 +211,7 @@ class _NestChain:
         self.stretched = _binomial_column(n_max + j, 2 * j)  # C(k+j, k-j) for k = j..n_max
         self.band = (_binomial_row(2 * j), [x * x for x in self.stretched])
         self.s, self.chain = 0, None  # the odd chain for s; None is the start [1, 0, ...]
+        self.last = None, None  # (s, odd) and the ratio column built for it
 
     @cached_property
     def over(self) -> list[int]:
@@ -230,8 +232,11 @@ class _NestChain:
         return self.chain if odd else _nest_level(*self.outer, self.chain)
 
     def ratios(self, s: int, odd: bool) -> list[int]:
-        """C(n,j)^(1+[r odd]) nest(n, j) for n = j..n_max, the closed ratio at r = 2s (+ 1 if odd)."""
-        return [c ** (1 + odd) * nest for c, nest in zip(self.over, self.column(s, odd))]
+        """The closed ratio C(n,j)^(1+[r odd]) nest(n, j), n = j..n_max, at r = 2s (+ 1 if odd)."""
+        if self.last[0] != (s, odd):
+            nests = self.column(s, odd)
+            self.last = (s, odd), [c ** (1 + odd) * nest for c, nest in zip(self.over, nests)]
+        return self.last[1]
 
 
 def _nest_level(kernel: list[int], weights: list[int], chain: list[int] | None) -> list[int]:
@@ -254,16 +259,16 @@ def _require_closed_exponent(r: int) -> None:
 
 def closed_ratio_columns(
     r: int, n_max: int, chains: Sequence[_NestChain] | None = None
-) -> list[list[int]]:
+) -> Iterator[list[int]]:
     """C(2j,j) t(n, j, r) / C(2n,n) for n = j..n_max, one column per j = 0..n_max, by the nested sums.
 
     For r = 2s or r = 2s + 1 (every r >= 2) the ratio is C(n,j)^(1+[r odd])
     times the (s-1)-fold nest, a product of walked binomials with no
     division: at r = 3 it is Strehl's C(n,j)^2 C(2j, n-j), and at r = 2
-    C(n,j) C(j, n-j). Entry (n, j) is columns[j][n - j]. `chains` holds the
-    _NestChain per j to order n_max when the caller sweeps over exponents;
-    otherwise each chain is built here, read and dropped before the next,
-    O(s n_max^3) work in all.
+    C(n,j) C(j, n-j). The columns come lazily, and entry (n, j) is column
+    j's entry n - j. `chains` holds the _NestChain per j to order n_max when
+    the caller sweeps over exponents; otherwise each chain is built as its
+    column is asked for, and dropped with it, O(s n_max^3) work in all.
     """
     _require_order(n_max)
     _require_closed_exponent(r)
@@ -271,8 +276,8 @@ def closed_ratio_columns(
     if chains is None:
         chains = map(_NestChain, range(n_max + 1), repeat(n_max))
     # map keeps no reference to a chain once its column is read, so a built
-    # chain is dropped before the next one is built
-    return list(map(_NestChain.ratios, chains, repeat(s), repeat(odd)))
+    # chain lives only as long as its column
+    return map(_NestChain.ratios, chains, repeat(s), repeat(odd))
 
 
 def _step_powers(
@@ -301,7 +306,7 @@ class Sweep:
     powers(r), and only the latest exponent's powers of each are held.
     chains[j] is the closed route's own _NestChain at j, built apart from
     every other field (see ROUTES) and held so that each nest level runs
-    once per sweep.
+    once per sweep and each exponent's ratio column is built once.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -328,17 +333,14 @@ class Sweep:
 
 
 class RouteInputs:
-    """What the routes read at exponent r to order n_max, each built at most once, on first use.
+    """What the routes read at exponent r to order n_max: `a`, a_0..a_N, built once, on first use.
 
-    `a` is a_0..a_N, which definition and inverse read, and
-    `closed_columns` the closed_ratio_columns, which closed reads at r >= 3.
     A sweep over exponents passes its Sweep as `held`, whose forward and
     inverse rows the routes read, whose forward powers sum to `a`, and
-    whose nest chains the closed columns read. Otherwise no forward or
-    inverse row is kept: the definition route builds `a` in its own pass,
-    one forward row at a time, unless the inverse route already built it
-    by lhs_sum, and the closed columns build one nest chain at a time. No
-    route reads the defining t rows (see ROUTES), so they are not held here.
+    whose nest chains the closed route reads. Otherwise no row is kept: the
+    definition route builds `a` in its own pass, one forward row at a time,
+    unless the inverse route already built it by lhs_sum, and the closed
+    route builds one nest chain at a time. No route reads the t rows.
     """
 
     def __init__(self, r: int, n_max: int, held: Sweep | None = None) -> None:
@@ -351,11 +353,6 @@ class RouteInputs:
         if self.held is None:
             return list(map(lhs_sum, range(self.n_max + 1), repeat(self.r)))
         return list(map(sum, self.held.forward_powers(self.r)))
-
-    @cached_property
-    def closed_columns(self) -> list[list[int]]:
-        chains = None if self.held is None else self.held.chains
-        return closed_ratio_columns(self.r, self.n_max, chains)
 
 
 def _definition(inputs: RouteInputs) -> list[int]:
@@ -385,17 +382,19 @@ def _closed(inputs: RouteInputs) -> list[int]:
     if r == 1:
         return [1] * (n_max + 1)
     if r == 2:
-        # Franel's cubes. The s = 1 nest column is one padded kernel, so the
-        # nest form is O(n_max^2) too, but its constant is 2-4x larger: best
-        # of 5 on CPython 3.11, x86-64, it takes 25 ms against 6 ms at
-        # n_max = 150 and 630 ms against 160 ms at 600
+        # Franel's cubes: the s = 1 nest form is O(n_max^2) too, but 2-4x
+        # slower (best of 5, CPython 3.11, x86-64: 630 ms against 160 ms at
+        # n_max = 600)
         return [c2_closed(n) for n in range(n_max + 1)]
-    # c(n, r) = sum_j C(2j,j)^(r-1) ratio(n, j), with ratio(n, j) =
-    # columns[j][n - j] for j = 0..n: no division
+    # c(n, r) = sum_j C(2j,j)^(r-1) ratio(n, j): each column j is added into
+    # the partial sums c(j..n_max) as it forms, c[j + i] += C(2j,j)^(r-1)
+    # column[i], and dropped, so no ratio table is held. No division
     weights = [c ** (r - 1) for c in _central_row(n_max)]
-    columns = inputs.closed_columns
-    return [sum(map(mul, weights, map(getitem, columns, range(n, -1, -1))))
-            for n in range(n_max + 1)]
+    chains = None if inputs.held is None else inputs.held.chains
+    c = [0] * (n_max + 1)
+    for j, column in enumerate(closed_ratio_columns(r, n_max, chains)):
+        c[j:] = map(add, c[j:], map(mul, repeat(weights[j]), column))
+    return c
 
 
 # Every route to c(0..N, r), each its own formula: the defining solve, the

@@ -965,9 +965,10 @@ def _patch_sweep(monkeypatch, built):
 
 def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
     # every group and route of one exponent reads the same a_n, t-rows and
-    # closed rows, built once; a_0..a_N are the sums of the sweep's forward
-    # powers, raised once per exponent, and never come from lhs_sum; r = 1
-    # reads a_n only
+    # closed ratio columns, built once; a_0..a_N are the sums of the sweep's
+    # forward powers, raised once per exponent, and never come from lhs_sum;
+    # r = 1 reads a_n only. At r >= 3 the closed route and t-closed-agreement
+    # both read the ratio columns, and each chain builds its column once
     built = Counter()
 
     def counted(name, true_fn):
@@ -979,17 +980,26 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 
         return fn
 
-    for name in ("lhs_sum", "t_rows", "closed_ratio_columns"):
+    for name in ("lhs_sum", "t_rows"):
         monkeypatch.setattr(cli.core, name, counted(name, getattr(cli.core, name)))
-    sweep = cli.core.Sweep
+    sweep, chain = cli.core.Sweep, cli.core._NestChain
     monkeypatch.setattr(sweep, "forward_powers", counted("forward_powers", sweep.forward_powers))
+    true_column = chain.column
+
+    def counted_column(self, s, odd):
+        # a nest column is read only where its ratio column is built
+        built["ratio column", 2 * s + odd] += 1
+        return true_column(self, s, odd)
+
+    monkeypatch.setattr(chain, "column", counted_column)
     assert cli.main(["verify", "--r-max", "6", "--n-max", "8"]) == 0
     capsys.readouterr()
     assert built == Counter(
         {
             **{("forward_powers", r): 1 for r in range(1, 7)},
             **{("t_rows", r): 1 for r in range(2, 7)},
-            **{("closed_ratio_columns", r): 1 for r in range(2, 7)},
+            # one per chain j = 0..8
+            **{("ratio column", r): 9 for r in range(2, 7)},
         }
     )
 
@@ -1050,20 +1060,65 @@ def test_closed_central_fault_leaves_every_other_check_clean(monkeypatch, capsys
 def test_compute_holds_one_nest_chain_at_a_time(monkeypatch, capsys):
     # a single exponent's closed route builds the chain at j, reads its ratio
     # column and drops the chain before the one at j + 1 is built, so however
-    # large n_max is, one chain, O(n_max) integers, is alive at a time
+    # large n_max is, one chain, O(n_max) integers, is alive at a time. Each
+    # column is added into the partial sums and dropped as the next forms, so
+    # at most two columns are alive, not the whole ratio table
     live, alive_at_build = weakref.WeakSet(), []
-    true_init = cli.core._NestChain.__init__
+    live_columns, columns_at_build = weakref.WeakSet(), []
+    chain = cli.core._NestChain
+    true_init, true_ratios = chain.__init__, chain.ratios
 
-    def tracked_init(chain, j, n_max):
-        true_init(chain, j, n_max)
-        live.add(chain)
+    def tracked_init(self, j, n_max):
+        true_init(self, j, n_max)
+        live.add(self)
         alive_at_build.append(len(live))
 
-    monkeypatch.setattr(cli.core._NestChain, "__init__", tracked_init)
+    class Column(list):  # a list that a WeakSet can track, hashed by identity
+        __hash__ = object.__hash__
+
+    def tracked_ratios(self, s, odd):
+        column = Column(true_ratios(self, s, odd))
+        live_columns.add(column)
+        columns_at_build.append(len(live_columns))
+        return column
+
+    monkeypatch.setattr(chain, "__init__", tracked_init)
+    monkeypatch.setattr(chain, "ratios", tracked_ratios)
     for r in (3, 4, 7):
         assert cli.main(["compute", "--r", str(r), "--n-max", "20", "--routes", "closed"]) == 0
         assert capsys.readouterr().out == " ".join(map(str, cli.core.c_by_definition(r, 20))) + "\n"
     assert alive_at_build == [1] * 63
+    assert len(columns_at_build) == 63
+    assert max(columns_at_build) <= 2
+
+
+@pytest.mark.parametrize(
+    "edit, n", [(lambda values: values[:-1], 4), (lambda values: [*values, 0], 5)],
+    ids=["truncated", "extended"],
+)
+def test_route_of_wrong_length_fails_at_each_unmatched_order(monkeypatch, capsys, edit, n):
+    # every index of the longer list is a check, so a closed route that drops
+    # its last value, or appends one, fails at that order in compute and at
+    # every exponent of verify, where the shorter list has no entry
+    true_closed = cli.core.ROUTES["closed"]
+    monkeypatch.setitem(cli.core.ROUTES, "closed", lambda inputs: edit(true_closed(inputs)))
+    code = cli.main(["compute", "--r", "3", "--n-max", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL closed route disagrees with definition witness=(r=3, n={n})"]
+    assert "Traceback" not in captured.err
+
+    code = cli.main(["verify", "--r-max", "3", "--n-max", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        f"FAIL closed route disagrees with definition witness=(r={r}, n={n})" for r in (2, 3)
+    ]
+    # 81 checks with the route intact; an appended value is one more at each r
+    assert captured.out.splitlines()[-1] == f"2 of {81 + 2 * (n - 4)} checks FAILED"
+    assert "Traceback" not in captured.err
 
 
 def test_verify_chains_each_nest_once(monkeypatch, capsys):

@@ -271,9 +271,9 @@ def test_t_general_matches_defining_sum():
     held = core.Sweep(30)
     for r in range(2, 13):
         defining = core.t_rows(r, 30)
-        columns = core.closed_ratio_columns(r, 30)
+        columns = list(core.closed_ratio_columns(r, 30))
         assert list(map(len, columns)) == [31 - j for j in range(31)], r
-        assert core.closed_ratio_columns(r, 30, held.chains) == columns, r
+        assert list(core.closed_ratio_columns(r, 30, held.chains)) == columns, r
         for n, row in enumerate(defining):
             ratios = [columns[j][n - j] for j in range(n + 1)]
             assert [central[n] * x for x in ratios] == list(map(mul, central, row)), (r, n)
@@ -296,7 +296,7 @@ def test_closed_ratio_columns_are_strehl_and_franel_forms(r, form):
     # at r = 2 it is C(n,j) C(j, n-j), so c(n, 2) = sum_j C(n,j) C(2j,j)
     # C(j, n-j), a third form of the Franel numbers. Both from math.comb only,
     # column by column, and summed over each order n
-    columns = core.closed_ratio_columns(r, 60)
+    columns = list(core.closed_ratio_columns(r, 60))
     for j, column in enumerate(columns):
         assert column == [form(n, j) for n in range(j, 61)], j
     for n, c in enumerate(core.c_by_definition(r, 60)):
