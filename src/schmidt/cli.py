@@ -3,7 +3,9 @@
 Commands:
     compute     c_0..c_n for one exponent, by one or more independent routes
     t-table     the inner numbers t(n, j) with their scaled integral ratios
-    verify      exhaustive route-agreement and integrality sweep
+    verify      every route against definition at each r = 1..r-max, and the
+                strong integrality: each C(2j,j) t(n, j, r) is C(2n,n) times
+                the closed route's integer ratio
     identities  seeded random checks of the classical summation identities
 
 Every command fills one `Report` with its rows, or a sweep's group counts;
@@ -236,62 +238,43 @@ def _compare_routes(report: Report, r: int, values: dict[str, list | None]) -> N
 
 
 def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
-    # Exponent r's inputs, and the products C(2j,j) t of its t rows, are
-    # built once, read by every group that needs them and dropped on return,
-    # so a sweep holds one exponent's rows, O(n_max^2) integers, besides its
-    # core.Sweep. Every route that finished is checked against definition,
-    # or against the first route that finished when definition raised.
+    # Exponent r's inputs and t rows are built once, read by every group that
+    # needs them and dropped on return, so a sweep holds one exponent's rows,
+    # O(n_max^2) integers, besides its core.Sweep. Every route that finished
+    # is checked against definition, or against the first route that
+    # finished when definition raised.
     r, n_max, held = inputs.r, inputs.n_max, inputs.held
     with _group(report, "route-agreement"):
         values = {name: _route(report, name, inputs) for name in core.ROUTES}
         _compare_routes(report, r, values)
-
-    with _group(report, "ratio-integrality"):
-        # each product C(2j,j) t(n, j, r) is formed once, for the remainder
-        # test here and the comparison below, and only the products are kept;
-        # a row's entries are walked only if one of them leaves a remainder
-        central, powers = held.central, held.powers(r)
-        products = [list(map(mul, central, row))
-                    for row in core.t_rows(r, n_max, inverse=held.inverse, powers=powers)]
-        for n, scaled in enumerate(products):
-            divisor = central[n]
-            if not report.check_whole(not any(p % divisor for p in scaled), n + 1):
-                for j, p in enumerate(scaled):
-                    report.check(not p % divisor, "scaled inner number non-integral",
-                                 "(r={}, n={}, j={}): {} does not divide {}", r, n, j, divisor, p)
+    if r == 1 or values["closed"] is None:
+        return  # no ratio columns below r = 2, and none where the closed route failed
 
     with _group(report, "t-closed-agreement"):
-        # the ratio columns that the closed route left in the held chains at
-        # r >= 3; at r = 2 that route sums Franel's cubes, and the chains build
-        # them here. Skipped at an r where the closed route failed. Each entry
-        # is checked as C(2n,n) ratio == C(2j,j) t, both scaled by the held
-        # central binomials
-        columns = values["closed"] and list(core.closed_ratio_columns(r, n_max, held.chains))
-        for n, scaled in enumerate(products if columns else ()):
+        # the strong integrality, as C(2j,j) t(n, j, r) == C(2n,n) ratio with
+        # an integer ratio, so no remainder test is needed. The ratios are
+        # the columns that the closed route left in the held chains at r >= 3
+        # (at r = 2 it sums Franel's cubes, and the chains build them here);
+        # both sides are scaled by the held central row
+        central = held.central
+        columns = list(core.closed_ratio_columns(r, n_max, held.chains))
+        rows = core.t_rows(r, n_max, inverse=held.inverse, powers=held.powers(r))
+        for n, row in enumerate(rows):
             ratios = map(getitem, columns, range(n, -1, -1))  # columns[j][n - j], j = 0..n
-            _agree(report, [central[n] * x for x in ratios], scaled,
+            _agree(report, [central[n] * x for x in ratios], list(map(mul, central, row)),
                    "closed form disagrees", "(r={}, n={}, j={})", r, n)
 
 
 def run_verify(args: argparse.Namespace) -> Report:
     # registered up front, so every sweep reports the same groups, also one with r_max < 2
-    groups = ("route-agreement", "ratio-integrality", "t-closed-agreement", "trivial-exponent")
-    report = Report(groups={name: [0, 0.0] for name in groups})
-    n_max = args.n_max
+    report = Report(groups={name: [0, 0.0] for name in ("route-agreement", "t-closed-agreement")})
     if args.r_max < 1:
         return report
-    # every exponent, and the r = 1 check, read one sweep's r-independent
-    # rows, running column powers and closed-route chains, built once here
-    held = core.Sweep(n_max)
-    for r in range(2, args.r_max + 1):
-        _verify_exponent(report, core.RouteInputs(r, n_max, held))
-
-    with _group(report, "trivial-exponent"):
-        ones = _route(report, "definition", core.RouteInputs(1, n_max, held))
-        if ones is not None:
-            report.check(
-                ones == [1] * (n_max + 1), "exponent-1 family is not all ones", f"(n_max={n_max})"
-            )
+    # every exponent reads one sweep's r-independent rows, running powers and
+    # closed-route chains, built once here
+    held = core.Sweep(args.n_max)
+    for r in range(1, args.r_max + 1):
+        _verify_exponent(report, core.RouteInputs(r, args.n_max, held))
     return report
 
 

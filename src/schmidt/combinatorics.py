@@ -32,11 +32,12 @@ __all__ = [
 class DivisibilityError(ArithmeticError):
     """An exact division had a remainder.
 
-    Carries the offending pair so that sweeps can report a witness.
+    Carries the offending pair so that sweeps can report a witness; `where`,
+    if given, names the entry that failed and heads the message.
     """
 
-    def __init__(self, numerator: int, divisor: int) -> None:
-        super().__init__(f"{divisor} does not divide {numerator}")
+    def __init__(self, numerator: int, divisor: int, where: str = "") -> None:
+        super().__init__(f"{where}{divisor} does not divide {numerator}")
         self.numerator = numerator
         self.divisor = divisor
 

@@ -30,16 +30,18 @@ from itertools import repeat
 from operator import add, mul
 
 from .combinatorics import (
+    DivisibilityError,
     _binomial_column,
     _binomial_row,
     _central_row,
+    central_binomial,
     exact_divide,
 )
 from .legendre import (
     _forward_row,
+    _inverse_numerator,
     _inverse_row,
     _solve_step,
-    legendre_inverse,
     triangular_solve,
 )
 
@@ -139,7 +141,8 @@ def integrality_ratio(
     """C(2j,j) t(n, j, r) / C(2n,n), divided out exactly.
 
     Integrality of this ratio is the strong form of the integrality
-    statement; a DivisibilityError here is a counterexample witness.
+    statement; a DivisibilityError here is a counterexample witness, whose
+    message starts with the entry, "(r=..., n=..., j=...): ".
     `row` is t_row(n, r) when the caller already holds it, and `central`
     the walked central binomials C(0,0)..C(2m,m), m >= n (_central_row(n),
     built here otherwise).
@@ -149,7 +152,10 @@ def integrality_ratio(
         row = t_row(n, r)
     if central is None:
         central = _central_row(n)
-    return exact_divide(central[j] * row[j], central[n])
+    try:
+        return exact_divide(central[j] * row[j], central[n])
+    except DivisibilityError as exc:
+        raise DivisibilityError(exc.numerator, exc.divisor, f"(r={r}, n={n}, j={j}): ") from None
 
 
 def c_from_t(n: int, r: int) -> int:
@@ -372,9 +378,11 @@ def _definition(inputs: RouteInputs) -> list[int]:
 
 
 def _inverse(inputs: RouteInputs) -> list[int]:
+    # no Fraction: a remainder's witness is the pair itself, not reduced by a gcd
+    orders = range(inputs.n_max + 1)
     inverse = repeat(None) if inputs.held is None else inputs.held.inverse
-    quotients = map(legendre_inverse, repeat(inputs.a), range(inputs.n_max + 1), inverse)
-    return [exact_divide(c_n.numerator, c_n.denominator) for c_n in quotients]
+    numerators = map(_inverse_numerator, repeat(inputs.a), orders, inverse)
+    return list(map(exact_divide, numerators, map(central_binomial, orders)))
 
 
 def _closed(inputs: RouteInputs) -> list[int]:

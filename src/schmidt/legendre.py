@@ -70,11 +70,15 @@ def legendre_inverse(a: Sequence[int], n: int, row: list[int] | None = None) -> 
     divisibility is enforced here. `row` is _inverse_row(n) when the caller
     already holds it.
     """
+    return Fraction(_inverse_numerator(a, n, row), central_binomial(n))
+
+
+def _inverse_numerator(a: Sequence[int], n: int, row: list[int] | None = None) -> int:
+    """sum_k (-1)^(n-k) D(n,k) a_k = C(2n,n) c_n, legendre_inverse's numerator before any gcd."""
     _check_prefix(a, n)
     if row is None:
         row = _inverse_row(n)
-    acc = sum(map(mul, row, a))
-    return Fraction(acc, central_binomial(n))
+    return sum(map(mul, row, a))
 
 
 def triangular_solve(a: Sequence[int], forward: Sequence[list[int]] | None = None) -> list[int]:
