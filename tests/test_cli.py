@@ -1382,6 +1382,97 @@ def test_shared_primitive_fault_fails_verify(primitive, monkeypatch, capsys):
     assert fails
     assert {line[len("FAIL "):].partition(" witness=")[0] for line in fails} == kinds
 
+
+# Every shared primitive whose calls the exhaustive scan below records, by the
+# module that defines it
+_SCANNED_PRIMITIVES = (
+    (combinatorics, "_binomial_row"),
+    (combinatorics, "_binomial_column"),
+    (combinatorics, "_central_row"),
+    (combinatorics, "binomial"),
+    (combinatorics, "central_binomial"),
+    (legendre, "_forward_row"),
+    (legendre, "_inverse_row"),
+)
+
+
+def _patch_everywhere(patch, name, true_fn, fn):
+    # fn in place of true_fn in every module of the package that bound the name
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "schmidt" and getattr(module, name, None) is true_fn:
+            patch.setattr(module, name, fn)
+
+
+def _verify_fingerprint(monkeypatch, argv):
+    # verify's exit code, and every pair of lists it compared: each route it
+    # runs, the t rows, the closed columns and the inversion products all
+    # reach _agree as one side of a comparison, so these pairs are every
+    # value the sweep computes
+    compared = []
+    true_agree = cli._agree
+
+    def recording_agree(report, got, expected, *rest):
+        compared.append((list(got), list(expected)))
+        true_agree(report, got, expected, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_agree", recording_agree)
+        code = cli.main(argv)
+    return code, compared
+
+
+@pytest.mark.parametrize(
+    "r_max, n_max, entries",
+    [(6, 12, lambda size: {0, size // 2, size - 1}), (5, 10, range)],
+    ids=["first-middle-last", "every-entry"],
+)
+def test_every_single_entry_fault_fails_verify_or_changes_nothing(
+    r_max, n_max, entries, monkeypatch, capsys
+):
+    # Each argument tuple with which the sweep calls a shared primitive, with
+    # one entry of its result one too large (a scalar is its own one entry),
+    # in every module that bound the name: verify must exit 1, or compute
+    # exactly what it computes unfaulted, so that no single wrong entry can
+    # make every check pass on wrong values
+    argv = ["verify", "--r-max", str(r_max), "--n-max", str(n_max)]
+    calls = {}
+    with monkeypatch.context() as patch:
+        for home, name in _SCANNED_PRIMITIVES:
+            def recording(*args, name=name, true_fn=getattr(home, name)):
+                value = true_fn(*args)
+                calls[name, args] = len(value) if isinstance(value, list) else None
+                return value
+
+            _patch_everywhere(patch, name, getattr(home, name), recording)
+        clean = _verify_fingerprint(monkeypatch, argv)
+    assert clean[0] == 0
+    true_fns = {name: getattr(home, name) for home, name in _SCANNED_PRIMITIVES}
+
+    blind, caught = [], set()
+    for (name, args), size in calls.items():
+        for i in [None] if size is None else sorted(entries(size)):
+            def faulty(*call, true_fn=true_fns[name], args=args, i=i):
+                value = true_fn(*call)
+                if call != args:
+                    return value
+                if i is None:
+                    return value + 1
+                value[i] += 1
+                return value
+
+            with monkeypatch.context() as patch:
+                _patch_everywhere(patch, name, true_fns[name], faulty)
+                result = _verify_fingerprint(monkeypatch, argv)
+            capsys.readouterr()
+            if result[0] == 1:
+                caught.add(name)
+            elif result != clean:
+                blind.append((name, args, i))
+    assert blind == []
+    # the faults took effect: some fault in each primitive the sweep calls fails it
+    assert caught == {name for name, _ in calls}
+
+
 def test_main_returns_zero_in_process():
     assert cli.main(["compute", "--r", "2", "--n-max", "3"]) == 0
 
