@@ -3,9 +3,8 @@
 Commands:
     compute     c_0..c_n for one exponent, by one or more independent routes
     t-table     the inner numbers t(n, j) with their scaled integral ratios
-    verify      every route against definition at each r = 1..r-max, and the
-                strong integrality: each C(2j,j) t(n, j, r) is C(2n,n) times
-                the closed route's integer ratio
+    verify      the Legendre inversion once, then at each r = 1..r-max closed
+                against definition and C(2j,j) t(n, j, r) = C(2n,n) ratio
     identities  seeded random checks of the classical summation identities
 
 Every command fills one `Report` with its rows, or a sweep's group counts;
@@ -240,12 +239,12 @@ def _compare_routes(report: Report, r: int, values: dict[str, list | None]) -> N
 def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
     # Exponent r's inputs and t rows are built once, read by every group that
     # needs them and dropped on return, so a sweep holds one exponent's rows,
-    # O(n_max^2) integers, besides its core.Sweep. Every route that finished
-    # is checked against definition, or against the first route that
-    # finished when definition raised.
+    # O(n_max^2) integers, besides its core.Sweep.
     r, n_max, held = inputs.r, inputs.n_max, inputs.held
     with _group(report, "route-agreement"):
-        values = {name: _route(report, name, inputs) for name in core.ROUTES}
+        # not the inverse route: the Legendre inversion, checked once per sweep,
+        # fixes its agreement with definition for every integer a_n and every r
+        values = {name: _route(report, name, inputs) for name in ("definition", "closed")}
         _compare_routes(report, r, values)
     if r == 1 or values["closed"] is None:
         return  # no ratio columns below r = 2, and none where the closed route failed
@@ -267,12 +266,17 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
 
 def run_verify(args: argparse.Namespace) -> Report:
     # registered up front, so every sweep reports the same groups, also one with r_max < 2
-    report = Report(groups={name: [0, 0.0] for name in ("route-agreement", "t-closed-agreement")})
-    if args.r_max < 1:
-        return report
-    # every exponent reads one sweep's r-independent rows, running powers and
-    # closed-route chains, built once here
+    groups = ("legendre-inversion", "route-agreement", "t-closed-agreement")
+    report = Report(groups={name: [0, 0.0] for name in groups})
+    # the inversion (r_max = 0 included) and every exponent read one sweep's
+    # r-independent rows, running powers and closed-route chains, built once here
     held = core.Sweep(args.n_max)
+    with _group(report, "legendre-inversion"):
+        # S F = diag(C(2n,n)) for S[n][k] = (-1)^(n-k) D(n,k), F[n][k] = C(n,k) C(n+k,k)
+        for n, row in enumerate(held.inverse):
+            sf = [sum(s * f[k] for s, f in zip(row[k:], held.forward[k:])) for k in range(n + 1)]
+            _agree(report, sf, [0] * n + [held.central[n]], "Legendre inversion fails",
+                   "(n={}, k={})", n)
     for r in range(1, args.r_max + 1):
         _verify_exponent(report, core.RouteInputs(r, args.n_max, held))
     return report

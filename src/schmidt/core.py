@@ -341,12 +341,12 @@ class Sweep:
 class RouteInputs:
     """What the routes read at exponent r to order n_max: `a`, a_0..a_N, built once, on first use.
 
-    A sweep over exponents passes its Sweep as `held`, whose forward and
-    inverse rows the routes read, whose forward powers sum to `a`, and
-    whose nest chains the closed route reads. Otherwise no row is kept: the
+    A sweep over exponents passes its Sweep as `held`, whose forward rows
+    the definition route reads, whose forward powers sum to `a`, and whose
+    nest chains the closed route reads. Otherwise no row is kept: the
     definition route builds `a` in its own pass, one forward row at a time,
     unless the inverse route already built it by lhs_sum, and the closed
-    route builds one nest chain at a time. No route reads the t rows.
+    route builds one nest chain at a time. No route reads held inverse rows or t rows.
     """
 
     def __init__(self, r: int, n_max: int, held: Sweep | None = None) -> None:
@@ -379,10 +379,8 @@ def _definition(inputs: RouteInputs) -> list[int]:
 
 def _inverse(inputs: RouteInputs) -> list[int]:
     # no Fraction: a remainder's witness is the pair itself, not reduced by a gcd
-    orders = range(inputs.n_max + 1)
-    inverse = repeat(None) if inputs.held is None else inputs.held.inverse
-    numerators = map(_inverse_numerator, repeat(inputs.a), orders, inverse)
-    return list(map(exact_divide, numerators, map(central_binomial, orders)))
+    a = inputs.a
+    return [exact_divide(_inverse_numerator(a, n), central_binomial(n)) for n in range(len(a))]
 
 
 def _closed(inputs: RouteInputs) -> list[int]:

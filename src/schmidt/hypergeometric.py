@@ -22,14 +22,16 @@ functions wrap a pair evaluator) or a witness, and `t_as_hypergeometric`
 divides its pair out exactly to an int. Every identity check reads a
 `WellPoisedSpec`, and Dougall's and Whipple's checks build one from their
 parameters. A spec's expanded pairs are written once (`_well_poised_top`
-and `_well_poised_bottom`), by the sampler that drew it or on first use. Andrews's nest tabulates its Pochhammer quotients as
-running products, one loop per level.
+and `_well_poised_bottom`), by the sampler that drew it or on first use.
+Andrews's nest tabulates its Pochhammer quotients as running products,
+one loop per level.
 
 Sampling: `sample_well_poised` draws from `rng.getrandbits` by the stdlib's
 own rejection loop, so it consumes exactly the stream that `randint` calls
 in the same order would, and it builds each candidate as integer pairs from
-a table of the 78 possible rationals. A `WellPoisedSpec` is built only for
-an accepted draw, and it keeps the pairs the sampler computed.
+a table of the 78 possible rationals. The pole test reads a spec, so every
+candidate with a != 0 is built as a `WellPoisedSpec` holding those pairs,
+rejected draws included.
 """
 
 from __future__ import annotations

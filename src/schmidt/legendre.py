@@ -16,12 +16,11 @@ Sequences are dense prefixes, plain lists indexed 0..N. Each kernel is
 written once, as a whole row: `_forward_row(n)` holds C(n,k) C(n+k,k) and
 `_inverse_row(n)` holds (-1)^(n-k) D(n,k), for k = 0..n. Every reader of
 either kernel in the package, `core.lhs_sum` and `core.t_row` included,
-goes through these two rows. Neither row depends on anything but n, so a
-reader also takes rows its caller already holds, as a sweep over many
-exponents does. The solve step of `triangular_solve` is written once too,
-as `_solve_step`, so that a caller which builds forward row n for a reader
-of its own, as the definition route builds a_n, takes c_n from that row
-without building it again.
+goes through these two rows. Neither row depends on anything but n, so the
+forward readers and `core.t_rows` take rows a sweep already holds. The solve
+step of `triangular_solve` is written once too, as `_solve_step`, so that a
+caller which builds forward row n for a reader of its own, as the definition
+route builds a_n, takes c_n from that row without building it again.
 """
 
 from __future__ import annotations
@@ -62,23 +61,20 @@ def legendre_forward(c: Sequence[int], n: int) -> int:
     return sum(f * c_k for f, c_k in zip(_forward_row(n), c))
 
 
-def legendre_inverse(a: Sequence[int], n: int, row: list[int] | None = None) -> Fraction:
+def legendre_inverse(a: Sequence[int], n: int) -> Fraction:
     """c_n = [sum_k (-1)^(n-k) D(n,k) a_k] / C(2n,n), as an exact rational.
 
     Defined for arbitrary integer input. Integrality of particular families
     is a statement to verify downstream, not a precondition, so no
-    divisibility is enforced here. `row` is _inverse_row(n) when the caller
-    already holds it.
+    divisibility is enforced here.
     """
-    return Fraction(_inverse_numerator(a, n, row), central_binomial(n))
+    return Fraction(_inverse_numerator(a, n), central_binomial(n))
 
 
-def _inverse_numerator(a: Sequence[int], n: int, row: list[int] | None = None) -> int:
+def _inverse_numerator(a: Sequence[int], n: int) -> int:
     """sum_k (-1)^(n-k) D(n,k) a_k = C(2n,n) c_n, legendre_inverse's numerator before any gcd."""
     _check_prefix(a, n)
-    if row is None:
-        row = _inverse_row(n)
-    return sum(map(mul, row, a))
+    return sum(map(mul, _inverse_row(n), a))
 
 
 def triangular_solve(a: Sequence[int], forward: Sequence[list[int]] | None = None) -> list[int]:

@@ -196,7 +196,7 @@ def test_verify_small_sweep():
     assert result.stdout.rstrip().endswith("checks passed")
     # stderr holds the group times and the elapsed line, nothing else
     names = _stderr_times(result.stderr)
-    assert names == ["route-agreement", "t-closed-agreement"]
+    assert names == ["legendre-inversion", "route-agreement", "t-closed-agreement"]
     assert len(result.stderr.splitlines()) == len(names) + 1
 
 
@@ -207,22 +207,26 @@ def test_verify_r_max_one_still_passes():
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_verify_r_max_zero_reports_every_group(fmt, capsys):
-    # a sweep with no exponent still lists the two groups of every other sweep
+    # a sweep with no exponent still lists the three groups of every other
+    # sweep, and checks only the inversion, which holds for every r: its 10
+    # entries (n, k) with k <= n <= 3
     assert cli.main(["verify", "--r-max", "0", "--n-max", "3", "--format", fmt]) == 0
     captured = capsys.readouterr()
-    names = ["route-agreement", "t-closed-agreement"]
+    groups = [("legendre-inversion", 10), ("route-agreement", 0), ("t-closed-agreement", 0)]
     if fmt == "json":
         doc = {
             "command": "verify",
             "params": {"r_max": 0, "n_max": 3, "format": fmt},
-            "results": {"checks_run": 0, "groups": [{"name": n, "checks": 0} for n in names]},
+            "results": {"checks_run": 10,
+                        "groups": [{"name": n, "checks": count} for n, count in groups]},
             "failures": [],
         }
         expected = json.dumps(doc, indent=2) + "\n"
     else:
-        expected = "".join(f"{name}: 0 checks\n" for name in names) + "all 0 checks passed\n"
+        expected = "".join(f"{name}: {count} checks\n" for name, count in groups)
+        expected += "all 10 checks passed\n"
     assert captured.out == expected
-    assert _stderr_times(captured.err) == names
+    assert _stderr_times(captured.err) == [name for name, _ in groups]
 
 
 def test_identities_seeded_run_passes():
@@ -274,7 +278,7 @@ _SWEEPS = {
     "verify": (
         ["verify", "--r-max", "3", "--n-max", "4"],
         {"r_max": 3, "n_max": 4},
-        [("route-agreement", 30), ("t-closed-agreement", 30)],
+        [("legendre-inversion", 15), ("route-agreement", 15), ("t-closed-agreement", 30)],
     ),
 }
 
@@ -362,23 +366,24 @@ def test_every_route_is_a_compute_route(route, capsys):
         assert capsys.readouterr().out == expected + "\n"
 
 
-def test_wrong_inverse_value_fails_verify(monkeypatch, capsys):
-    # verify checks the inverse route against definition at every exponent,
-    # r = 1 included, so one wrong, still integral, c_3 (its numerator
-    # C(6,3) c_3 one C(6,3) too large) fails it at each r and nowhere else
+def test_wrong_inverse_value_fails_compute(monkeypatch, capsys):
+    # compute checks the inverse route against definition at every exponent
+    # it is given, r = 1 included, so one wrong, still integral, c_3 (its
+    # numerator C(6,3) c_3 one C(6,3) too large) fails it at n = 3 alone.
+    # verify never runs the inverse route, so it never reads the fault
     true_numerator = cli.core._inverse_numerator
 
-    def off_by_one(a, n, row=None):
-        return true_numerator(a, n, row) + (n == 3) * combinatorics.central_binomial(3)
+    def off_by_one(a, n):
+        return true_numerator(a, n) + (n == 3) * combinatorics.central_binomial(3)
 
     monkeypatch.setattr(cli.core, "_inverse_numerator", off_by_one)
-    assert cli.main(["verify", "--r-max", "4", "--n-max", "6"]) == 1
-    captured = capsys.readouterr()
-    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert fails == [
-        f"FAIL inverse route disagrees with definition witness=(r={r}, n=3)" for r in (1, 2, 3, 4)
-    ]
-    assert "FAILED" in captured.out
+    for r in (1, 2, 3, 4):
+        assert cli.main(["compute", "--r", str(r), "--n-max", "6"]) == 1
+        captured = capsys.readouterr()
+        fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL inverse route disagrees with definition witness=(r={r}, n=3)"]
+    assert cli.main(["verify", "--r-max", "4", "--n-max", "6"]) == 0
+    capsys.readouterr()
 
 
 def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
@@ -395,7 +400,7 @@ def test_compute_route_disagreement_exits_one(monkeypatch, capsys):
 def test_compute_non_integral_inverse_exits_one(fmt, monkeypatch, capsys):
     # the route that raised is missing from every format's output; a
     # numerator of 1 at every order first fails at n = 1, where C(2,1) = 2
-    monkeypatch.setattr(cli.core, "_inverse_numerator", lambda a, n, row=None: 1)
+    monkeypatch.setattr(cli.core, "_inverse_numerator", lambda a, n: 1)
     code = cli.main(["compute", "--r", "2", "--n-max", "3", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1
@@ -470,8 +475,8 @@ def test_compute_shares_one_a_n_and_closed_still_disagrees(monkeypatch, capsys):
 
 def test_routes_that_finish_are_compared_when_the_reference_raises(monkeypatch, capsys):
     # definition raises at every exponent and closed is one too large at
-    # n = 3: both commands still compare closed with inverse, the first route
-    # that finished, so the wrong closed value is a witness of its own
+    # n = 3: compute still compares closed with inverse, the first route that
+    # finished, so the wrong closed value is a witness of its own
     def raising_definition(inputs):
         raise DivisibilityError(7, 2)
 
@@ -483,25 +488,27 @@ def test_routes_that_finish_are_compared_when_the_reference_raises(monkeypatch, 
     monkeypatch.setitem(cli.core.ROUTES, "definition", raising_definition)
     monkeypatch.setitem(cli.core.ROUTES, "closed", off_by_one_closed)
 
+    for r in (1, 2, 3):
+        assert cli.main(["compute", "--r", str(r), "--n-max", "5"]) == 1
+        captured = capsys.readouterr()
+        fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            f"FAIL definition route non-integral witness=(r={r}): 2 does not divide 7",
+            f"FAIL closed route disagrees with inverse witness=(r={r}, n=3)",
+        ]
+    assert captured.out == "inverse: 1 4 68 1732 51076 1657904\nclosed: 1 4 68 1733 51076 1657904\n"
+
+    # verify runs no inverse route, so where definition raises, closed has
+    # nothing to compare with: each exponent is the one raising route
     assert cli.main(["verify", "--r-max", "3", "--n-max", "5"]) == 1
     captured = capsys.readouterr()
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == [
-        line for r in (1, 2, 3) for line in (
-            f"FAIL definition route non-integral witness=(r={r}): 2 does not divide 7",
-            f"FAIL closed route disagrees with inverse witness=(r={r}, n=3)",
-        )
+        f"FAIL definition route non-integral witness=(r={r}): 2 does not divide 7"
+        for r in (1, 2, 3)
     ]
+    assert "route-agreement: 3 checks" in captured.out.splitlines()
     assert "Traceback" not in captured.err
-
-    assert cli.main(["compute", "--r", "3", "--n-max", "5"]) == 1
-    captured = capsys.readouterr()
-    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert fails == [
-        "FAIL definition route non-integral witness=(r=3): 2 does not divide 7",
-        "FAIL closed route disagrees with inverse witness=(r=3, n=3)",
-    ]
-    assert captured.out == "inverse: 1 4 68 1732 51076 1657904\nclosed: 1 4 68 1733 51076 1657904\n"
 
 
 @pytest.mark.parametrize(
@@ -552,6 +559,16 @@ def test_compute_prints_the_same_under_every_route_order(r, capsys):
     assert out == " ".join(map(str, cli.core.c_by_definition(r, 40))) + "\n"
 
 
+def _patch_everywhere(patch, name, true_fn, fn):
+    # fn in place of true_fn in every module of the package that bound the
+    # name, so that each reader sees fn; returns those modules
+    bound = [module for key, module in list(sys.modules.items())
+             if key.split(".")[0] == "schmidt" and getattr(module, name, None) is true_fn]
+    for module in bound:
+        patch.setattr(module, name, fn)
+    return bound
+
+
 @pytest.mark.parametrize("r", [3, 4, 9, 16])
 def test_closed_route_divides_by_nothing(r, monkeypatch, capsys):
     # c(n, r) = sum_j C(2j,j)^(r-1) C(n,j)^(1+[r odd]) nest_r(n, j) is a sum
@@ -564,10 +581,7 @@ def test_closed_route_divides_by_nothing(r, monkeypatch, capsys):
     def refuse(a, b):
         raise AssertionError(f"exact_divide({a}, {b}) on the closed route")
 
-    true_fn = combinatorics.exact_divide
-    for key, module in list(sys.modules.items()):
-        if key.split(".")[0] == "schmidt" and getattr(module, "exact_divide", None) is true_fn:
-            monkeypatch.setattr(module, "exact_divide", refuse)
+    _patch_everywhere(monkeypatch, "exact_divide", combinatorics.exact_divide, refuse)
     assert cli.core.exact_divide is refuse
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
@@ -592,11 +606,12 @@ def test_compute_definition_failure_leaves_the_inverse_route_whole(monkeypatch, 
 
 
 def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys):
-    # legendre_inverse and core.t_rows read the same signed D row, which
-    # verify builds once per sweep for every exponent; the closed forms and
-    # the defining solve never read it, so one wrong entry must fail the
-    # inverse route of compute and the inverse-route and closed-form checks
-    # of verify at each exponent
+    # the inverse route, verify's inversion check and core.t_rows read the
+    # same signed D row, which verify builds once per sweep for every
+    # exponent; the closed forms and the defining solve never read it, so one
+    # wrong entry, S[5][2], must fail the inverse route of compute, and in
+    # verify the inversion at row 5 up to k = 2 and the closed-form checks
+    # at each exponent
     true_row = legendre._inverse_row
 
     def faulty_row(n):
@@ -620,13 +635,9 @@ def test_shared_inverse_row_fault_is_caught_by_every_reader(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert [line for line in fails if " route " in line] == [
-        "FAIL inverse route non-integral witness=(r=1): 252 does not divide 265",
-        "FAIL inverse route non-integral witness=(r=2): 252 does not divide 567577",
-        "FAIL inverse route non-integral witness=(r=3): 252 does not divide 417792241",
-    ]
-    assert [line for line in fails if "closed form" in line] == [
-        f"FAIL closed form disagrees witness=(r={r}, n=5, j={j})" for r in (2, 3) for j in range(3)
+    assert fails == [
+        *(f"FAIL Legendre inversion fails witness=(n=5, k={k})" for k in range(3)),
+        *(f"FAIL closed form disagrees witness=(r={r}, n=5, j={j})" for r in (2, 3) for j in range(3)),
     ]
     assert "Traceback" not in captured.err
     assert "FAILED" in captured.out
@@ -853,9 +864,10 @@ def test_verify_catches_one_wrong_inner_number(monkeypatch, capsys):
     assert "FAILED" in captured.out
 
 
-# route-agreement: inverse and closed, 7 checks each, at each of r = 1..5;
+# legendre-inversion: the 28 entries (n, k) with k <= n <= 6, once;
+# route-agreement: closed, 7 checks, at each of r = 1..5;
 # t-closed-agreement: the 28 entries (n, j) with j <= n <= 6 at each of r = 2..5
-_FAILED_SWEEP = [("route-agreement", 70), ("t-closed-agreement", 112)]
+_FAILED_SWEEP = [("legendre-inversion", 28), ("route-agreement", 35), ("t-closed-agreement", 112)]
 
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
@@ -879,7 +891,7 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
             "command": "verify",
             "params": {"r_max": 5, "n_max": 6, "format": fmt},
             "results": {
-                "checks_run": 182,
+                "checks_run": 175,
                 "groups": [{"name": name, "checks": count} for name, count in _FAILED_SWEEP],
             },
             "failures": failures,
@@ -889,13 +901,13 @@ def test_failed_sweep_stdout_bytes(fmt, monkeypatch, capsys):
         expected = "group,checks\n" + "".join(f"{name},{count}\n" for name, count in _FAILED_SWEEP)
     else:
         expected = "".join(f"{name}: {count} checks\n" for name, count in _FAILED_SWEEP)
-        expected += "1 of 182 checks FAILED\n"
+        expected += "1 of 175 checks FAILED\n"
     assert captured.out == expected
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == [f"FAIL {f['description']} witness={f['witness']}" for f in failures]
 
 
-def test_inverse_route_wrong_only_at_r1_fails_verify(monkeypatch, capsys):
+def test_inverse_route_wrong_only_at_r1_fails_compute(monkeypatch, capsys):
     # r = 1 runs through the route table like every other exponent, so an
     # inverse route that is wrong there alone fails at r = 1 and nowhere else
     true_inverse = cli.core.ROUTES["inverse"]
@@ -907,16 +919,41 @@ def test_inverse_route_wrong_only_at_r1_fails_verify(monkeypatch, capsys):
         return values
 
     monkeypatch.setitem(cli.core.ROUTES, "inverse", faulty_inverse)
-    assert cli.main(["verify", "--r-max", "3", "--n-max", "6"]) == 1
+    for r in (1, 2, 3):
+        assert cli.main(["compute", "--r", str(r), "--n-max", "6"]) == (r == 1)
+        captured = capsys.readouterr()
+        fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL inverse route disagrees with definition witness=(r=1, n=4)"] * (r == 1)
+        assert "Traceback" not in captured.err
+
+
+def test_wrong_held_inverse_entry_fails_the_inversion_check(monkeypatch, capsys):
+    # one entry S[5][0] of the sweep's held inverse rows one too large: it
+    # multiplies forward row 0, whose one entry is F[0][0] = 1, so row 5 of
+    # S F is wrong at k = 0 alone, and verify fails in legendre-inversion
+    # with that entry's (n, k). No route reads held inverse rows, so
+    # route-agreement stays clean
+    def fault(held):
+        held.inverse[5][0] += 1
+
+    _patch_sweep(monkeypatch, fault)
+    assert cli.main(["verify", "--r-max", "1", "--n-max", "6"]) == 1
     captured = capsys.readouterr()
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
-    assert fails == ["FAIL inverse route disagrees with definition witness=(r=1, n=4)"]
+    assert fails == ["FAIL Legendre inversion fails witness=(n=5, k=0)"]
+    assert captured.out.splitlines() == [
+        "legendre-inversion: 28 checks",
+        "route-agreement: 7 checks",
+        "t-closed-agreement: 0 checks",
+        "1 of 35 checks FAILED",
+    ]
     assert "Traceback" not in captured.err
 
 
 def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
-    # the oracle failed, so at that exponent the other routes, which still
-    # run and are not at fault, are compared with each other and agree
+    # the oracle failed: verify reports it at each exponent and still runs
+    # every other group; closed, its one other route, has nothing to be
+    # compared with there
     def failing_solve(a, forward=None):
         raise DivisibilityError(7, 2)
 
@@ -929,9 +966,24 @@ def test_verify_solver_failure_is_reported_not_raised(monkeypatch, capsys):
         f"FAIL definition route non-integral witness=(r={r}): 2 does not divide 7"
         for r in (1, 2, 3)
     ]
-    # definition's failure, and inverse against closed at n = 0..3, at each of r = 1, 2, 3
-    assert "route-agreement: 15 checks" in captured.out
-    assert "t-closed-agreement: 20 checks" in captured.out
+    # the inversion's 10 entries; definition's failure at each of r = 1, 2, 3;
+    # the 10 entries (n, j) at each of r = 2, 3
+    assert captured.out.splitlines() == [
+        "legendre-inversion: 10 checks",
+        "route-agreement: 3 checks",
+        "t-closed-agreement: 20 checks",
+        "3 of 33 checks FAILED",
+    ]
+
+    # in compute the routes that still run, inverse (which built a_n first,
+    # so that definition solves through triangular_solve) and closed, are
+    # compared with each other and agree
+    argv = ["compute", "--r", "3", "--n-max", "3", "--routes", "inverse,definition,closed"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL definition route non-integral witness=(r=3): 2 does not divide 7"]
+    assert captured.out == "inverse: 1 4 68 1732\nclosed: 1 4 68 1732\n"
 
 
 def test_verify_drops_each_exponents_rows_before_the_next(monkeypatch, capsys):
@@ -1059,7 +1111,8 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys):
     # t-closed-agreement scales both of its sides by the sweep's held central
     # row; the closed route walks its own, so with C(10,5) wrong in the held
-    # row the closed-form checks fail at every exponent and closed still agrees
+    # row the closed-form checks fail at every exponent, the inversion fails
+    # on its diagonal at n = 5 and closed still agrees
     def fault(held):
         held.central[5] += 1
 
@@ -1070,8 +1123,11 @@ def test_held_central_fault_leaves_the_closed_route_agreeing(monkeypatch, capsys
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     for r in (2, 3, 4):
         assert any(f"(r={r}, n=5, j=" in line for line in fails), (r, fails)
+    assert [line for line in fails if "inversion" in line] == [
+        "FAIL Legendre inversion fails witness=(n=5, k=5)"
+    ]
     kinds = {line.partition(" witness=")[0] for line in fails}
-    assert kinds == {"FAIL closed form disagrees"}
+    assert kinds == {"FAIL closed form disagrees", "FAIL Legendre inversion fails"}
     assert not [line for line in fails if "closed route disagrees" in line]
     assert "Traceback" not in captured.err
 
@@ -1206,15 +1262,15 @@ def _faulty_verify(monkeypatch, capsys, argv, whole):
 
 
 def _wrong_route_value(monkeypatch):
-    true_inverse = cli.core.ROUTES["inverse"]
+    true_closed = cli.core.ROUTES["closed"]
 
-    def faulty_inverse(inputs):
-        values = true_inverse(inputs)
+    def faulty_closed(inputs):
+        values = true_closed(inputs)
         if inputs.r == 3:
             values[4] += 1
         return values
 
-    monkeypatch.setitem(cli.core.ROUTES, "inverse", faulty_inverse)
+    monkeypatch.setitem(cli.core.ROUTES, "closed", faulty_closed)
 
 
 def _wrong_t_entry(monkeypatch):
@@ -1236,19 +1292,27 @@ def _wrong_held_ratio(monkeypatch):
     _patch_sweep(monkeypatch, fault)
 
 
+def _wrong_inversion_entry(monkeypatch):
+    def fault(held):
+        held.inverse[4][2] += 1
+
+    _patch_sweep(monkeypatch, fault)
+
+
 @pytest.mark.parametrize(
     "fault, witness",
     [
-        (_wrong_route_value, "FAIL inverse route disagrees with definition witness=(r=3, n=4)"),
+        (_wrong_route_value, "FAIL closed route disagrees with definition witness=(r=3, n=4)"),
         (_wrong_t_entry, "FAIL closed form disagrees witness=(r=4, n=5, j=2)"),
         (_wrong_held_ratio, "FAIL closed form disagrees witness=(r=2, n=3, j=2)"),
+        (_wrong_inversion_entry, "FAIL Legendre inversion fails witness=(n=4, k=2)"),
     ],
-    ids=["route-value", "t-entry", "held-ratio"],
+    ids=["route-value", "t-entry", "held-ratio", "inversion-entry"],
 )
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 def test_whole_row_checks_match_the_entry_walk(fault, witness, fmt, monkeypatch, capsys):
-    # route-agreement and t-closed-agreement compare whole lists and walk
-    # their entries only on a mismatch, so a fault must give the report,
+    # every group compares whole lists and walks their entries only on a
+    # mismatch, so a fault must give the report,
     # counts and witnesses in order, that walking every entry gives
     argv = ["verify", "--r-max", "5", "--n-max", "6", "--format", fmt]
     fault(monkeypatch)
@@ -1304,12 +1368,12 @@ def test_verify_closed_columns_failure_is_one_witness(monkeypatch, capsys):
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == ["FAIL closed route non-integral witness=(r=4): 2 does not divide 7"]
     assert captured.out.splitlines() == [
-        # 5 x 7 inverse checks, 7 closed-route checks at each of r = 1, 2, 3, 5
-        # and the failed route
-        "route-agreement: 64 checks",
+        "legendre-inversion: 28 checks",
+        # 7 closed-route checks at each of r = 1, 2, 3, 5 and the failed route
+        "route-agreement: 29 checks",
         # 28 at each of r = 2, 3, 5
         "t-closed-agreement: 84 checks",
-        "1 of 148 checks FAILED",
+        "1 of 141 checks FAILED",
     ]
 
 
@@ -1330,24 +1394,24 @@ _SHARED_PRIMITIVES = {
     ),
     "_central_row(12)": (
         combinatorics, "_central_row", lambda n: n == 12,
-        {"closed route disagrees with definition", "closed form disagrees"},
+        {"Legendre inversion fails", "closed route disagrees with definition",
+         "closed form disagrees"},
     ),
     "_forward_row(7)": (
         legendre, "_forward_row", lambda n: n == 7,
-        {"definition route non-integral", "inverse route non-integral"},
+        {"Legendre inversion fails", "definition route non-integral"},
     ),
     "_inverse_row(7)": (
         legendre, "_inverse_row", lambda n: n == 7,
-        {"inverse route non-integral", "closed form disagrees"},
+        {"Legendre inversion fails", "closed form disagrees"},
     ),
     "binomial(9,4)": (
         combinatorics, "binomial", lambda n, k: (n, k) == (9, 4),
-        {"definition route non-integral", "inverse route non-integral"},
+        {"Legendre inversion fails", "definition route non-integral"},
     ),
     "exact_divide(>10**6)": (
         combinatorics, "exact_divide", lambda a, b: abs(a) > 10**6,
-        {"definition route non-integral", "closed route disagrees with inverse",
-         "closed route disagrees with definition"},
+        {"definition route non-integral", "closed route disagrees with definition"},
     ),
 }
 
@@ -1369,11 +1433,8 @@ def test_shared_primitive_fault_fails_verify(primitive, monkeypatch, capsys):
             return [*value[:-1], value[-1] + 1]
         return value + 1
 
-    bound = [module for key, module in sys.modules.items()
-             if key.split(".")[0] == "schmidt" and getattr(module, name, None) is true_fn]
-    assert len(bound) > 1  # shared: defined in one module, read from another
-    for module in bound:
-        monkeypatch.setattr(module, name, faulty)
+    # shared: defined in one module, read from another
+    assert len(_patch_everywhere(monkeypatch, name, true_fn, faulty)) > 1
     code = cli.main(["verify", "--r-max", "6", "--n-max", "12"])
     captured = capsys.readouterr()
     assert code == 1
@@ -1394,13 +1455,6 @@ _SCANNED_PRIMITIVES = (
     (legendre, "_forward_row"),
     (legendre, "_inverse_row"),
 )
-
-
-def _patch_everywhere(patch, name, true_fn, fn):
-    # fn in place of true_fn in every module of the package that bound the name
-    for key, module in list(sys.modules.items()):
-        if key.split(".")[0] == "schmidt" and getattr(module, name, None) is true_fn:
-            patch.setattr(module, name, fn)
 
 
 def _verify_fingerprint(monkeypatch, argv):
@@ -1435,18 +1489,18 @@ def test_every_single_entry_fault_fails_verify_or_changes_nothing(
     # exactly what it computes unfaulted, so that no single wrong entry can
     # make every check pass on wrong values
     argv = ["verify", "--r-max", str(r_max), "--n-max", str(n_max)]
-    calls = {}
+    true_fns = {name: getattr(home, name) for home, name in _SCANNED_PRIMITIVES}
+    calls = {}  # (name, args) -> the length of the list it returned, None for a scalar
     with monkeypatch.context() as patch:
-        for home, name in _SCANNED_PRIMITIVES:
-            def recording(*args, name=name, true_fn=getattr(home, name)):
+        for name, true_fn in true_fns.items():
+            def recording(*args, name=name, true_fn=true_fn):
                 value = true_fn(*args)
                 calls[name, args] = len(value) if isinstance(value, list) else None
                 return value
 
-            _patch_everywhere(patch, name, getattr(home, name), recording)
+            _patch_everywhere(patch, name, true_fn, recording)
         clean = _verify_fingerprint(monkeypatch, argv)
     assert clean[0] == 0
-    true_fns = {name: getattr(home, name) for home, name in _SCANNED_PRIMITIVES}
 
     blind, caught = [], set()
     for (name, args), size in calls.items():
