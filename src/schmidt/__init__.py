@@ -3,7 +3,6 @@
 from .combinatorics import (
     DivisibilityError,
     binomial,
-    central_binomial,
     exact_divide,
 )
 from .core import (

@@ -272,11 +272,12 @@ def run_verify(args: argparse.Namespace) -> Report:
     # r-independent rows, running powers and closed-route chains, built once here
     held = core.Sweep(args.n_max)
     with _group(report, "legendre-inversion"):
-        # S F = diag(C(2n,n)) for S[n][k] = (-1)^(n-k) D(n,k), F[n][k] = C(n,k) C(n+k,k)
+        # S F = diag(C(2n,n)) for S[n][k] = (-1)^(n-k) D(n,k), F[n][k] = C(n,k) C(n+k,k):
+        # row n of S F is a t row's dot product, over F's columns F[k..N][k]
+        columns = [[f[k] for f in held.forward[k:]] for k in range(args.n_max + 1)]
         for n, row in enumerate(held.inverse):
-            sf = [sum(s * f[k] for s, f in zip(row[k:], held.forward[k:])) for k in range(n + 1)]
-            _agree(report, sf, [0] * n + [held.central[n]], "Legendre inversion fails",
-                   "(n={}, k={})", n)
+            _agree(report, core._inner_row(row, columns), [0] * n + [held.central[n]],
+                   "Legendre inversion fails", "(n={}, k={})", n)
     for r in range(1, args.r_max + 1):
         _verify_exponent(report, core.RouteInputs(r, args.n_max, held))
     return report

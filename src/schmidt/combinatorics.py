@@ -1,17 +1,17 @@
 """Exact integer combinatorial primitives.
 
 Everything computes with unbounded Python ints, so no rounding ever
-occurs. Binomials come from two places: a scalar C(n, k) or C(2n, n) is
-`math.comb` behind `binomial` and `central_binomial`, and a whole row,
-column or run of central binomials is walked by recurrence
-(`_binomial_row`, `_binomial_column`, `_central_row`). The package
-computes no factorial: every closed term is a product of walked binomials. The
-Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`) is built
-once per n, for a_n and for the solve step alike, and deliberately still
-reads the scalar `binomial` until the benchmark's peak-RSS figure is
-repaired (ROADMAP item 1): walking it too speeds `compute` up enough that
-the benchmark gets more repetitions, and that figure, which includes the
-harness's own high-water mark, then reads higher. The zero convention
+occurs. Binomials are walked by recurrence, as a whole row, column or
+run of central binomials (`_binomial_row`, `_binomial_column`,
+`_central_row`), and every C(2n, n) is read from `_central_row`; the
+package computes no factorial. The one binomial that is not walked is
+`binomial`, a scalar C(n, k) from `math.comb`, and its one reader is the
+Legendre forward row C(n,k) C(n+k,k) (`legendre._forward_row`), built once
+per n, for a_n and for the solve step alike. That row deliberately stays
+on `math.comb` until the benchmark's peak-RSS figure is repaired (ROADMAP
+item 1): walking it too speeds `compute` up enough that the benchmark gets
+more repetitions, and that figure, which includes the harness's own
+high-water mark, then reads higher. The zero convention
 C(n, k) = 0 for k outside [0, n] is what truncates all the implicitly
 bounded sums in the rest of the package; a negative upper index is a
 domain error, never a value.
@@ -24,7 +24,6 @@ import math
 __all__ = [
     "DivisibilityError",
     "binomial",
-    "central_binomial",
     "exact_divide",
 ]
 
@@ -58,11 +57,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0:
         raise ValueError(f"binomial with negative upper index {n}")
     return math.comb(n, k) if k >= 0 else 0
-
-
-def central_binomial(n: int) -> int:
-    """C(2n, n) by math.comb; error for n < 0."""
-    return math.comb(2 * n, n)
 
 
 # The row and column walks below build each value from the one before it by

@@ -34,7 +34,6 @@ from .combinatorics import (
     _binomial_column,
     _binomial_row,
     _central_row,
-    central_binomial,
     exact_divide,
 )
 from .legendre import (
@@ -95,11 +94,11 @@ def t_row(n: int, r: int) -> list[int]:
     """t(n, 0, r), ..., t(n, n, r) by the defining alternating sum.
 
     The signed coefficients (-1)^(n-k) D(n,k) are the Legendre layer's
-    inverse row, built from one C(2n, .) row, and C(k+j,k-j) = C(k+j, 2j)
-    is walked down its column along k, so the row makes no scalar binomial
-    calls and costs O(n^2) powers and big-integer products. A whole
-    sequence of rows is cheaper from t_rows, which raises each column entry
-    to r once. This is the oracle for the closed forms.
+    walked inverse row, and C(k+j,k-j) = C(k+j, 2j) is walked down its
+    column along k, so the row makes no scalar binomial calls and costs
+    O(n^2) powers and big-integer products. A whole sequence of rows is
+    cheaper from t_rows, which raises each column entry to r once. This is
+    the oracle for the closed forms.
     """
     _require_order(n)
     _require_exponent(r)
@@ -312,17 +311,25 @@ class Sweep:
     powers(r), and only the latest exponent's powers of each are held.
     chains[j] is the closed route's own _NestChain at j, built apart from
     every other field (see ROUTES) and held so that each nest level runs
-    once per sweep and each exponent's ratio column is built once.
+    once per sweep and each exponent's ratio column is built once. The
+    bases and the chains are built on first read, so a sweep that stops
+    below r = 2 builds neither.
     """
 
     def __init__(self, n_max: int) -> None:
-        orders = range(n_max + 1)
-        self.forward = [_forward_row(n) for n in orders]
-        self.inverse = [_inverse_row(n) for n in orders]
+        self.n_max = n_max
+        self.forward = [_forward_row(n) for n in range(n_max + 1)]
+        self.inverse = [_inverse_row(n) for n in range(n_max + 1)]
         self.central = _central_row(n_max)
-        self.bases = _column_bases(n_max)
-        self.chains = [_NestChain(j, n_max) for j in orders]
-        self._forward_powers, self._powers = (1, self.forward), (1, self.bases)
+        self._forward_powers, self._powers = (1, self.forward), None
+
+    @cached_property
+    def bases(self) -> list[list[int]]:
+        return _column_bases(self.n_max)
+
+    @cached_property
+    def chains(self) -> list[_NestChain]:
+        return [_NestChain(j, self.n_max) for j in range(self.n_max + 1)]
 
     def forward_powers(self, r: int) -> list[list[int]]:
         """The forward rows with every entry raised to r; read them, never change them.
@@ -334,7 +341,7 @@ class Sweep:
 
     def powers(self, r: int) -> list[list[int]]:
         """The columns C(k+j, 2j)^r; read them, never change them."""
-        self._powers = _step_powers(self.bases, self._powers, r)
+        self._powers = _step_powers(self.bases, self._powers or (1, self.bases), r)
         return self._powers[1]
 
 
@@ -380,7 +387,8 @@ def _definition(inputs: RouteInputs) -> list[int]:
 def _inverse(inputs: RouteInputs) -> list[int]:
     # no Fraction: a remainder's witness is the pair itself, not reduced by a gcd
     a = inputs.a
-    return [exact_divide(_inverse_numerator(a, n), central_binomial(n)) for n in range(len(a))]
+    central = _central_row(inputs.n_max)
+    return [exact_divide(_inverse_numerator(a, n), central[n]) for n in range(len(a))]
 
 
 def _closed(inputs: RouteInputs) -> list[int]:

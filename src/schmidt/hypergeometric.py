@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .combinatorics import binomial, exact_divide
+from .combinatorics import _binomial_row, exact_divide
 from .core import _require_exponent, _require_order
 
 Rational = Fraction | int
@@ -366,7 +366,7 @@ def t_as_hypergeometric(n: int, j: int, r: int) -> int:
     top = ((a, 1), (a + 2, 2), *[(j - n, 1)] * r)
     bottom = ((a, 2), *[(-(n + j), 1)] * r)
     num, den = _series_pair(top, bottom, n - j)
-    return exact_divide(binomial(n + j, n - j) ** r * num, den)
+    return exact_divide(_binomial_row(n + j)[n - j] ** r * num, den)
 
 
 def _vanishes(p: int, q: int, m: int) -> bool:

@@ -6,11 +6,14 @@ The forward transform of a sequence c is
 
 and it is inverted through the coefficients
 
-    D(n,k) = C(2n,n-k) - C(2n,n-k-1),
-
-which also satisfy the integer identity (n+k+1) D(n,k) = (2k+1) C(2n,n-k):
+    D(n,k) = C(2n,n-k) - C(2n,n-k-1):
 
     C(2n,n) c_n = sum_k (-1)^(n-k) D(n,k) a_k.
+
+They satisfy the integer identity (n+k+1) D(n,k) = (2k+1) C(2n,n-k), so
+D(n,k) = D(n,k+1) (2k+1)(n+k+2) / ((2k+3)(n-k)) exactly: the inverse row is
+walked down from D(n,n) = 1 and reads no binomial, and the divisor C(2n,n)
+is read from the walked `combinatorics._central_row`.
 
 Sequences are dense prefixes, plain lists indexed 0..N. Each kernel is
 written once, as a whole row: `_forward_row(n)` holds C(n,k) C(n+k,k) and
@@ -29,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .combinatorics import _binomial_row, binomial, central_binomial, exact_divide
+from .combinatorics import _central_row, binomial, exact_divide
 
 
 def _check_prefix(seq: Sequence[int], n: int) -> None:
@@ -45,14 +48,11 @@ def _forward_row(n: int) -> list[int]:
 
 
 def _inverse_row(n: int) -> list[int]:
-    """(-1)^(n-k) D(n,k) for k = 0..n, all from one C(2n, .) row.
-
-    C(2n, -1) = 0 closes the row at k = n, where D(n,n) = 1.
-    """
-    row = _binomial_row(2 * n)
-    return [
-        (-1) ** (n - k) * (row[n - k] - (row[n - k - 1] if k < n else 0)) for k in range(n + 1)
-    ]
+    """(-1)^(n-k) D(n,k) for k = 0..n, walked down from D(n,n) = 1 by the two-term step."""
+    row = [1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        row[k] = -row[k + 1] * (2 * k + 1) * (n + k + 2) // ((2 * k + 3) * (n - k))
+    return row
 
 
 def legendre_forward(c: Sequence[int], n: int) -> int:
@@ -68,7 +68,7 @@ def legendre_inverse(a: Sequence[int], n: int) -> Fraction:
     is a statement to verify downstream, not a precondition, so no
     divisibility is enforced here.
     """
-    return Fraction(_inverse_numerator(a, n), central_binomial(n))
+    return Fraction(_inverse_numerator(a, n), _central_row(n)[n])
 
 
 def _inverse_numerator(a: Sequence[int], n: int) -> int:

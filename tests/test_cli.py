@@ -9,6 +9,7 @@ monkeypatching, since the real computations never disagree.
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -374,7 +375,7 @@ def test_wrong_inverse_value_fails_compute(monkeypatch, capsys):
     true_numerator = cli.core._inverse_numerator
 
     def off_by_one(a, n):
-        return true_numerator(a, n) + (n == 3) * combinatorics.central_binomial(3)
+        return true_numerator(a, n) + (n == 3) * math.comb(6, 3)
 
     monkeypatch.setattr(cli.core, "_inverse_numerator", off_by_one)
     for r in (1, 2, 3, 4):
@@ -1350,6 +1351,31 @@ def test_json_document_is_written_in_chunks(argv, monkeypatch):
     assert max(out.sizes) < len(text) / 10
 
 
+@pytest.mark.parametrize("r_max", [0, 1])
+def test_verify_below_r2_builds_no_chain_or_column_base(r_max, monkeypatch, capsys):
+    # the nest chains and the columns C(k+j, 2j) are read only from r = 2 on,
+    # so a sweep that stops below it builds neither; one that goes on builds
+    # each once
+    built = Counter()
+    true_init, true_bases = cli.core._NestChain.__init__, cli.core._column_bases
+
+    def counting_init(self, *args):
+        built["chain"] += 1
+        true_init(self, *args)
+
+    def counting_bases(*args):
+        built["bases"] += 1
+        return true_bases(*args)
+
+    monkeypatch.setattr(cli.core._NestChain, "__init__", counting_init)
+    monkeypatch.setattr(cli.core, "_column_bases", counting_bases)
+    assert cli.main(["verify", "--r-max", str(r_max), "--n-max", "12"]) == 0
+    assert built == Counter()
+    assert cli.main(["verify", "--r-max", "3", "--n-max", "12"]) == 0
+    assert built == Counter(chain=13, bases=1)
+    capsys.readouterr()
+
+
 def test_verify_closed_columns_failure_is_one_witness(monkeypatch, capsys):
     # a closed build that fails at one exponent is one witness; that exponent
     # skips its closed checks, and every other exponent is still checked
@@ -1451,7 +1477,6 @@ _SCANNED_PRIMITIVES = (
     (combinatorics, "_binomial_column"),
     (combinatorics, "_central_row"),
     (combinatorics, "binomial"),
-    (combinatorics, "central_binomial"),
     (legendre, "_forward_row"),
     (legendre, "_inverse_row"),
 )

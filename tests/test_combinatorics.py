@@ -10,7 +10,6 @@ from reference import pochhammer
 from schmidt.combinatorics import (
     DivisibilityError,
     binomial,
-    central_binomial,
     exact_divide,
     _binomial_column,
     _binomial_row,
@@ -45,14 +44,6 @@ def test_binomial_symmetry():
             assert binomial(n, k) == binomial(n, n - k)
 
 
-def test_central_binomial_values():
-    assert central_binomial(0) == 1
-    assert central_binomial(2) == 6
-    assert central_binomial(5) == 252
-    for n in range(30):
-        assert central_binomial(n) == binomial(2 * n, n)
-
-
 @given(st.integers(min_value=0, max_value=700).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=-3, max_value=n + 3))
 ))
@@ -64,12 +55,6 @@ def test_binomial_matches_math_comb(nk):
     assert binomial(n, k) == expected
 
 
-@given(st.integers(min_value=0, max_value=700))
-def test_central_binomial_matches_math_comb(n):
-    # (2n)! / n!^2, independent of math.comb
-    assert central_binomial(n) == math.factorial(2 * n) // math.factorial(n) ** 2
-
-
 def test_binomial_rows_match_math_comb_exhaustively_up_to_64():
     for m in range(65):
         assert _binomial_row(m) == [math.comb(m, k) for k in range(m + 1)]
@@ -78,7 +63,7 @@ def test_binomial_rows_match_math_comb_exhaustively_up_to_64():
 
 
 def test_central_row_matches_math_comb():
-    # the closed t-rows and c_from_t read their C(2m, m) from this walk
+    # every C(2m, m) of the package, the inverse divisors included, is read from this walk
     for n in range(65):
         assert _central_row(n) == [math.comb(2 * m, m) for m in range(n + 1)]
     assert _central_row(300) == [math.comb(2 * m, m) for m in range(301)]

@@ -1,5 +1,6 @@
 """Schmidt numbers by each route, inner numbers, closed forms, integrality."""
 
+from fractions import Fraction
 from math import comb
 from operator import mul
 
@@ -7,7 +8,7 @@ import pytest
 
 from reference import inner_number, nest
 from schmidt import core
-from schmidt.combinatorics import DivisibilityError, _central_row, binomial, central_binomial
+from schmidt.combinatorics import DivisibilityError, _central_row, binomial
 from schmidt.legendre import _forward_row, _inverse_row, legendre_forward, legendre_inverse
 
 
@@ -119,7 +120,7 @@ def test_integrality_ratio_consistency():
         for n in range(9):
             for j in range(n + 1):
                 ratio = core.integrality_ratio(n, j, r)
-                assert ratio * central_binomial(n) == central_binomial(j) * core.t_sum(n, j, r)
+                assert ratio * comb(2 * n, n) == comb(2 * j, j) * core.t_sum(n, j, r)
 
 
 def test_c_from_t_values():
@@ -138,8 +139,8 @@ def test_inner_sum_is_the_inverse_numerator(r, n_max):
     a = [core.lhs_sum(n, r) for n in range(n_max + 1)]
     for n, row in enumerate(core.t_rows(r, n_max)):
         numerator = sum(map(mul, _inverse_row(n), a))
-        assert sum(central_binomial(j) ** r * t for j, t in enumerate(row)) == numerator, n
-        assert core.c_from_t(n, r) * central_binomial(n) == numerator, n
+        assert sum(comb(2 * j, j) ** r * t for j, t in enumerate(row)) == numerator, n
+        assert core.c_from_t(n, r) * comb(2 * n, n) == numerator, n
 
 
 def test_t_rows_at_r1_are_the_identity():
@@ -385,13 +386,27 @@ def test_t_table_rows():
     ]
 
 
+def test_inverse_divides_by_the_central_binomial():
+    # the unit impulse at order n has inverse numerator D(n,n) = 1 there and 0
+    # below, so legendre_inverse is 1 / C(2n,n), and the inverse route's one
+    # remainder is the pair (1, C(2n,n))
+    for n in range(1, 41):
+        a = [0] * n + [1]
+        assert legendre_inverse(a, n) == Fraction(1, comb(2 * n, n))
+        inputs = core.RouteInputs(1, n)
+        inputs.a = a
+        with pytest.raises(DivisibilityError) as caught:
+            core.ROUTES["inverse"](inputs)
+        assert (caught.value.numerator, caught.value.divisor) == (1, comb(2 * n, n))
+
+
 def test_t_table_ratio_consistency():
     for n, j, t, ratio in core.t_table(4, 7):
-        assert ratio * central_binomial(n) == central_binomial(j) * t
+        assert ratio * comb(2 * n, n) == comb(2 * j, j) * t
 
 
 def test_binomial_product_identity():
     # C(2j,j) C(k+j,k-j) == C(k,j) C(k+j,j), the regrouping behind c_from_t
     for k in range(13):
         for j in range(k + 1):
-            assert central_binomial(j) * binomial(k + j, k - j) == binomial(k, j) * binomial(k + j, j)
+            assert comb(2 * j, j) * binomial(k + j, k - j) == binomial(k, j) * binomial(k + j, j)

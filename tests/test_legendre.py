@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import legendre_forward_central
+from schmidt import combinatorics
 from schmidt.combinatorics import DivisibilityError, binomial
 from schmidt.legendre import (
     _forward_row,
@@ -58,15 +60,33 @@ def test_forward_row_matches_comb():
         assert _forward_row(n) == expected, n
 
 
+def _inverse_row_by_comb(n):
+    # (-1)^(n-k) D(n,k), with C(2n, -1) = 0 at k = n spelled out
+    return [
+        (-1) ** (n - k) * (math.comb(2 * n, n - k) - (math.comb(2 * n, n - k - 1) if k < n else 0))
+        for k in range(n + 1)
+    ]
+
+
 def test_inverse_row_matches_comb():
-    for n in ROW_ORDERS:
-        # (-1)^(n-k) D(n,k), with C(2n, -1) = 0 at k = n spelled out
-        expected = [
-            (-1) ** (n - k)
-            * (math.comb(2 * n, n - k) - (math.comb(2 * n, n - k - 1) if k < n else 0))
-            for k in range(n + 1)
-        ]
-        assert _inverse_row(n) == expected, n
+    for n in [*range(201), 300]:
+        assert _inverse_row(n) == _inverse_row_by_comb(n), n
+
+
+def test_inverse_row_reads_no_binomial(monkeypatch):
+    # the row is walked down from D(n,n) = 1 by its own two-term step, so with
+    # every binomial primitive raising, in every module that bound it, it is
+    # still the oracle's row
+    def refuse(*args):
+        raise AssertionError(f"binomial primitive called with {args}")
+
+    for name in ("binomial", "_binomial_row", "_binomial_column", "_central_row"):
+        true_fn = getattr(combinatorics, name)
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "schmidt" and getattr(module, name, None) is true_fn:
+                monkeypatch.setattr(module, name, refuse)
+    for n in range(61):
+        assert _inverse_row(n) == _inverse_row_by_comb(n), n
 
 
 def test_coefficient_values():
