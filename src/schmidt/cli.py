@@ -246,8 +246,10 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
         # fixes its agreement with definition for every integer a_n and every r
         values = {name: _route(report, name, inputs) for name in ("definition", "closed")}
         _compare_routes(report, r, values)
+    # at r = 1, C(2j,j) t(n, j, 1) = C(2n,n) [j = n] is the Legendre inversion,
+    # checked once per sweep; a closed route that failed leaves no ratio columns
     if r == 1 or values["closed"] is None:
-        return  # no ratio columns below r = 2, and none where the closed route failed
+        return
 
     with _group(report, "t-closed-agreement"):
         # the strong integrality, as C(2j,j) t(n, j, r) == C(2n,n) ratio with
@@ -357,25 +359,17 @@ def run_identities(args: argparse.Namespace) -> Report:
     return report
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _bounded_int(low: int, stop: float = float("inf")):
+    # the parser of an integer option in [low, stop); argparse names it in
+    # its message for a non-integer, "invalid int value"
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value < stop:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {stop})")
+        return value
 
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _routes(text: str) -> tuple[str, ...]:
@@ -397,25 +391,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="print c_0..c_n for one exponent")
-    compute.add_argument("--r", type=_positive_int, required=True, help="exponent, >= 1")
-    compute.add_argument("--n-max", type=_non_negative_int, default=12)
+    compute.add_argument("--r", type=_bounded_int(1), required=True, help="exponent, >= 1")
+    compute.add_argument("--n-max", type=_bounded_int(0), default=12)
     compute.add_argument(
         "--routes", type=_routes, default=DEFAULT_ROUTES,
         help=f"comma-separated subset of {','.join(core.ROUTES)}",
     )
 
     t_table = sub.add_parser("t-table", help="print the inner numbers and scaled ratios")
-    t_table.add_argument("--r", type=_positive_int, required=True, help="exponent, >= 1")
-    t_table.add_argument("--n-max", type=_non_negative_int, default=12)
+    t_table.add_argument("--r", type=_bounded_int(1), required=True, help="exponent, >= 1")
+    t_table.add_argument("--n-max", type=_bounded_int(0), default=12)
 
     verify = sub.add_parser("verify", help="exhaustive route-agreement and integrality sweep")
-    verify.add_argument("--r-max", type=_non_negative_int, default=8)
-    verify.add_argument("--n-max", type=_non_negative_int, default=12)
+    verify.add_argument("--r-max", type=_bounded_int(0), default=8)
+    verify.add_argument("--n-max", type=_bounded_int(0), default=12)
 
     identities = sub.add_parser("identities", help="seeded random identity checks")
-    identities.add_argument("--trials", type=_non_negative_int, default=100)
-    identities.add_argument("--m-max", type=_non_negative_int, default=5)
-    identities.add_argument("--seed", type=_seed, default=0)
+    identities.add_argument("--trials", type=_bounded_int(0), default=100)
+    identities.add_argument("--m-max", type=_bounded_int(0), default=5)
+    identities.add_argument("--seed", type=_bounded_int(0, 2**64), default=0)
 
     for command in (compute, t_table, verify, identities):
         command.add_argument("--format", choices=FORMATS, default="plain")

@@ -64,10 +64,11 @@ def binomial(n: int, k: int) -> int:
 # binomial recomputes its value from scratch.
 
 
-def _binomial_row(m: int) -> list[int]:
-    """C(m, 0), C(m, 1), ..., C(m, m), walked by C(m, k+1) = C(m, k) (m-k) / (k+1)."""
+def _binomial_row(m: int, last: int | None = None) -> list[int]:
+    """C(m, 0), C(m, 1), ..., C(m, m), walked by C(m, k+1) = C(m, k) (m-k) / (k+1),
+    stopping at C(m, last) if `last` is below m."""
     row = [1]
-    for k in range(m):
+    for k in range(m if last is None else min(m, last)):
         row.append(row[-1] * (m - k) // (k + 1))
     return row
 

@@ -17,9 +17,9 @@ ratio is C(n,j)^(1+[r odd]) times an (s-1)-fold nest of binomials, so
 
     c(n, r) = sum_j C(2j,j)^(r-1) C(n,j)^(1+[r odd]) nest_r(n, j)
 
-is a sum of products of binomials with no division anywhere. The defining
-t rows stay as the oracle, and the ratio's integrality is still checked
-from them, not assumed.
+is a sum of products of binomials with no division anywhere, for every
+r >= 1: at r = 1, s = 0, the nest is [n = j] and the sum is 1. The defining
+t rows stay as the oracle, and the ratio's integrality is checked from them.
 """
 
 from __future__ import annotations
@@ -200,31 +200,40 @@ class _NestChain:
     indexed by n - j, serves every order. Read from the inside out, the
     closing factor is one band level on the start [1, 0, ...], so the odd
     chain for s, the column of r = 2s + 1, is s band levels on the start,
-    and the column of r = 2s is the outer level on the odd chain for s - 1.
-    The chain holds only the latest odd chain: a sweep over r = 2, 3, ...
+    and the column of r = 2s is the outer level on the odd chain for s - 1;
+    at r = 1, s = 0, it is the start itself.
+    The chain holds only the latest odd chain: a sweep over r = 1, 2, ...
     runs one level per exponent, ~r_max levels per j where building each
     column afresh runs ~r_max^2 / 4, and a request for a smaller s starts
-    over. A kernel C(m, .) ends at m, so a level costs
-    O(n_max min(n_max, 2j)) products. `over`, the column C(n, j) for
-    n = j..n_max, weights the outer level and scales the nest into the
-    closed ratio (ratios). The last ratio column, keyed by (s, odd), is
-    kept, so two reads at one exponent build it once; never change it.
+    over. A level reads a kernel C(m, .) only to d = n_max - j, so it is
+    walked that far, and a level costs O(n_max min(n_max, 2j)) products.
+    `over`, the column C(n, j) for n = j..n_max, weights the outer level
+    and scales the nest into the closed ratio (ratios). Every column is
+    built on first read: a chain read only at r = 1 holds `over` alone, and
+    one read only at r <= 2 walks no C(2j, .) kernel. The last ratio column,
+    keyed by r, is kept, so two reads at one exponent build it once; never change it.
     """
 
     def __init__(self, j: int, n_max: int) -> None:
         self.j, self.length = j, n_max - j + 1
-        self.stretched = _binomial_column(n_max + j, 2 * j)  # C(k+j, k-j) for k = j..n_max
-        self.band = (_binomial_row(2 * j), [x * x for x in self.stretched])
         self.s, self.chain = 0, None  # the odd chain for s; None is the start [1, 0, ...]
-        self.last = None, None  # (s, odd) and the ratio column built for it
+        self.last = None, None  # r and the ratio column built for it
 
     @cached_property
     def over(self) -> list[int]:
         return _binomial_column(self.j + self.length - 1, self.j)  # C(k, j) for k = j..n_max
 
     @cached_property
+    def stretched(self) -> list[int]:  # C(k+j, k-j) for k = j..n_max
+        return _binomial_column(2 * self.j + self.length - 1, 2 * self.j)
+
+    @cached_property
+    def band(self) -> tuple[list[int], list[int]]:
+        return _binomial_row(2 * self.j, self.length - 1), [x * x for x in self.stretched]
+
+    @cached_property
     def outer(self) -> tuple[list[int], list[int]]:
-        return _binomial_row(self.j), list(map(mul, self.over, self.stretched))
+        return _binomial_row(self.j, self.length - 1), list(map(mul, self.over, self.stretched))
 
     def column(self, s: int, odd: bool) -> list[int]:
         """nest(n, j) for n = j..n_max at r = 2s + 1 (odd) or r = 2s; read it, never change it."""
@@ -234,13 +243,15 @@ class _NestChain:
         while self.s < target:
             self.chain = _nest_level(*self.band, self.chain)
             self.s += 1
-        return self.chain if odd else _nest_level(*self.outer, self.chain)
+        if odd:  # at s = 0 no level has run: the start
+            return self.chain or [1] + [0] * (self.length - 1)
+        return _nest_level(*self.outer, self.chain)
 
-    def ratios(self, s: int, odd: bool) -> list[int]:
-        """The closed ratio C(n,j)^(1+[r odd]) nest(n, j), n = j..n_max, at r = 2s (+ 1 if odd)."""
-        if self.last[0] != (s, odd):
-            nests = self.column(s, odd)
-            self.last = (s, odd), [c ** (1 + odd) * nest for c, nest in zip(self.over, nests)]
+    def ratios(self, r: int) -> list[int]:
+        """The closed ratio C(n,j)^(1+[r odd]) nest(n, j), n = j..n_max, at r >= 1."""
+        if self.last[0] != r:
+            nests = self.column(*divmod(r, 2))
+            self.last = r, [c ** (1 + r % 2) * nest for c, nest in zip(self.over, nests)]
         return self.last[1]
 
 
@@ -257,32 +268,27 @@ def _nest_level(kernel: list[int], weights: list[int], chain: list[int] | None) 
     return [sum(map(mul, kernel, weighted[i::-1])) for i in range(length)]
 
 
-def _require_closed_exponent(r: int) -> None:
-    if r < 2:
-        raise ValueError(f"no closed route below r=2, got r={r}")
-
-
 def closed_ratio_columns(
     r: int, n_max: int, chains: Sequence[_NestChain] | None = None
 ) -> Iterator[list[int]]:
     """C(2j,j) t(n, j, r) / C(2n,n) for n = j..n_max, one column per j = 0..n_max, by the nested sums.
 
-    For r = 2s or r = 2s + 1 (every r >= 2) the ratio is C(n,j)^(1+[r odd])
+    For r = 2s or r = 2s + 1 (every r >= 1) the ratio is C(n,j)^(1+[r odd])
     times the (s-1)-fold nest, a product of walked binomials with no
-    division: at r = 3 it is Strehl's C(n,j)^2 C(2j, n-j), and at r = 2
-    C(n,j) C(j, n-j). The columns come lazily, and entry (n, j) is column
-    j's entry n - j. `chains` holds the _NestChain per j to order n_max when
-    the caller sweeps over exponents; otherwise each chain is built as its
-    column is asked for, and dropped with it, O(s n_max^3) work in all.
+    division: at r = 3 it is Strehl's C(n,j)^2 C(2j, n-j), at r = 2
+    C(n,j) C(j, n-j), at r = 1 [n = j]. The columns come lazily, and entry
+    (n, j) is column j's entry n - j. `chains` holds the _NestChain per j to
+    order n_max when the caller sweeps over exponents; otherwise each chain
+    is built as its column is asked for, and dropped with it, O(s n_max^3)
+    work in all.
     """
     _require_order(n_max)
-    _require_closed_exponent(r)
-    s, odd = divmod(r, 2)
+    _require_exponent(r)
     if chains is None:
         chains = map(_NestChain, range(n_max + 1), repeat(n_max))
     # map keeps no reference to a chain once its column is read, so a built
     # chain lives only as long as its column
-    return map(_NestChain.ratios, chains, repeat(s), repeat(odd))
+    return map(_NestChain.ratios, chains, repeat(r))
 
 
 def _step_powers(
@@ -311,9 +317,9 @@ class Sweep:
     powers(r), and only the latest exponent's powers of each are held.
     chains[j] is the closed route's own _NestChain at j, built apart from
     every other field (see ROUTES) and held so that each nest level runs
-    once per sweep and each exponent's ratio column is built once. The
-    bases and the chains are built on first read, so a sweep that stops
-    below r = 2 builds neither.
+    once per sweep and each exponent's ratio column is built once. Both are
+    built on first read: a sweep that reads no exponent builds neither, and
+    one that stops at r = 1 only chains that hold their C(n, j) columns.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -393,8 +399,6 @@ def _inverse(inputs: RouteInputs) -> list[int]:
 
 def _closed(inputs: RouteInputs) -> list[int]:
     r, n_max = inputs.r, inputs.n_max
-    if r == 1:
-        return [1] * (n_max + 1)
     if r == 2:
         # Franel's cubes: the s = 1 nest form is O(n_max^2) too, but 2-4x
         # slower (best of 5, CPython 3.11, x86-64: 630 ms against 160 ms at
@@ -435,10 +439,9 @@ def t_general(n: int, j: int, r: int) -> int:
     that ratio, divided by C(2j,j), the one exact division.
     """
     _require_order(n, j)
-    _require_closed_exponent(r)
-    s, odd = divmod(r, 2)
+    _require_exponent(r)
     central = _central_row(n)
-    ratio = _NestChain(j, n).ratios(s, odd)[-1]
+    ratio = _NestChain(j, n).ratios(r)[-1]
     return exact_divide(central[n] * ratio, central[j])
 
 

@@ -1021,9 +1021,9 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     # builds each once for all exponents, r = 1 included. The one
     # central row C(0,0)..C(2N,N) serves every order n <= N. The closed
     # route reads none of the held rows: it walks its own C(0,0)..C(2N,N)
-    # for its weights C(2j,j)^(r-1) at each r >= 3 (r = 2 sums Franel's
-    # cubes), and its nest chains share no list with the held rows, so a
-    # fault in a held row cannot reach it.
+    # for its weights C(2j,j)^(r-1) at r = 1 and each r >= 3 (r = 2 sums
+    # Franel's cubes), and its nest chains share no list with the held rows,
+    # so a fault in a held row cannot reach it.
     built = {"_forward_row": Counter(), "_inverse_row": Counter(), "_central_row": Counter()}
 
     def counted(name, true_fn):
@@ -1045,7 +1045,7 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     once = Counter({(n, "sweep"): 1 for n in range(9)})
     assert built["_forward_row"] == once
     assert built["_inverse_row"] == once
-    assert built["_central_row"] == Counter({(8, "sweep"): 1, (8, "closed"): 4})
+    assert built["_central_row"] == Counter({(8, "sweep"): 1, (8, "closed"): 5})
     # no list the closed route's chains hold is one of the held rows
     (held,) = sweeps
     assert [chain.j for chain in held.chains] == list(range(9))
@@ -1071,9 +1071,9 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
     # every group and route of one exponent reads the same a_n, t-rows and
     # closed ratio columns, built once; a_0..a_N are the sums of the sweep's
     # forward powers, raised once per exponent, and never come from lhs_sum;
-    # r = 1 builds no t row and no ratio column. At r >= 3 the closed route
-    # and t-closed-agreement both read the ratio columns, and each chain
-    # builds its column once
+    # r = 1 builds no t row, and its ratio columns are the chain starts. At
+    # r >= 3 the closed route and t-closed-agreement both read the ratio
+    # columns, and each chain builds its column once
     built = Counter()
 
     def counted(name, true_fn):
@@ -1104,7 +1104,7 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
             **{("forward_powers", r): 1 for r in range(1, 7)},
             **{("t_rows", r): 1 for r in range(2, 7)},
             # one per chain j = 0..8
-            **{("ratio column", r): 9 for r in range(2, 7)},
+            **{("ratio column", r): 9 for r in range(1, 7)},
         }
     )
 
@@ -1184,8 +1184,8 @@ def test_compute_holds_one_nest_chain_at_a_time(monkeypatch, capsys):
     class Column(list):  # a list that a WeakSet can track, hashed by identity
         __hash__ = object.__hash__
 
-    def tracked_ratios(self, s, odd):
-        column = Column(true_ratios(self, s, odd))
+    def tracked_ratios(self, r):
+        column = Column(true_ratios(self, r))
         live_columns.add(column)
         columns_at_build.append(len(live_columns))
         return column
@@ -1353,14 +1353,16 @@ def test_json_document_is_written_in_chunks(argv, monkeypatch):
 
 @pytest.mark.parametrize("r_max", [0, 1])
 def test_verify_below_r2_builds_no_chain_or_column_base(r_max, monkeypatch, capsys):
-    # the nest chains and the columns C(k+j, 2j) are read only from r = 2 on,
-    # so a sweep that stops below it builds neither; one that goes on builds
-    # each once
-    built = Counter()
+    # the columns C(k+j, 2j) are read only from r = 2 on, so a sweep that
+    # stops below it builds none; the nest chains are read from r = 1 on,
+    # where each reads only its C(n, j) column and walks no kernel and no
+    # stretched column. A sweep that goes on builds each once
+    built, chains = Counter(), []
     true_init, true_bases = cli.core._NestChain.__init__, cli.core._column_bases
 
     def counting_init(self, *args):
         built["chain"] += 1
+        chains.append(self)
         true_init(self, *args)
 
     def counting_bases(*args):
@@ -1370,7 +1372,10 @@ def test_verify_below_r2_builds_no_chain_or_column_base(r_max, monkeypatch, caps
     monkeypatch.setattr(cli.core._NestChain, "__init__", counting_init)
     monkeypatch.setattr(cli.core, "_column_bases", counting_bases)
     assert cli.main(["verify", "--r-max", str(r_max), "--n-max", "12"]) == 0
-    assert built == Counter()
+    assert built == (Counter(chain=13) if r_max else Counter())
+    for chain in chains:
+        assert not {"band", "stretched", "outer"} & set(vars(chain)), chain.j
+    built.clear()
     assert cli.main(["verify", "--r-max", "3", "--n-max", "12"]) == 0
     assert built == Counter(chain=13, bases=1)
     capsys.readouterr()
@@ -1411,7 +1416,7 @@ def test_verify_closed_columns_failure_is_one_witness(monkeypatch, capsys):
 # new shared primitive joins it here.
 _SHARED_PRIMITIVES = {
     "_binomial_row(9)": (
-        combinatorics, "_binomial_row", lambda m: m == 9,
+        combinatorics, "_binomial_row", lambda *args: args == (9,),
         {"closed route disagrees with definition"},
     ),
     "_binomial_column(top=14)": (

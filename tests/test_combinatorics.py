@@ -69,6 +69,12 @@ def test_central_row_matches_math_comb():
     assert _central_row(300) == [math.comb(2 * m, m) for m in range(301)]
 
 
+def test_bounded_binomial_row_is_a_prefix_of_the_whole_row():
+    for m in range(20):
+        for last in range(25):
+            assert _binomial_row(m, last) == _binomial_row(m)[: last + 1], (m, last)
+
+
 @given(st.integers(min_value=0, max_value=700))
 @example(0)
 @example(700)

@@ -80,7 +80,7 @@ def test_t_row_rejects_bad_input():
     with pytest.raises(ValueError):
         core.t_rows(2, -1)
     with pytest.raises(ValueError):
-        core.closed_ratio_columns(1, 3)
+        core.closed_ratio_columns(0, 3)
     with pytest.raises(ValueError):
         core.closed_ratio_columns(2, -1)
 
@@ -258,7 +258,7 @@ def test_t_general_delegations():
     assert core.t_general(2, 1, 2) == core.t_sum(2, 1, 2)
     assert core.t_general(2, 0, 3) == core.t3_closed(2, 0)
     with pytest.raises(ValueError):
-        core.t_general(2, 1, 1)
+        core.t_general(2, 1, 0)
     with pytest.raises(ValueError):
         core.t_general(1, 2, 4)
 
@@ -329,6 +329,49 @@ def test_chained_nest_columns_match_fresh_columns():
             if s <= 4:
                 assert column == [nest(n, j, r) for n in range(j, n_max + 1)], (j, r)
         assert chain.s == 3  # r = 8 reads the odd chain for s = 3, restarted from s = 4
+
+
+def test_closed_route_at_r1_is_the_chain_start(monkeypatch):
+    # r = 1 is s = 0: the nest is the start [1, 0, ...], so every ratio
+    # column is the unit column [n = j], and the closed sum gives
+    # c(n, 1) = 1 from one read of each chain j = 0..N; r = 0 is no exponent
+    reads = []
+    true_ratios = core._NestChain.ratios
+
+    def counted_ratios(self, r):
+        reads.append((self.j, r))
+        return true_ratios(self, r)
+
+    monkeypatch.setattr(core._NestChain, "ratios", counted_ratios)
+    for n_max in range(31):
+        columns = list(core.closed_ratio_columns(1, n_max))
+        assert columns == [[1] + [0] * (n_max - j) for j in range(n_max + 1)], n_max
+        reads.clear()
+        assert core.c_closed(1, n_max) == [1] * (n_max + 1)
+        assert reads == [(j, 1) for j in range(n_max + 1)], n_max
+    with pytest.raises(ValueError):
+        core.c_closed(0, 3)
+
+
+def test_t_general_at_r1_is_the_identity():
+    # C(2j,j) t(n, j, 1) = C(2n,n) [j = n], the Legendre inversion itself
+    for n in range(21):
+        assert [core.t_general(n, j, 1) for j in range(n + 1)] == [0] * n + [1], n
+
+
+def test_chain_walks_its_kernels_only_where_read():
+    # a chain read only at r <= 2 walks no C(2j, .) kernel, and each kernel
+    # C(m, .) is walked to d = n_max - j, the last entry a level reads
+    n_max = 12
+    for j in range(n_max + 1):
+        chain = core._NestChain(j, n_max)
+        chain.ratios(1)
+        assert vars(chain).keys() & {"band", "stretched", "outer"} == set(), j
+        chain.ratios(2)
+        assert "band" not in vars(chain), j
+        assert chain.outer[0] == [comb(j, d) for d in range(min(j, n_max - j) + 1)], j
+        chain.ratios(3)
+        assert chain.band[0] == [comb(2 * j, d) for d in range(min(2 * j, n_max - j) + 1)], j
 
 
 def test_t_general_deep_nest_example():
