@@ -236,10 +236,10 @@ def _compare_routes(report: Report, r: int, values: dict[str, list | None]) -> N
         _agree(report, got, expected, f"{name} route disagrees with {reference}", "(r={}, n={})", r)
 
 
-def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
-    # Exponent r's inputs and t rows are built once, read by every group that
-    # needs them and dropped on return, so a sweep holds one exponent's rows,
-    # O(n_max^2) integers, besides its core.Sweep.
+def _verify_exponent(report: Report, inputs: core.RouteInputs, powers: list | None) -> None:
+    # Exponent r's t rows are built once, from its columns `powers`, read by
+    # every group that needs them and dropped on return, so a sweep holds one
+    # exponent's rows, O(n_max^2) integers, besides its core.Sweep.
     r, n_max, held = inputs.r, inputs.n_max, inputs.held
     with _group(report, "route-agreement"):
         # not the inverse route: the Legendre inversion, checked once per sweep,
@@ -259,7 +259,7 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs) -> None:
         # both sides are scaled by the held central row
         central = held.central
         columns = list(core.closed_ratio_columns(r, n_max, held.chains))
-        rows = core.t_rows(r, n_max, inverse=held.inverse, powers=held.powers(r))
+        rows = core.t_rows(r, n_max, inverse=held.inverse, powers=powers)
         for n, row in enumerate(rows):
             ratios = map(getitem, columns, range(n, -1, -1))  # columns[j][n - j], j = 0..n
             _agree(report, [central[n] * x for x in ratios], list(map(mul, central, row)),
@@ -280,8 +280,8 @@ def run_verify(args: argparse.Namespace) -> Report:
         for n, row in enumerate(held.inverse):
             _agree(report, core._inner_row(row, columns), [0] * n + [held.central[n]],
                    "Legendre inversion fails", "(n={}, k={})", n)
-    for r in range(1, args.r_max + 1):
-        _verify_exponent(report, core.RouteInputs(r, args.n_max, held))
+    for inputs, powers in held.exponents(args.r_max):
+        _verify_exponent(report, inputs, powers)
     return report
 
 

@@ -291,19 +291,10 @@ def closed_ratio_columns(
     return map(_NestChain.ratios, chains, repeat(r))
 
 
-def _step_powers(
-    bases: list[list[int]], held: tuple[int, list[list[int]]], r: int
-) -> tuple[int, list[list[int]]]:
-    # (r, every entry of bases raised to r) from held = (r0, the same at r0):
-    # each step to r + 1 is one product per entry with the bases, where a
-    # fresh power would be raised, and a smaller r starts over from the
-    # bases themselves, which are r = 1
-    held_r, powers = held
-    if r < held_r:
-        held_r, powers = 1, bases
-    for _ in range(held_r, r):
-        powers = [list(map(mul, p, base)) for p, base in zip(powers, bases)]
-    return r, powers
+def _times(rows: list[list[int]], bases: list[list[int]]) -> list[list[int]]:
+    # every entry of rows times the entry of bases in its place: one step of
+    # a running power, one product per entry where a fresh power is raised
+    return [list(map(mul, row, base)) for row, base in zip(rows, bases)]
 
 
 class Sweep:
@@ -312,14 +303,14 @@ class Sweep:
     forward[n] is _forward_row(n) and inverse[n] is _inverse_row(n), for
     n = 0..n_max; central is _central_row(n_max), whose prefix to C(2n,n)
     serves every order n; bases are the columns C(k+j, 2j), k = j..n_max,
-    for j = 0..n_max. Together O(n_max^2) integers. The forward rows and
-    the bases are raised to r as running products, forward_powers(r) and
-    powers(r), and only the latest exponent's powers of each are held.
-    chains[j] is the closed route's own _NestChain at j, built apart from
-    every other field (see ROUTES) and held so that each nest level runs
-    once per sweep and each exponent's ratio column is built once. Both are
-    built on first read: a sweep that reads no exponent builds neither, and
-    one that stops at r = 1 only chains that hold their C(n, j) columns.
+    for j = 0..n_max. Together O(n_max^2) integers. exponents(r_max) raises
+    the forward rows and the bases to r = 1, 2, ..., r_max as running
+    products. chains[j] is the closed route's own _NestChain at j, built
+    apart from every other field (see ROUTES) and held so that each nest
+    level runs once per sweep and each exponent's ratio column is built
+    once. Both are built on first read: a sweep that reads no exponent
+    builds neither, and one that stops at r = 1 only chains that hold their
+    C(n, j) columns.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -327,7 +318,6 @@ class Sweep:
         self.forward = [_forward_row(n) for n in range(n_max + 1)]
         self.inverse = [_inverse_row(n) for n in range(n_max + 1)]
         self.central = _central_row(n_max)
-        self._forward_powers, self._powers = (1, self.forward), None
 
     @cached_property
     def bases(self) -> list[list[int]]:
@@ -337,29 +327,36 @@ class Sweep:
     def chains(self) -> list[_NestChain]:
         return [_NestChain(j, self.n_max) for j in range(self.n_max + 1)]
 
-    def forward_powers(self, r: int) -> list[list[int]]:
-        """The forward rows with every entry raised to r; read them, never change them.
+    def exponents(self, r_max: int) -> Iterator[tuple[RouteInputs, list[list[int]] | None]]:
+        """(r's RouteInputs, the columns C(k+j, 2j)^r) for r = 1..r_max, in order.
 
-        Row n sums to a_n at exponent r, lhs_sum(n, r).
+        Each exponent's forward powers (C(n,k) C(n+k,k))^r and columns are
+        the previous exponent's times the forward rows and the bases, and
+        only the latest are held. At r = 1 the forward powers are the
+        forward rows themselves and the columns are None, so a sweep that
+        stops there builds no base. r's a_n, the sum of row n's forward
+        powers, is set on its RouteInputs. Read the columns, never change them.
         """
-        self._forward_powers = _step_powers(self.forward, self._forward_powers, r)
-        return self._forward_powers[1]
-
-    def powers(self, r: int) -> list[list[int]]:
-        """The columns C(k+j, 2j)^r; read them, never change them."""
-        self._powers = _step_powers(self.bases, self._powers or (1, self.bases), r)
-        return self._powers[1]
+        forward, powers = self.forward, None
+        for r in range(1, r_max + 1):
+            if r > 1:
+                forward = _times(forward, self.forward)
+                powers = _times(self.bases if powers is None else powers, self.bases)
+            inputs = RouteInputs(r, self.n_max, self)
+            inputs.a = list(map(sum, forward))
+            yield inputs, powers
 
 
 class RouteInputs:
     """What the routes read at exponent r to order n_max: `a`, a_0..a_N, built once, on first use.
 
     A sweep over exponents passes its Sweep as `held`, whose forward rows
-    the definition route reads, whose forward powers sum to `a`, and whose
-    nest chains the closed route reads. Otherwise no row is kept: the
-    definition route builds `a` in its own pass, one forward row at a time,
-    unless the inverse route already built it by lhs_sum, and the closed
-    route builds one nest chain at a time. No route reads held inverse rows or t rows.
+    the definition route reads and whose nest chains the closed route
+    reads; Sweep.exponents sets `a` from its forward powers. Otherwise no
+    row is kept: the definition route builds `a` in its own pass, one
+    forward row at a time, unless the inverse route already built it by
+    lhs_sum, and the closed route builds one nest chain at a time. No route
+    reads held inverse rows or t rows.
     """
 
     def __init__(self, r: int, n_max: int, held: Sweep | None = None) -> None:
@@ -369,9 +366,7 @@ class RouteInputs:
 
     @cached_property
     def a(self) -> list[int]:
-        if self.held is None:
-            return list(map(lhs_sum, range(self.n_max + 1), repeat(self.r)))
-        return list(map(sum, self.held.forward_powers(self.r)))
+        return list(map(lhs_sum, range(self.n_max + 1), repeat(self.r)))
 
 
 def _definition(inputs: RouteInputs) -> list[int]:
@@ -400,9 +395,10 @@ def _inverse(inputs: RouteInputs) -> list[int]:
 def _closed(inputs: RouteInputs) -> list[int]:
     r, n_max = inputs.r, inputs.n_max
     if r == 2:
-        # Franel's cubes: the s = 1 nest form is O(n_max^2) too, but 2-4x
-        # slower (best of 5, CPython 3.11, x86-64: 630 ms against 160 ms at
-        # n_max = 600)
+        # Franel's cubes, which the benchmark's r2-routes workload runs: the
+        # s = 1 nest form is O(n_max^2) too, but about 2x slower (best of 7,
+        # CPython 3.11, x86-64: 40 ms against 18 ms at n_max = 300, 265 ms
+        # against 140 ms at n_max = 600)
         return [c2_closed(n) for n in range(n_max + 1)]
     # c(n, r) = sum_j C(2j,j)^(r-1) ratio(n, j): each column j is added into
     # the partial sums c(j..n_max) as it forms, c[j + i] += C(2j,j)^(r-1)

@@ -366,7 +366,7 @@ def t_as_hypergeometric(n: int, j: int, r: int) -> int:
     top = ((a, 1), (a + 2, 2), *[(j - n, 1)] * r)
     bottom = ((a, 2), *[(-(n + j), 1)] * r)
     num, den = _series_pair(top, bottom, n - j)
-    return exact_divide(_binomial_row(n + j)[n - j] ** r * num, den)
+    return exact_divide(_binomial_row(n + j, n - j)[-1] ** r * num, den)
 
 
 def _vanishes(p: int, q: int, m: int) -> bool:

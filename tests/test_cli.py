@@ -165,6 +165,26 @@ def test_unknown_command_exits_two():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "--r", "2", "--routes", ","], "need at least one route"),
+        (["identities", "--seed", "-1"], "must be in [0, 18446744073709551616)"),
+        (["identities", "--seed", str(2**64)], "must be in [0, 18446744073709551616)"),
+        (["verify", "--n-max", "-1"], "must be in [0, inf)"),
+        (["compute", "--r", "1.5"], "invalid int value"),
+    ],
+    ids=["no-route", "negative-seed", "seed-past-64-bits", "negative-n-max", "non-integer-r"],
+)
+def test_usage_errors_exit_two_in_process(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_t_table_plain():
     result = run_cli("t-table", "--r", "3", "--n-max", "2")
     assert result.returncode == 0
@@ -1070,7 +1090,7 @@ def _patch_sweep(monkeypatch, built):
 def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
     # every group and route of one exponent reads the same a_n, t-rows and
     # closed ratio columns, built once; a_0..a_N are the sums of the sweep's
-    # forward powers, raised once per exponent, and never come from lhs_sum;
+    # forward powers, set once per exponent, and never come from lhs_sum;
     # r = 1 builds no t row, and its ratio columns are the chain starts. At
     # r >= 3 the closed route and t-closed-agreement both read the ratio
     # columns, and each chain builds its column once
@@ -1078,8 +1098,8 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 
     def counted(name, true_fn):
         def fn(*args, **kwargs):
-            # r is lhs_sum's and forward_powers' second argument, after n or self
-            key = (name, args[1]) if name in ("lhs_sum", "forward_powers") else (name, args[0])
+            # r is lhs_sum's second argument, after n
+            key = (name, args[1]) if name == "lhs_sum" else (name, args[0])
             built[key] += 1
             return true_fn(*args, **kwargs)
 
@@ -1087,8 +1107,15 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
 
     for name in ("lhs_sum", "t_rows"):
         monkeypatch.setattr(cli.core, name, counted(name, getattr(cli.core, name)))
-    sweep, chain = cli.core.Sweep, cli.core._NestChain
-    monkeypatch.setattr(sweep, "forward_powers", counted("forward_powers", sweep.forward_powers))
+
+    class CountedInputs(cli.core.RouteInputs):
+        def __setattr__(self, name, value):
+            if name == "a":
+                built["a", self.r] += 1
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(cli.core, "RouteInputs", CountedInputs)
+    chain = cli.core._NestChain
     true_column = chain.column
 
     def counted_column(self, s, odd):
@@ -1101,7 +1128,7 @@ def test_verify_builds_each_exponents_inputs_once(monkeypatch, capsys):
     capsys.readouterr()
     assert built == Counter(
         {
-            **{("forward_powers", r): 1 for r in range(1, 7)},
+            **{("a", r): 1 for r in range(1, 7)},
             **{("t_rows", r): 1 for r in range(2, 7)},
             # one per chain j = 0..8
             **{("ratio column", r): 9 for r in range(1, 7)},

@@ -182,33 +182,55 @@ def test_readers_take_held_sweep_rows():
 
 def test_running_power_t_rows_match_t_row_and_reference():
     # verify's t-rows: held inverse rows, and each exponent's columns
-    # C(k+j, 2j)^r as the previous exponent's times the bases; asked for a
-    # smaller r, the sweep starts over from the bases
+    # C(k+j, 2j)^r as the previous exponent's times the bases; r = 1 has
+    # none, and t_rows raises its own there
     n_max = 20
     held = core.Sweep(n_max)
-    for r in range(1, 13):
-        powers = held.powers(r)
-        assert powers == core._column_powers(n_max, r), r
+    for inputs, powers in held.exponents(12):
+        r = inputs.r
+        if r == 1:
+            assert powers is None
+        else:
+            assert powers == core._column_powers(n_max, r), r
         rows = core.t_rows(r, n_max, inverse=held.inverse, powers=powers)
         for n, row in enumerate(rows):
             assert row == core.t_row(n, r), (n, r)
             assert row == [inner_number(n, j, r) for j in range(n + 1)], (n, r)
-    for r in (5, 3, 1, 2):
-        assert held.powers(r) == core._column_powers(n_max, r), r
-    assert held.powers(1) is held.bases
+    assert r == 12
 
 
-def test_running_forward_powers_match_fresh_powers():
+def test_running_forward_powers_match_fresh_powers(monkeypatch):
     # verify's a_n: each exponent's forward powers as the previous exponent's
-    # times the forward rows, summed row by row; asked for a smaller r, the
-    # sweep starts over from the rows themselves
+    # times the forward rows, summed row by row. r = 1 steps nothing: its
+    # forward powers are the forward rows themselves and it has no column
+    # powers, so r = 2 multiplies the forward rows and the bases by themselves
     n_max = 20
     held = core.Sweep(n_max)
-    for r in [*range(1, 13), 5, 3, 1, 2]:
-        powers = held.forward_powers(r)
-        assert powers == [[f**r for f in _forward_row(n)] for n in range(n_max + 1)], r
-        assert list(map(sum, powers)) == [core.lhs_sum(n, r) for n in range(n_max + 1)], r
-    assert held.forward_powers(1) is held.forward
+    steps = []
+    true_times = core._times
+
+    def recording_times(rows, bases):
+        steps.append((rows, bases, true_times(rows, bases)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(core, "_times", recording_times)
+    forward = held.forward
+    for inputs, powers in held.exponents(12):
+        r = inputs.r
+        assert inputs.held is held
+        if r == 1:
+            assert (powers, steps) == (None, [])
+        else:
+            # r's two steps, the forward powers and then the columns
+            (rows, bases, forward), column_step = steps[-2:]
+            assert (rows is held.forward) == (r == 2)
+            assert bases is held.forward
+            assert column_step[2] is powers
+        assert forward == [[f**r for f in _forward_row(n)] for n in range(n_max + 1)], r
+        assert inputs.a == list(map(sum, forward)), r
+        assert inputs.a == [core.lhs_sum(n, r) for n in range(n_max + 1)], r
+    assert len(steps) == 2 * 11
+    assert steps[1][0] is steps[1][1] is held.bases
 
 
 def test_t3_closed_values():
