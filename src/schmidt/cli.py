@@ -254,11 +254,12 @@ def _verify_exponent(report: Report, inputs: core.RouteInputs, powers: list | No
     with _group(report, "t-closed-agreement"):
         # the strong integrality, as C(2j,j) t(n, j, r) == C(2n,n) ratio with
         # an integer ratio, so no remainder test is needed. The ratios are
-        # the columns that the closed route left in the held chains at r >= 3
-        # (at r = 2 it sums Franel's cubes, and the chains build them here);
-        # both sides are scaled by the held central row
+        # the columns that the closed route left in the held chains, each
+        # ending at its last nonzero entry and padded here with the zeros
+        # past it; both sides are scaled by the held central row
         central = held.central
         columns = list(core.closed_ratio_columns(r, n_max, held.chains))
+        columns = [column + [0] * (n_max - j + 1 - len(column)) for j, column in enumerate(columns)]
         rows = core.t_rows(r, n_max, inverse=held.inverse, powers=powers)
         for n, row in enumerate(rows):
             ratios = map(getitem, columns, range(n, -1, -1))  # columns[j][n - j], j = 0..n

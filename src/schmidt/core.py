@@ -18,8 +18,8 @@ ratio is C(n,j)^(1+[r odd]) times an (s-1)-fold nest of binomials, so
     c(n, r) = sum_j C(2j,j)^(r-1) C(n,j)^(1+[r odd]) nest_r(n, j)
 
 is a sum of products of binomials with no division anywhere, for every
-r >= 1: at r = 1, s = 0, the nest is [n = j] and the sum is 1. The defining
-t rows stay as the oracle, and the ratio's integrality is checked from them.
+r >= 1, by the same nest chains at every r: at r = 1, s = 0, the nest is
+[n = j] and the sum is 1. The defining t rows stay as the oracle.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def t3_closed(n: int, j: int) -> int:
 def c2_closed(n: int) -> int:
     """c(n, 2) = sum_j C(n,j)^3, the Franel numbers, from one walked C(n, .) row.
 
-    The equivalent form sum_j C(n,j)^2 C(2j,n) is checked against this one
-    by the acceptance suite, not on every call.
+    No route calls it. The acceptance suite checks the equivalent form
+    sum_j C(n,j)^2 C(2j,n) against it, and the tests the closed route's.
     """
     _require_order(n)
     return sum(x**3 for x in _binomial_row(n))
@@ -198,25 +198,28 @@ class _NestChain:
     C(2j,k_{s-1}-j) closes the chain. With i = k - j each level is one
     banded convolution (_nest_level) that never reads n, so one column,
     indexed by n - j, serves every order. Read from the inside out, the
-    closing factor is one band level on the start [1, 0, ...], so the odd
-    chain for s, the column of r = 2s + 1, is s band levels on the start,
-    and the column of r = 2s is the outer level on the odd chain for s - 1;
-    at r = 1, s = 0, it is the start itself.
+    closing factor is one band level on the start [1], so the odd chain for
+    s, the column of r = 2s + 1, is s band levels on the start, and the
+    column of r = 2s is the outer level on the odd chain for s - 1; at
+    r = 1, s = 0, it is the start itself. A band level widens a column by
+    2j and the outer level by j, so each column is stored to n - j =
+    min(n_max - j, (r-1) j), its last nonzero entry and t(n, j, r)'s.
     The chain holds only the latest odd chain: a sweep over r = 1, 2, ...
     runs one level per exponent, ~r_max levels per j where building each
     column afresh runs ~r_max^2 / 4, and a request for a smaller s starts
     over. A level reads a kernel C(m, .) only to d = n_max - j, so it is
     walked that far, and a level costs O(n_max min(n_max, 2j)) products.
     `over`, the column C(n, j) for n = j..n_max, weights the outer level
-    and scales the nest into the closed ratio (ratios). Every column is
-    built on first read: a chain read only at r = 1 holds `over` alone, and
-    one read only at r <= 2 walks no C(2j, .) kernel. The last ratio column,
-    keyed by r, is kept, so two reads at one exponent build it once; never change it.
+    and scales the nest into the closed ratio (ratios). Kernels and weights
+    are built once, on first read; a level on the start is its own kernel,
+    so a chain read only at r = 1 holds `over` alone, and one read only at
+    r <= 3 builds no weights. The last ratio column, keyed by r, is kept,
+    so two reads at one exponent build it once; never change it.
     """
 
     def __init__(self, j: int, n_max: int) -> None:
         self.j, self.length = j, n_max - j + 1
-        self.s, self.chain = 0, None  # the odd chain for s; None is the start [1, 0, ...]
+        self.s, self.chain = 0, [1]  # the odd chain for s, at s = 0 the start
         self.last = None, None  # r and the ratio column built for it
 
     @cached_property
@@ -224,47 +227,47 @@ class _NestChain:
         return _binomial_column(self.j + self.length - 1, self.j)  # C(k, j) for k = j..n_max
 
     @cached_property
-    def stretched(self) -> list[int]:  # C(k+j, k-j) for k = j..n_max
-        return _binomial_column(2 * self.j + self.length - 1, 2 * self.j)
+    def band(self) -> list[int]:  # the band level's kernel C(2j, d)
+        return _binomial_row(2 * self.j, self.length - 1)
 
     @cached_property
-    def band(self) -> tuple[list[int], list[int]]:
-        return _binomial_row(2 * self.j, self.length - 1), [x * x for x in self.stretched]
+    def outer(self) -> list[int]:  # the outer level's kernel C(j, d)
+        return _binomial_row(self.j, self.length - 1)
 
     @cached_property
-    def outer(self) -> tuple[list[int], list[int]]:
-        return _binomial_row(self.j, self.length - 1), list(map(mul, self.over, self.stretched))
+    def weights(self) -> tuple[list[int], list[int]]:
+        # the band and outer weights C(k+j, k-j)^2 and C(k, j) C(k+j, k-j), k = j..n_max
+        stretched = _binomial_column(2 * self.j + self.length - 1, 2 * self.j)
+        return [x * x for x in stretched], list(map(mul, self.over, stretched))
 
     def column(self, s: int, odd: bool) -> list[int]:
-        """nest(n, j) for n = j..n_max at r = 2s + 1 (odd) or r = 2s; read it, never change it."""
+        """nest(n, j) to its last nonzero entry, at r = 2s + 1 (odd) or 2s; never change it."""
         target = s if odd else s - 1
         if target < self.s:
-            self.s, self.chain = 0, None
+            self.s, self.chain = 0, [1]
+        # every weights[0] is 1, so on the start [1] a level is its own kernel
         while self.s < target:
-            self.chain = _nest_level(*self.band, self.chain)
+            self.chain = _nest_level(self.band, self.weights[0], self.chain) if self.s else self.band
             self.s += 1
-        if odd:  # at s = 0 no level has run: the start
-            return self.chain or [1] + [0] * (self.length - 1)
-        return _nest_level(*self.outer, self.chain)
+        if odd:
+            return self.chain
+        return _nest_level(self.outer, self.weights[1], self.chain) if self.s else self.outer
 
     def ratios(self, r: int) -> list[int]:
-        """The closed ratio C(n,j)^(1+[r odd]) nest(n, j), n = j..n_max, at r >= 1."""
+        """The closed ratio C(n,j)^(1+[r odd]) nest(n, j), as long as the nest column, at r >= 1."""
         if self.last[0] != r:
             nests = self.column(*divmod(r, 2))
             self.last = r, [c ** (1 + r % 2) * nest for c, nest in zip(self.over, nests)]
         return self.last[1]
 
 
-def _nest_level(kernel: list[int], weights: list[int], chain: list[int] | None) -> list[int]:
-    # chain'[i] = sum_d kernel[d] weights[i-d] chain[i-d], as long as the
-    # weights. Every level's weights[0] is 1 (C(2j,0)^2, or C(j,j) C(2j,0) at
-    # the outer level), so on the start [1, 0, ...] (None) the level is its
-    # own kernel.
-    length = len(weights)
-    if chain is None:
-        return (kernel + [0] * length)[:length]
-    weighted = list(map(mul, weights, chain))
-    # weighted[i::-1] runs i - d for d = 0, 1, ...; map stops at the kernel's end
+def _nest_level(kernel: list[int], weights: list[int], chain: list[int]) -> list[int]:
+    # chain'[i] = sum_d kernel[d] weights[i-d] chain[i-d], to the convolution's
+    # natural length, capped at the weights' end
+    length = min(len(kernel) + len(chain) - 1, len(weights))
+    # zero past the chain's end, so that weighted[i::-1] runs i - d for
+    # d = 0, 1, ...; map stops at the kernel's end
+    weighted = [*map(mul, weights, chain), *repeat(0, length - len(chain))]
     return [sum(map(mul, kernel, weighted[i::-1])) for i in range(length)]
 
 
@@ -276,11 +279,11 @@ def closed_ratio_columns(
     For r = 2s or r = 2s + 1 (every r >= 1) the ratio is C(n,j)^(1+[r odd])
     times the (s-1)-fold nest, a product of walked binomials with no
     division: at r = 3 it is Strehl's C(n,j)^2 C(2j, n-j), at r = 2
-    C(n,j) C(j, n-j), at r = 1 [n = j]. The columns come lazily, and entry
-    (n, j) is column j's entry n - j. `chains` holds the _NestChain per j to
-    order n_max when the caller sweeps over exponents; otherwise each chain
-    is built as its column is asked for, and dropped with it, O(s n_max^3)
-    work in all.
+    C(n,j) C(j, n-j), at r = 1 [n = j]. The columns come lazily; entry
+    (n, j) is column j's entry n - j, stored up to n = r j, past which it is
+    0. `chains` holds the _NestChain per j to order n_max when the caller
+    sweeps over exponents; otherwise each chain is built as its column is
+    asked for, and dropped with it, O(s n_max^3) work in all.
     """
     _require_order(n_max)
     _require_exponent(r)
@@ -393,21 +396,16 @@ def _inverse(inputs: RouteInputs) -> list[int]:
 
 
 def _closed(inputs: RouteInputs) -> list[int]:
-    r, n_max = inputs.r, inputs.n_max
-    if r == 2:
-        # Franel's cubes, which the benchmark's r2-routes workload runs: the
-        # s = 1 nest form is O(n_max^2) too, but about 2x slower (best of 7,
-        # CPython 3.11, x86-64: 40 ms against 18 ms at n_max = 300, 265 ms
-        # against 140 ms at n_max = 600)
-        return [c2_closed(n) for n in range(n_max + 1)]
     # c(n, r) = sum_j C(2j,j)^(r-1) ratio(n, j): each column j is added into
-    # the partial sums c(j..n_max) as it forms, c[j + i] += C(2j,j)^(r-1)
+    # the partial sums c(j..) it reaches as it forms, c[j + i] += C(2j,j)^(r-1)
     # column[i], and dropped, so no ratio table is held. No division
+    r, n_max = inputs.r, inputs.n_max
     weights = [c ** (r - 1) for c in _central_row(n_max)]
     chains = None if inputs.held is None else inputs.held.chains
     c = [0] * (n_max + 1)
     for j, column in enumerate(closed_ratio_columns(r, n_max, chains)):
-        c[j:] = map(add, c[j:], map(mul, repeat(weights[j]), column))
+        end = j + len(column)
+        c[j:end] = map(add, c[j:end], map(mul, repeat(weights[j]), column))
     return c
 
 
@@ -431,13 +429,14 @@ def t_general(n: int, j: int, r: int) -> int:
     """t(n, j, r) by the nested multi-sum route, from the one ratio column at j.
 
     The column runs over orders j..n, O(s n min(n, 2j)) products, and only
-    its last entry, the closed ratio at (n, j), is read; t is C(2n,n) times
-    that ratio, divided by C(2j,j), the one exact division.
+    its entry n - j, the closed ratio at (n, j), is read, 0 past its end
+    (n > r j); t is C(2n,n) ratio / C(2j,j), the one exact division.
     """
     _require_order(n, j)
     _require_exponent(r)
     central = _central_row(n)
-    ratio = _NestChain(j, n).ratios(r)[-1]
+    column = _NestChain(j, n).ratios(r)
+    ratio = column[-1] if len(column) > n - j else 0
     return exact_divide(central[n] * ratio, central[j])
 
 

@@ -1041,9 +1041,9 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     # builds each once for all exponents, r = 1 included. The one
     # central row C(0,0)..C(2N,N) serves every order n <= N. The closed
     # route reads none of the held rows: it walks its own C(0,0)..C(2N,N)
-    # for its weights C(2j,j)^(r-1) at r = 1 and each r >= 3 (r = 2 sums
-    # Franel's cubes), and its nest chains share no list with the held rows,
-    # so a fault in a held row cannot reach it.
+    # for its weights C(2j,j)^(r-1) at every exponent, and its nest chains
+    # share no list with the held rows, so a fault in a held row cannot
+    # reach it.
     built = {"_forward_row": Counter(), "_inverse_row": Counter(), "_central_row": Counter()}
 
     def counted(name, true_fn):
@@ -1065,7 +1065,7 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
     once = Counter({(n, "sweep"): 1 for n in range(9)})
     assert built["_forward_row"] == once
     assert built["_inverse_row"] == once
-    assert built["_central_row"] == Counter({(8, "sweep"): 1, (8, "closed"): 5})
+    assert built["_central_row"] == Counter({(8, "sweep"): 1, (8, "closed"): 6})
     # no list the closed route's chains hold is one of the held rows
     (held,) = sweeps
     assert [chain.j for chain in held.chains] == list(range(9))
@@ -1073,7 +1073,7 @@ def test_verify_builds_each_r_independent_row_once_per_sweep(monkeypatch, capsys
                 *map(id, held.bases)}
     closed_lists = []
     for chain in held.chains:
-        closed_lists += [chain.stretched, chain.chain, chain.over, *chain.band, *chain.outer]
+        closed_lists += [chain.chain, chain.over, chain.band, chain.outer, *chain.weights]
     assert not held_ids & set(map(id, closed_lists))
 
 
@@ -1166,8 +1166,8 @@ def test_closed_central_fault_leaves_every_other_check_clean(monkeypatch, capsys
     # weights, and in no other. The closed route divides by nothing, so its
     # values can only disagree, and every check that reads the held rows,
     # t-closed-agreement included, must stay clean. The weight
-    # C(10,5)^(r-1) keeps the sign at even r only, and r = 2 sums Franel's
-    # cubes, so the route disagrees at r = 4 alone
+    # C(10,5)^(r-1) keeps the sign at even r only, so the route disagrees
+    # at r = 2 and r = 4 alone
     true_closed, true_central = cli.core.ROUTES["closed"], cli.core._central_row
 
     def negated_central(n):
@@ -1186,8 +1186,8 @@ def test_closed_central_fault_leaves_every_other_check_clean(monkeypatch, capsys
     assert code == 1
     fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert fails == [
-        "FAIL closed route disagrees with definition witness=(r=4, n=5)",
-        "FAIL closed route disagrees with definition witness=(r=4, n=6)",
+        f"FAIL closed route disagrees with definition witness=(r={r}, n={n})"
+        for r in (2, 4) for n in (5, 6)
     ]
     assert "Traceback" not in captured.err
 
@@ -1260,20 +1260,22 @@ def test_verify_chains_each_nest_once(monkeypatch, capsys):
     # a sweep to r = 12 runs, per j, the odd chain's band levels for
     # r = 3, 5, ..., 11 and one outer level for each of r = 2, 4, ..., 12,
     # where building each column afresh runs s - 1 levels and the outer one
-    # per exponent
+    # per exponent. The level on the start, at r = 3 (band) and r = 2
+    # (outer), is its own kernel and convolves nothing, so 4 band and 5
+    # outer levels are convolutions
     levels = Counter()
     true_level = cli.core._nest_level
 
     def counted_level(kernel, weights, chain):
         owner = sys._getframe(1).f_locals["self"]
-        levels[owner.j, "band" if kernel is owner.band[0] else "outer"] += 1
+        levels[owner.j, "band" if kernel is owner.band else "outer"] += 1
         return true_level(kernel, weights, chain)
 
     monkeypatch.setattr(cli.core, "_nest_level", counted_level)
     assert cli.main(["verify", "--r-max", "12", "--n-max", "10"]) == 0
     capsys.readouterr()
-    assert levels == Counter({**{(j, "band"): 5 for j in range(11)},
-                              **{(j, "outer"): 6 for j in range(11)}})
+    assert levels == Counter({**{(j, "band"): 4 for j in range(11)},
+                              **{(j, "outer"): 5 for j in range(11)}})
 
 
 def _faulty_verify(monkeypatch, capsys, argv, whole):
@@ -1383,7 +1385,7 @@ def test_verify_below_r2_builds_no_chain_or_column_base(r_max, monkeypatch, caps
     # the columns C(k+j, 2j) are read only from r = 2 on, so a sweep that
     # stops below it builds none; the nest chains are read from r = 1 on,
     # where each reads only its C(n, j) column and walks no kernel and no
-    # stretched column. A sweep that goes on builds each once
+    # weights. A sweep that goes on builds each once
     built, chains = Counter(), []
     true_init, true_bases = cli.core._NestChain.__init__, cli.core._column_bases
 
@@ -1401,7 +1403,7 @@ def test_verify_below_r2_builds_no_chain_or_column_base(r_max, monkeypatch, caps
     assert cli.main(["verify", "--r-max", str(r_max), "--n-max", "12"]) == 0
     assert built == (Counter(chain=13) if r_max else Counter())
     for chain in chains:
-        assert not {"band", "stretched", "outer"} & set(vars(chain)), chain.j
+        assert not {"band", "outer", "weights"} & set(vars(chain)), chain.j
     built.clear()
     assert cli.main(["verify", "--r-max", "3", "--n-max", "12"]) == 0
     assert built == Counter(chain=13, bases=1)
@@ -1442,9 +1444,9 @@ def test_verify_closed_columns_failure_is_one_witness(monkeypatch, capsys):
 # show. The README's route-by-primitive table reads off the same matrix; a
 # new shared primitive joins it here.
 _SHARED_PRIMITIVES = {
-    "_binomial_row(9)": (
-        combinatorics, "_binomial_row", lambda *args: args == (9,),
-        {"closed route disagrees with definition"},
+    "_binomial_row(9,3)": (
+        combinatorics, "_binomial_row", lambda *args: args == (9, 3),
+        {"closed route disagrees with definition", "closed form disagrees"},
     ),
     "_binomial_column(top=14)": (
         combinatorics, "_binomial_column", lambda top, k: top == 14,

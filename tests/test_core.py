@@ -244,6 +244,18 @@ def test_t3_vanishing_pattern():
     for n in range(13):
         for j in range(n + 1):
             assert (core.t3_closed(n, j) == 0) == (3 * j < n)
+    # at every r, t(n, j, r) = 0 exactly when n > r j, where each closed
+    # ratio column ends; at r = 3 that is Strehl's 3j < n
+    for r in range(1, 9):
+        for n, row in enumerate(core.t_rows(r, 30)):
+            assert [t == 0 for t in row] == [n > r * j for j in range(n + 1)], (r, n)
+
+
+def _padded(column, length):
+    # a column stored to its last nonzero entry, with the zeros past it up to
+    # `length` entries, so that comparing it compares the support and the zeros
+    assert len(column) <= length
+    return column + [0] * (length - len(column))
 
 
 def test_t3_matches_defining_sum():
@@ -289,14 +301,18 @@ def test_t_general_matches_defining_sum():
     # the closed ratio columns scaled back, C(2n,n) ratio(n, j) = C(2j,j) t(n, j, r),
     # entry by entry against the defining rows, and t_general, which divides
     # C(2j,j) out of the left side, against the same rows. The columns read
-    # from a sweep's held chains are those built one chain at a time
+    # from a sweep's held chains are those built one chain at a time. nest(n, j)
+    # is nonzero exactly for n - j <= (r-1) j, so column j stops at its last
+    # nonzero entry, n - j = min(N - j, (r-1) j)
     central = _central_row(30)
     held = core.Sweep(30)
-    for r in range(2, 13):
+    for r in range(1, 13):
         defining = core.t_rows(r, 30)
         columns = list(core.closed_ratio_columns(r, 30))
-        assert list(map(len, columns)) == [31 - j for j in range(31)], r
+        assert list(map(len, columns)) == [min(30 - j, (r - 1) * j) + 1 for j in range(31)], r
+        assert all(column[-1] for column in columns), r
         assert list(core.closed_ratio_columns(r, 30, held.chains)) == columns, r
+        columns = [_padded(column, 31 - j) for j, column in enumerate(columns)]
         for n, row in enumerate(defining):
             ratios = [columns[j][n - j] for j in range(n + 1)]
             assert [central[n] * x for x in ratios] == list(map(mul, central, row)), (r, n)
@@ -319,7 +335,7 @@ def test_closed_ratio_columns_are_strehl_and_franel_forms(r, form):
     # at r = 2 it is C(n,j) C(j, n-j), so c(n, 2) = sum_j C(n,j) C(2j,j)
     # C(j, n-j), a third form of the Franel numbers. Both from math.comb only,
     # column by column, and summed over each order n
-    columns = list(core.closed_ratio_columns(r, 60))
+    columns = [_padded(column, 61 - j) for j, column in enumerate(core.closed_ratio_columns(r, 60))]
     for j, column in enumerate(columns):
         assert column == [form(n, j) for n in range(j, 61)], j
     for n, c in enumerate(core.c_by_definition(r, 60)):
@@ -333,7 +349,7 @@ def test_nest_column_matches_brute_force_nest(r):
     s, odd = divmod(r, 2)
     for j in range(9):
         column = core._NestChain(j, 14).column(s, odd)
-        assert column == [nest(n, j, r) for n in range(j, 15)], j
+        assert _padded(column, 15 - j) == [nest(n, j, r) for n in range(j, 15)], j
 
 
 def test_chained_nest_columns_match_fresh_columns():
@@ -349,13 +365,15 @@ def test_chained_nest_columns_match_fresh_columns():
             column = chain.column(s, odd)
             assert column == core._NestChain(j, n_max).column(s, odd), (j, r)
             if s <= 4:
-                assert column == [nest(n, j, r) for n in range(j, n_max + 1)], (j, r)
+                assert _padded(column, n_max + 1 - j) == [
+                    nest(n, j, r) for n in range(j, n_max + 1)
+                ], (j, r)
         assert chain.s == 3  # r = 8 reads the odd chain for s = 3, restarted from s = 4
 
 
 def test_closed_route_at_r1_is_the_chain_start(monkeypatch):
-    # r = 1 is s = 0: the nest is the start [1, 0, ...], so every ratio
-    # column is the unit column [n = j], and the closed sum gives
+    # r = 1 is s = 0: the nest is the start [1], so every ratio column is
+    # the unit column [n = j], stored as its one nonzero entry, and the closed sum gives
     # c(n, 1) = 1 from one read of each chain j = 0..N; r = 0 is no exponent
     reads = []
     true_ratios = core._NestChain.ratios
@@ -367,7 +385,10 @@ def test_closed_route_at_r1_is_the_chain_start(monkeypatch):
     monkeypatch.setattr(core._NestChain, "ratios", counted_ratios)
     for n_max in range(31):
         columns = list(core.closed_ratio_columns(1, n_max))
-        assert columns == [[1] + [0] * (n_max - j) for j in range(n_max + 1)], n_max
+        assert columns == [[1]] * (n_max + 1), n_max
+        assert [_padded(column, n_max + 1 - j) for j, column in enumerate(columns)] == [
+            [1] + [0] * (n_max - j) for j in range(n_max + 1)
+        ], n_max
         reads.clear()
         assert core.c_closed(1, n_max) == [1] * (n_max + 1)
         assert reads == [(j, 1) for j in range(n_max + 1)], n_max
@@ -383,17 +404,23 @@ def test_t_general_at_r1_is_the_identity():
 
 def test_chain_walks_its_kernels_only_where_read():
     # a chain read only at r <= 2 walks no C(2j, .) kernel, and each kernel
-    # C(m, .) is walked to d = n_max - j, the last entry a level reads
+    # C(m, .) is walked to d = n_max - j, the last entry a level reads. A
+    # level on the start is its own kernel, so the levels of r = 2 and 3
+    # build no weights and walk no C(k+j, k-j) column; r = 4 builds them
     n_max = 12
+    built = {"band", "outer", "weights"}
     for j in range(n_max + 1):
         chain = core._NestChain(j, n_max)
         chain.ratios(1)
-        assert vars(chain).keys() & {"band", "stretched", "outer"} == set(), j
+        assert vars(chain).keys() & built == set(), j
         chain.ratios(2)
-        assert "band" not in vars(chain), j
-        assert chain.outer[0] == [comb(j, d) for d in range(min(j, n_max - j) + 1)], j
+        assert vars(chain).keys() & built == {"outer"}, j
+        assert chain.outer == [comb(j, d) for d in range(min(j, n_max - j) + 1)], j
         chain.ratios(3)
-        assert chain.band[0] == [comb(2 * j, d) for d in range(min(2 * j, n_max - j) + 1)], j
+        assert vars(chain).keys() & built == {"outer", "band"}, j
+        assert chain.band == [comb(2 * j, d) for d in range(min(2 * j, n_max - j) + 1)], j
+        chain.ratios(4)
+        assert vars(chain).keys() & built == built, j
 
 
 def test_t_general_deep_nest_example():
